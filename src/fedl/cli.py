@@ -550,6 +550,7 @@ def cmd_train(args) -> int:
                 "n_train": c.n_train,
                 "n_test": c.n_test,
                 "stations": len(c.station_ids),
+                "workers": c.workers,
                 "epochs_ran": len(c.reports),
                 "rmse_kwh": c.rmse_kwh,
             }
@@ -560,9 +561,7 @@ def cmd_train(args) -> int:
             _write_json(
                 out / f"schema_cluster{c.cluster_id}.json", c.schema.to_dict()
             )
-            wids = sorted(
-                range(config.workers)
-            ) if config.mode is TrainMode.FEDERATED else []
+            wids = range(c.workers) if config.mode is TrainMode.FEDERATED else []
             header, rows = _metrics_rows(c.reports, wids)
             _write_csv(out / f"metrics_cluster{c.cluster_id}.csv", header, rows)
             outputs.extend(

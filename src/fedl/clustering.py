@@ -10,21 +10,29 @@ centroids it solves
 
 exactly, as a transportation problem via successive-shortest-paths
 min-cost flow (network-flow integrality makes the LP optimum integral).
+Points are inserted one at a time; each takes its cheapest path
+point -> cluster -> zero or more moves -> a cluster with room to the sink
+(directly within theta_low, or through the shared slack node above it).
+A move a -> b relocates one member p of a to b at cost d(p,b) - d(p,a),
+so the search graph holds only the K clusters, the slack node and the
+sink, and every insertion keeps the partial assignment min-cost.
 Centroid updates take the in-window mean and otherwise keep the previous
 coordinates; iteration stops on an exact centroid fixpoint.
 
 Exactness: every float is a dyadic rational, so the squared distances are
 rescaled to integers losslessly and the flow runs in exact integer
 arithmetic — no epsilon comparisons, no numerically-negative cycles.
-Shortest paths use Bellman-Ford with strict-improvement relaxation over a
-fixed edge order, so equal-cost assignments resolve toward the lower
-cluster index and identical inputs give identical outputs.
+Ties: points are inserted in index order; among equal-cost paths the
+lower entry cluster index wins, and the rest of the path, like the choice
+among equal-cost members to move (lower point index), is settled by
+strict improvement in a fixed order.  Identical inputs give identical
+outputs.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,89 +108,27 @@ class ClusterAssignment:
 
 
 def _exact_integer_costs(dist2: np.ndarray) -> list[list[int]]:
-    """Rescale float costs to exact integers (shared power-of-two factor)."""
-    fracs = [[Fraction(float(d)) for d in row] for row in dist2]
-    scale = max((f.denominator for row in fracs for f in row), default=1)
-    return [[int(f * scale) for f in row] for row in fracs]
+    """Rescale float costs to exact integers (shared power-of-two factor).
 
-
-class _FlowNetwork:
-    """Minimal residual graph with successive-shortest-paths augmentation.
-
-    Costs are exact integers, so shortest-path comparisons are exact and
-    the residual graph can never acquire a spurious negative cycle.
+    Each nonzero cost is an odd integer mantissa times a power of two;
+    every cost is multiplied by the smallest power of two that clears the
+    most negative exponent.  Zero costs stay 0.
     """
-
-    def __init__(self, n_nodes: int) -> None:
-        self.n_nodes = n_nodes
-        self.head: list[int] = []  # edge -> target node
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-        self.adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
-
-    def add_edge(self, u: int, v: int, cap: int, cost: int) -> int:
-        idx = len(self.head)
-        self.head.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adjacency[u].append(idx)
-        self.head.append(u)  # residual
-        self.cap.append(0)
-        self.cost.append(-cost)
-        self.adjacency[v].append(idx + 1)
-        return idx
-
-    def _shortest_path(self, source: int, sink: int):
-        # Bellman-Ford over the fixed edge insertion order; strict
-        # improvement only, so the first-found path among equal-cost
-        # alternatives wins deterministically.
-        dist: list[int | None] = [None] * self.n_nodes
-        parent_edge = [-1] * self.n_nodes
-        dist[source] = 0
-        for _ in range(self.n_nodes):
-            changed = False
-            for u in range(self.n_nodes):
-                du = dist[u]
-                if du is None:
-                    continue
-                for e in self.adjacency[u]:
-                    if self.cap[e] <= 0:
-                        continue
-                    v = self.head[e]
-                    nd = du + self.cost[e]
-                    if dist[v] is None or nd < dist[v]:
-                        dist[v] = nd
-                        parent_edge[v] = e
-                        changed = True
-            if not changed:
-                break
-        if dist[sink] is None:
-            return None
-        return parent_edge
-
-    def send(self, source: int, sink: int, amount: int) -> int:
-        """Push ``amount`` units one augmenting path at a time; returns
-        the flow actually delivered."""
-        delivered = 0
-        while delivered < amount:
-            parent_edge = self._shortest_path(source, sink)
-            if parent_edge is None:
-                break
-            # bottleneck along the path
-            bottleneck = amount - delivered
-            v = sink
-            while v != source:
-                e = parent_edge[v]
-                bottleneck = min(bottleneck, self.cap[e])
-                v = self.head[e ^ 1]
-            v = sink
-            while v != source:
-                e = parent_edge[v]
-                self.cap[e] -= bottleneck
-                self.cap[e ^ 1] += bottleneck
-                v = self.head[e ^ 1]
-            delivered += bottleneck
-        return delivered
+    if not np.all(np.isfinite(dist2)):
+        raise DegenerateDataError("non-finite distance between a point and a centroid")
+    frac, exponent = np.frexp(dist2)
+    mantissa = (frac * 2.0**53).astype(np.int64)
+    nonzero = mantissa != 0
+    _, low_bit = np.frexp((mantissa & -mantissa).astype(np.float64))
+    trailing = np.where(nonzero, low_bit - 1, 0)
+    mantissa >>= trailing
+    exponent = exponent - 53 + trailing
+    scale = max(0, -int(exponent[nonzero].min())) if nonzero.any() else 0
+    shift = np.where(nonzero, exponent + scale, 0)
+    return [
+        [m << s for m, s in zip(m_row, s_row)]
+        for m_row, s_row in zip(mantissa.tolist(), shift.tolist())
+    ]
 
 
 def assign_clusters(points, centroids, config: ClusterConfig) -> np.ndarray:
@@ -197,37 +143,90 @@ def assign_clusters(points, centroids, config: ClusterConfig) -> np.ndarray:
     dist2 = np.einsum("ikd,ikd->ik", diffs, diffs)
     costs = _exact_integer_costs(dist2)
 
-    # Node ids: source | points 1..n | clusters n+1..n+k | slack sink | sink
-    source = 0
-    cluster0 = n + 1
-    slack_sink = n + k + 1
-    sink = n + k + 2
-    net = _FlowNetwork(n + k + 3)
-    for i in range(n):
-        net.add_edge(source, 1 + i, 1, 0)
-    point_edges = [
-        [net.add_edge(1 + i, cluster0 + c, 1, costs[i][c]) for c in range(k)]
-        for i in range(n)
-    ]
-    for c in range(k):
-        if lows[c] > 0:
-            net.add_edge(cluster0 + c, sink, lows[c], 0)  # mandatory quota
-        if highs[c] - lows[c] > 0:
-            net.add_edge(cluster0 + c, slack_sink, highs[c] - lows[c], 0)
+    # Residual state of the flow  point -> cluster -> {sink, slack node},
+    # slack node -> sink, kept per cluster instead of per edge.
+    slack_node, sink = k, k + 1
     surplus = n - sum(lows)
-    if surplus > 0:
-        net.add_edge(slack_sink, sink, surplus, 0)
+    label = [-1] * n
+    quota = [0] * k  # flow cluster -> sink, at most lows[c]
+    slack = [0] * k  # flow cluster -> slack node, at most highs[c] - lows[c]
+    slack_total = 0  # flow slack node -> sink, at most surplus
+    # heaps[a][b] holds (cost of moving p from a to b, p) for points that
+    # joined a; entries for points that have since left a are dropped lazily.
+    heaps = [[[] for _ in range(k)] for _ in range(k)]
+    moves: list[list[tuple[int, int] | None]] = [[None] * k for _ in range(k)]
+    changed_clusters: set[int] = set()
 
-    delivered = net.send(source, sink, n)
-    if delivered < n:  # cannot happen for windows validated above
-        raise InfeasibilityError("size windows admit no complete assignment")
+    def join(p: int, c: int) -> None:
+        label[p] = c
+        row = costs[p]
+        for b in range(k):
+            if b != c:
+                heapq.heappush(heaps[c][b], (row[b] - row[c], p))
+
+    for i in range(n):
+        for a in changed_clusters:
+            for b in range(k):
+                heap = heaps[a][b]
+                while heap and label[heap[0][1]] != a:
+                    heapq.heappop(heap)
+                moves[a][b] = heap[0] if heap else None
+        changed_clusters.clear()
+
+        # Bellman-Ford toward the sink over clusters and the slack node:
+        # togo[v] is the cheapest cost from v to the sink, nxt[v] its next hop.
+        togo: list[int | None] = [0 if q < lo else None for q, lo in zip(quota, lows)]
+        togo.append(0 if slack_total < surplus else None)
+        nxt = [sink] * (k + 1)
+        improved = True
+        while improved:
+            improved = False
+            for a in range(k):
+                best, hop = togo[a], nxt[a]
+                t = togo[slack_node]
+                if t is not None and slack[a] < highs[a] - lows[a]:
+                    if best is None or t < best:
+                        best, hop = t, slack_node
+                for b, move in enumerate(moves[a]):
+                    if move is not None and togo[b] is not None:
+                        t = move[0] + togo[b]
+                        if best is None or t < best:
+                            best, hop = t, b
+                if best != togo[a]:
+                    togo[a], nxt[a], improved = best, hop, True
+            for b in range(k):
+                t, best = togo[b], togo[slack_node]
+                if slack[b] > 0 and t is not None and (best is None or t < best):
+                    togo[slack_node], nxt[slack_node], improved = t, b, True
+
+        entry, best = -1, None
+        for c, t in enumerate(togo[:k]):
+            if t is not None and (best is None or costs[i][c] + t < best):
+                entry, best = c, costs[i][c] + t
+        if entry < 0:  # cannot happen for windows validated above
+            raise InfeasibilityError("size windows admit no complete assignment")
+
+        join(i, entry)
+        node = entry
+        while node != sink:
+            hop = nxt[node]
+            if node == slack_node:
+                if hop == sink:
+                    slack_total += 1
+                else:
+                    slack[hop] -= 1
+            else:
+                changed_clusters.add(node)
+                if hop == sink:
+                    quota[node] += 1
+                elif hop == slack_node:
+                    slack[node] += 1
+                else:
+                    join(moves[node][hop][1], hop)
+            node = hop
 
     tau = np.zeros((n, k), dtype=np.int8)
-    for i in range(n):
-        for c in range(k):
-            if net.cap[point_edges[i][c]] == 0:  # forward capacity used up
-                tau[i, c] = 1
-                break
+    tau[np.arange(n), label] = 1
     return tau
 
 

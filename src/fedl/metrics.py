@@ -34,7 +34,11 @@ def knn_baseline(
 ) -> np.ndarray:
     """Mean label of the k nearest training rows (Euclidean distance).
 
-    Distances tie toward the lower training-row index via a stable sort.
+    Squared distances are computed in floating point as
+    ||q||^2 + ||x||^2 - 2 q.x and stable-sorted.  Rows whose exact
+    distances tie usually differ in the last bits after rounding, so
+    rounding orders them; only bitwise-equal distances fall back to the
+    lower training-row index.
     Queries are processed in chunks so memory stays at
     O(chunk_size x |train|).
     """

@@ -536,6 +536,7 @@ class ClusterRunResult:
     reports: tuple[RoundReport, ...]
     traffic: TrafficLog | None
     rmse_kwh: float | None
+    workers: int  # sites that trained the model: J_k federated, 1 central, 0 skipped
 
 
 @dataclass(frozen=True)
@@ -567,7 +568,10 @@ def run_clustered(
 
     Transactions follow their station's cluster.  A cluster without
     training transactions is skipped with a warning; its test records are
-    counted as uncovered and excluded from the pooled RMSE.
+    counted as uncovered and excluded from the pooled RMSE.  A federated
+    cluster trains on J_k = min(J, shards its partition can fill) workers:
+    its distinct training stations under by_station, its training records
+    under round_robin.
     """
     known = {s.station_id for s in stations}
     referenced = {r.station_id for r in train_records} | {
@@ -611,6 +615,7 @@ def run_clustered(
                     reports=(),
                     traffic=None,
                     rmse_kwh=None,
+                    workers=0,
                 )
             )
             continue
@@ -622,10 +627,18 @@ def run_clustered(
         )
         X_train, y_train = encode_features(train_k, schema)
         if inner_mode is TrainMode.FEDERATED:
-            parts = partition_workers(train_k, config.workers, config.partition)
+            if config.partition is PartitionStrategy.BY_STATION:
+                shards = len({r.station_id for r in train_k})
+            else:
+                shards = len(train_k)
+            parts = partition_workers(
+                train_k, min(config.workers, shards), config.partition
+            )
             model, reports, traffic = run_federated(X_train, y_train, parts, config)
+            sites = len(parts)
         else:
             model, reports, traffic = run_centralized(X_train, y_train, config)
+            sites = 1
         cluster_rmse = None
         if test_k:
             X_test, _ = encode_features(test_k, schema)
@@ -646,6 +659,7 @@ def run_clustered(
                 reports=tuple(reports),
                 traffic=traffic,
                 rmse_kwh=cluster_rmse,
+                workers=sites,
             )
         )
     pooled = None

@@ -279,6 +279,29 @@ def test_train_clustered_writes_per_cluster_artifacts(tmp_path, corpus_dir):
     assert manifest["uncovered_test"] == 0
 
 
+def test_train_clustered_federated_caps_workers_per_cluster(tmp_path):
+    # 3 clusters of 2 stations cannot each feed 4 station-partitioned
+    # workers; every cluster trains with as many as its stations fill
+    corpus = tmp_path / "corpus"
+    code, _, err = invoke(
+        "synth", "--stations", 6, "--records", 600, "--seed", 1, "--out", corpus
+    )
+    assert code == 0, err
+    out = tmp_path / "run"
+    code, _, err = invoke(
+        "train", "--transactions", corpus / "transactions.csv",
+        "--stations", corpus / "stations.csv", "--clustering", "--clusters", 3,
+        "--mode", "federated", "--workers", 4, *FAST, "--out", out,
+    )
+    assert code == 0, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [row["workers"] for row in manifest["clusters"]] == [2, 2, 2]
+    for k in range(3):
+        header = (out / f"metrics_cluster{k}.csv").read_text().splitlines()[0]
+        assert header.split(",")[2:4] == ["worker_loss_0", "worker_loss_1"]
+        assert "worker_loss_2" not in header
+
+
 def test_train_bad_ratio_exits_1(tmp_path, corpus_dir):
     code, _, err = invoke(
         "train", "--transactions", corpus_dir / "transactions.csv",

@@ -1,14 +1,20 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedl.clustering import (
     ClusterConfig,
+    _exact_integer_costs,
     assign_clusters,
     constrained_kmeans,
     update_centroids,
 )
 from fedl.data import synth_generate
-from fedl.errors import InfeasibilityError
+from fedl.errors import DegenerateDataError, InfeasibilityError
 from helpers import brute_force_min_cost, exact_assignment_cost
 
 
@@ -134,6 +140,107 @@ def test_assignment_matches_brute_force_on_random_instances():
         assert got == best, f"trial {trial}: cost {got} vs brute-force {best}"
         checked += 1
     assert checked > 60
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_assignment_matches_brute_force_with_ties(data):
+    # integer coordinates make many points equidistant from several
+    # centroids, so equal-cost assignments abound
+    n = data.draw(st.integers(1, 7), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    def grid(rows):
+        coord = st.integers(-3, 3)
+        pairs = st.lists(st.tuples(coord, coord), min_size=rows, max_size=rows)
+        return np.array(data.draw(pairs), dtype=np.float64)
+
+    points, centroids = grid(n), grid(k)
+    sizes = st.lists(st.integers(0, n), min_size=k, max_size=k)
+    lows, extra = data.draw(sizes, label="lows"), data.draw(sizes, label="extra")
+    highs = [lo + e for lo, e in zip(lows, extra)]
+    assume(sum(lows) <= n <= sum(highs))
+    cfg = ClusterConfig(k=k, theta_low=tuple(lows), theta_high=tuple(highs))
+    tau = assign_clusters(points, centroids, cfg)
+    assert np.all(tau.sum(axis=1) == 1)
+    counts = tau.sum(axis=0)
+    assert np.all(counts >= lows) and np.all(counts <= highs)
+    got = exact_assignment_cost(points, centroids, labels_of(tau))
+    assert got == brute_force_min_cost(points, centroids, lows, highs)
+
+
+def test_assignment_tie_rule_on_duplicate_stations():
+    # three stations at one spot, equidistant from three centroids, one
+    # seat each.  Stations go in index order and every equal-cost path
+    # enters the lowest cluster: each newcomer takes cluster 0 and the
+    # earlier occupants shift up one cluster at zero cost.
+    points = np.zeros((3, 2))
+    centroids = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    cfg = ClusterConfig(k=3, theta_low=1, theta_high=1)
+    tau = assign_clusters(points, centroids, cfg)
+    assert labels_of(tau).tolist() == [1, 2, 0]
+
+
+def test_assignment_point_on_its_centroid():
+    points = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [1.0, 2.5]])
+    centroids = np.array([[1.0, 2.0], [5.0, 6.0]])  # zero cost for two points
+    cfg = ClusterConfig(k=2, theta_low=2, theta_high=2)
+    tau = assign_clusters(points, centroids, cfg)
+    lab = labels_of(tau)
+    assert lab.tolist() == [0, 1, 1, 0]
+    assert exact_assignment_cost(points, centroids, lab) == brute_force_min_cost(
+        points, centroids, (2, 2), (2, 2)
+    )
+
+
+def test_assignment_all_zero_costs():
+    points = np.zeros((5, 2))
+    centroids = np.zeros((2, 2))
+    assert _exact_integer_costs(np.zeros((5, 2))) == [[0, 0]] * 5
+    tau = assign_clusters(points, centroids, ClusterConfig(k=2))
+    assert np.all(tau.sum(axis=1) == 1)
+    assert sorted(tau.sum(axis=0).tolist()) == [2, 3]
+
+
+def test_assignment_rejects_non_finite_distances():
+    cfg = ClusterConfig(k=2, theta_low=0, theta_high=2)
+    centroids = np.array([[0.0, 0.0], [1.0, 1.0]])
+    for bad in (np.nan, np.inf, 1e200):  # 1e200 squares to inf
+        points = np.array([[0.0, 0.0], [bad, 0.0]])
+        with pytest.raises(DegenerateDataError):
+            assign_clusters(points, centroids, cfg)
+
+
+def test_exact_integer_costs_match_fraction_scaling():
+    rng = np.random.default_rng(11)
+    for trial in range(50):
+        d = rng.normal(size=(6, 3)) * 10.0 ** int(rng.integers(-8, 8))
+        if trial % 2:
+            d = np.round(d)
+        d[0, trial % 3] = 0.0
+        d = d * d
+        fracs = [[Fraction(float(v)) for v in row] for row in d]
+        scale = max(f.denominator for row in fracs for f in row)
+        assert _exact_integer_costs(d) == [[int(f * scale) for f in row] for row in fracs]
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+def test_assignment_optimal_at_scale(n):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(n)
+    points = rng.uniform(size=(n, 2))
+    centroids = points[rng.choice(n, size=8, replace=False)]
+    cfg = ClusterConfig(k=8)
+    lows, highs = cfg.windows(n)
+    tau = assign_clusters(points, centroids, cfg)
+    counts = tau.sum(axis=0)
+    assert np.all(counts >= lows) and np.all(counts <= highs)
+    # n/8 is whole, so the windows pin every size; each cluster column
+    # repeated to its window makes a square assignment problem
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    seats = np.repeat(np.arange(8), highs)
+    rows, cols = optimize.linear_sum_assignment(d2[:, seats])
+    best = math.fsum(d2[rows, seats[cols]])
+    assert exact_assignment_cost(points, centroids, labels_of(tau)) == best
 
 
 # --------------------------------------------------------------- centroid update
@@ -279,8 +386,6 @@ def test_kmeans_max_iterations_reports_nonconvergence():
 
 
 def test_kmeans_needs_enough_distinct_points():
-    from fedl.errors import DegenerateDataError
-
     points = np.zeros((5, 2))
     with pytest.raises(DegenerateDataError):
         constrained_kmeans(points, ClusterConfig(k=2, seed=0))
