@@ -57,13 +57,11 @@ from .nn import (
     Network,
     adam_step,
     backward,
-    dense_forward,
     forward,
     init_adam,
     init_network,
     predict,
     sse_loss,
-    tanh_activation,
 )
 from .sim import (
     ClusteredResult,

@@ -56,28 +56,42 @@ from .sim import (
 
 SWEEP_RATIOS = (0.8, 0.7, 0.6, 0.5)
 
-DEFAULTS = {
-    "ratio": 0.8,
-    "mode": "central",
-    "clustering": False,
-    "workers": 4,
-    "epochs": 200,
-    "tolerance": 1e-6,
-    "patience": 5,
-    "step_size": 0.01,
-    "hidden": "64,64",
-    "dropout": 0.15,
-    "clusters": 2,
-    "theta_low": None,
-    "theta_high": None,
-    "max_iterations": 100,
-    "partition": "by_station",
-    "include_transaction_id": True,
-    "knn_k": 5,
-    "noise": 0.8,
-    "parallel": False,
-    "seed": 0,
+_TRAINING = ("train", "evaluate")
+_CLUSTERING = ("cluster", *_TRAINING)
+_BOOL = {"action": argparse.BooleanOptionalAction}
+
+# Every config-backed option: key -> (default, the commands that take it,
+# argparse keywords of its flag).  The flag is ``--`` plus the key with
+# dashes; a value resolves as flag > config file > default.
+OPTIONS = {
+    "seed": (0, ("ingest", "synth", "report", *_CLUSTERING),
+             {"type": int, "help": "base RNG seed"}),
+    "ratio": (0.8, _TRAINING, {"type": float, "help": "training fraction"}),
+    "mode": ("central", _TRAINING, {"choices": ["central", "federated"]}),
+    "clustering": (False, ("train",),
+                   {**_BOOL, "help": "group stations first, one model per cluster"}),
+    "workers": (4, _TRAINING, {"type": int}),
+    "epochs": (200, _TRAINING, {"type": int}),
+    "tolerance": (1e-6, _TRAINING, {"type": float}),
+    "patience": (5, _TRAINING, {"type": int}),
+    "step_size": (0.01, _TRAINING, {"type": float}),
+    "hidden": ("64,64", _TRAINING,
+               {"type": str, "help": "hidden layer widths, comma-separated (default 64,64)"}),
+    "dropout": (0.15, _TRAINING, {"type": float}),
+    "clusters": (2, _CLUSTERING, {"type": int, "help": "number of clusters K"}),
+    "theta_low": (None, _CLUSTERING,
+                  {"type": int, "help": "per-cluster minimum size (default: balanced floor)"}),
+    "theta_high": (None, _CLUSTERING,
+                   {"type": int, "help": "per-cluster maximum size (default: balanced ceil)"}),
+    "max_iterations": (100, _CLUSTERING, {"type": int}),
+    "partition": ("by_station", _TRAINING, {"choices": ["by_station", "round_robin"]}),
+    "include_transaction_id": (True, ("ingest", *_TRAINING), _BOOL),
+    "knn_k": (5, ("evaluate",), {"type": int}),
+    "noise": (0.8, ("synth",), {"type": float, "help": "label noise stddev"}),
+    "parallel": (False, _TRAINING,
+                 {**_BOOL, "help": "compute worker gradients in threads (bit-identical output)"}),
 }
+DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
 
 
 class UsageError(Exception):
@@ -92,12 +106,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", type=Path, default=None,
-                     help="flat JSON config file; explicit flags override it")
-    sub.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    sub.add_argument("--out", type=Path, default=None,
-                     help="output directory (default: fedl_out)")
+def _add_common(p, command: str) -> None:
+    """Declare ``command``'s config-backed flags, ``--config`` and ``--out``."""
+    for key, (_, commands, kwargs) in OPTIONS.items():
+        if command in commands:
+            p.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
+    p.add_argument("--config", type=Path, default=None,
+                   help="flat JSON config file; explicit flags override it")
+    p.add_argument("--out", type=Path, default=None,
+                   help="output directory (default: fedl_out)")
 
 
 def build_parser() -> _Parser:
@@ -106,48 +123,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", help="parse a transactions CSV and report rejects")
     p.add_argument("--transactions", type=Path, required=True)
-    p.add_argument("--include-transaction-id",
-                   action=argparse.BooleanOptionalAction, default=None)
-    _add_common(p)
+    _add_common(p, "ingest")
     p.set_defaults(handler=cmd_ingest)
 
     p = sub.add_parser("cluster", help="group stations with size-constrained K-means")
     p.add_argument("--stations", type=Path, required=True)
-    p.add_argument("--clusters", type=int, default=None, help="number of clusters K")
-    p.add_argument("--theta-low", type=int, default=None,
-                   help="per-cluster minimum size (default: balanced floor)")
-    p.add_argument("--theta-high", type=int, default=None,
-                   help="per-cluster maximum size (default: balanced ceil)")
-    p.add_argument("--max-iterations", type=int, default=None)
-    _add_common(p)
+    _add_common(p, "cluster")
     p.set_defaults(handler=cmd_cluster)
 
     p = sub.add_parser("train", help="train a demand model")
     p.add_argument("--transactions", type=Path, required=True)
     p.add_argument("--stations", type=Path, default=None,
                    help="stations CSV (required with --clustering)")
-    p.add_argument("--mode", choices=["central", "federated"], default=None)
-    p.add_argument("--clustering", action=argparse.BooleanOptionalAction,
-                   default=None, help="group stations first, one model per cluster")
-    p.add_argument("--ratio", type=float, default=None, help="training fraction")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--step-size", type=float, default=None)
-    p.add_argument("--hidden", type=str, default=None,
-                   help="hidden layer widths, comma-separated (default 64,64)")
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--partition", choices=["by_station", "round_robin"], default=None)
-    p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--theta-low", type=int, default=None)
-    p.add_argument("--theta-high", type=int, default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--include-transaction-id",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--parallel", action=argparse.BooleanOptionalAction, default=None,
-                   help="compute worker gradients in threads (bit-identical output)")
-    _add_common(p)
+    _add_common(p, "train")
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a trained run and the baselines")
@@ -156,41 +144,22 @@ def build_parser() -> _Parser:
                    help="directory written by `fedl train`")
     p.add_argument("--stations", type=Path, default=None,
                    help="stations CSV (enables clustered sweep variants)")
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--knn-k", type=int, default=None)
     p.add_argument("--sweep", action="store_true",
                    help="train+score every method at ratios 0.8/0.7/0.6/0.5")
-    p.add_argument("--mode", choices=["central", "federated"], default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--step-size", type=float, default=None)
-    p.add_argument("--hidden", type=str, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--partition", choices=["by_station", "round_robin"], default=None)
-    p.add_argument("--clusters", type=int, default=None)
-    p.add_argument("--theta-low", type=int, default=None)
-    p.add_argument("--theta-high", type=int, default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--include-transaction-id",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--parallel", action=argparse.BooleanOptionalAction, default=None)
-    _add_common(p)
+    _add_common(p, "evaluate")
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("report", help="compare traffic logs across pipelines")
     p.add_argument("logs", nargs="+", metavar="NAME=TRAFFIC_CSV",
                    help="named traffic CSVs, e.g. central=run1/traffic.csv")
     p.add_argument("--baseline", type=str, default="central")
-    _add_common(p)
+    _add_common(p, "report")
     p.set_defaults(handler=cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--stations", type=int, required=True, dest="n_stations")
     p.add_argument("--records", type=int, required=True, dest="n_records")
-    p.add_argument("--noise", type=float, default=None, help="label noise stddev")
-    _add_common(p)
+    _add_common(p, "synth")
     p.set_defaults(handler=cmd_synth)
 
     return parser
@@ -217,26 +186,21 @@ def _load_config_file(path: Path | None) -> dict:
     return data
 
 
-def _resolve(args, keys) -> dict:
-    """flag > config file > default, per key."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+def _resolve(args, command: str) -> dict:
+    """flag > config file > default, for each option ``command`` takes."""
+    file_cfg = _load_config_file(args.config)
     resolved = {}
-    for key in keys:
-        flag = getattr(args, key, None)
+    for key, (default, commands, _) in OPTIONS.items():
+        if command not in commands:
+            continue
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
         elif key in file_cfg:
             resolved[key] = file_cfg[key]
         else:
-            resolved[key] = DEFAULTS[key]
+            resolved[key] = default
     return resolved
-
-TRAIN_KEYS = (
-    "ratio", "mode", "clustering", "workers", "epochs", "tolerance",
-    "patience", "step_size", "hidden", "dropout", "clusters", "theta_low",
-    "theta_high", "max_iterations", "partition", "include_transaction_id",
-    "parallel", "seed",
-)
 
 
 def _parse_hidden(value) -> tuple[int, ...]:
@@ -356,6 +320,14 @@ def _metrics_rows(reports, worker_ids):
     return header, rows
 
 
+def _write_assignment(out: Path, stations, labels) -> None:
+    _write_csv(
+        out / "assignment.csv",
+        ["station_id", "cluster_id"],
+        [(s.station_id, int(labels[i])) for i, s in enumerate(stations)],
+    )
+
+
 def _write_traffic(path: Path, log: TrafficLog) -> None:
     _write_csv(path, ["epoch", "direction", "payload", "bytes"], log.to_rows())
 
@@ -377,7 +349,7 @@ def _read_traffic(path: Path) -> TrafficLog:
 # ---------------------------------------------------------------- commands
 
 def cmd_synth(args) -> int:
-    cfg = _resolve(args, ("seed", "noise"))
+    cfg = _resolve(args, "synth")
     if args.n_stations < 1 or args.n_records < 1:
         raise UsageError("--stations and --records must be >= 1")
     out = _out_dir(args)
@@ -425,7 +397,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    cfg = _resolve(args, ("include_transaction_id", "seed"))
+    cfg = _resolve(args, "ingest")
     out = _out_dir(args)
     records, rejects = _read_transactions(args.transactions)
     schema = build_schema(records, bool(cfg["include_transaction_id"]))
@@ -452,20 +424,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    cfg = _resolve(
-        args, ("clusters", "theta_low", "theta_high", "max_iterations", "seed")
-    )
+    cfg = _resolve(args, "cluster")
     out = _out_dir(args)
     stations = _read_stations(args.stations)
     if not stations:
         raise DegenerateDataError("stations file holds no stations")
     assignment = constrained_kmeans(stations, _cluster_config(cfg))
-    labels = assignment.labels
-    _write_csv(
-        out / "assignment.csv",
-        ["station_id", "cluster_id"],
-        [(s.station_id, int(labels[i])) for i, s in enumerate(stations)],
-    )
+    _write_assignment(out, stations, assignment.labels)
     _write_json(
         out / "cluster_summary.json",
         {
@@ -488,8 +453,11 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _train_plain(out: Path, train, test, vocab, mode: TrainMode, config: TrainConfig,
-                 include_txn: bool):
+def _fit_plain(train, vocab, mode: TrainMode, config: TrainConfig, include_txn: bool):
+    """Fit one central or federated model on ``train``; writes nothing.
+
+    Returns (model, schema, reports, traffic, worker_ids).
+    """
     schema = build_schema(train, include_txn, station_vocabulary=vocab)
     X, y = encode_features(train, schema)
     if mode is TrainMode.FEDERATED:
@@ -499,16 +467,21 @@ def _train_plain(out: Path, train, test, vocab, mode: TrainMode, config: TrainCo
     else:
         model, reports, traffic = run_centralized(X, y, config)
         worker_ids = []
-    save_network(model, out / "model.fedl")
-    _write_json(out / "schema.json", schema.to_dict())
-    header, rows = _metrics_rows(reports, worker_ids)
-    _write_csv(out / "metrics.csv", header, rows)
-    _write_traffic(out / "traffic.csv", traffic)
-    return model, schema, reports, traffic
+    return model, schema, reports, traffic, worker_ids
+
+
+def _write_model(out: Path, suffix: str, model, schema, reports, worker_ids) -> list[str]:
+    """Write ``model{suffix}.fedl``, ``schema{suffix}.json`` and
+    ``metrics{suffix}.csv``; returns their names."""
+    names = [f"model{suffix}.fedl", f"schema{suffix}.json", f"metrics{suffix}.csv"]
+    save_network(model, out / names[0])
+    _write_json(out / names[1], schema.to_dict())
+    _write_csv(out / names[2], *_metrics_rows(reports, worker_ids))
+    return names
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(args, TRAIN_KEYS)
+    cfg = _resolve(args, "train")
     ratio = _check_ratio(cfg["ratio"])
     config = _train_config(cfg)
     out = _out_dir(args)
@@ -526,6 +499,7 @@ def cmd_train(args) -> int:
         "n_test": len(test),
         "clustered": clustering,
     }
+    outputs = ["manifest.json", "traffic.csv"]
 
     if clustering:
         if args.stations is None:
@@ -535,14 +509,14 @@ def cmd_train(args) -> int:
             train, test, stations, _cluster_config(cfg), config.mode, config,
             include_transaction_id=include_txn,
         )
-        labels = result.assignment.labels
-        _write_csv(
-            out / "assignment.csv",
-            ["station_id", "cluster_id"],
-            [(s.station_id, int(labels[i])) for i, s in enumerate(stations)],
-        )
+        _write_assignment(out, stations, result.assignment.labels)
+        outputs.append("assignment.csv")
+        traffic = result.combined_traffic()
+        summary = [
+            f"clustered {config.mode.value}: pooled_rmse_kwh="
+            f"{result.pooled_rmse_kwh!r} total_bytes={traffic.total_bytes()}"
+        ]
         cluster_rows = []
-        outputs = ["assignment.csv", "manifest.json", "traffic.csv"]
         for c in result.clusters:
             row = {
                 "cluster_id": c.cluster_id,
@@ -555,68 +529,46 @@ def cmd_train(args) -> int:
                 "rmse_kwh": c.rmse_kwh,
             }
             cluster_rows.append(row)
+            summary.append(
+                f"  cluster {row['cluster_id']}: train={row['n_train']} "
+                f"test={row['n_test']} rmse_kwh={row['rmse_kwh']!r}"
+                + (" (skipped)" if row["skipped"] else "")
+            )
             if c.skipped:
                 continue
-            save_network(c.model, out / f"model_cluster{c.cluster_id}.fedl")
-            _write_json(
-                out / f"schema_cluster{c.cluster_id}.json", c.schema.to_dict()
-            )
             wids = range(c.workers) if config.mode is TrainMode.FEDERATED else []
-            header, rows = _metrics_rows(c.reports, wids)
-            _write_csv(out / f"metrics_cluster{c.cluster_id}.csv", header, rows)
-            outputs.extend(
-                [
-                    f"model_cluster{c.cluster_id}.fedl",
-                    f"schema_cluster{c.cluster_id}.json",
-                    f"metrics_cluster{c.cluster_id}.csv",
-                ]
+            outputs += _write_model(
+                out, f"_cluster{c.cluster_id}", c.model, c.schema, c.reports, wids
             )
-        traffic = result.combined_traffic()
-        _write_traffic(out / "traffic.csv", traffic)
         extra.update(
             {
                 "clusters": cluster_rows,
                 "pooled_rmse_kwh": result.pooled_rmse_kwh,
                 "uncovered_test": result.uncovered_test,
-                "total_bytes": traffic.total_bytes(),
-                "outputs": sorted(outputs),
             }
         )
-        _manifest(out, "train", cfg, extra)
-        print(
-            f"clustered {config.mode.value}: pooled_rmse_kwh="
-            f"{result.pooled_rmse_kwh!r} total_bytes={traffic.total_bytes()}"
+    else:
+        model, schema, reports, traffic, worker_ids = _fit_plain(
+            train, vocab, config.mode, config, include_txn
         )
-        for row in cluster_rows:
-            print(
-                f"  cluster {row['cluster_id']}: train={row['n_train']} "
-                f"test={row['n_test']} rmse_kwh={row['rmse_kwh']!r}"
-                + (" (skipped)" if row["skipped"] else "")
-            )
-        return 0
-
-    model, schema, reports, traffic = _train_plain(
-        out, train, test, vocab, config.mode, config, include_txn
-    )
-    extra.update(
-        {
-            "epochs_ran": len(reports),
-            "stopped_early": len(reports) < config.epochs,
-            "final_loss": reports[-1].global_loss,
-            "parameter_count": model.parameter_count,
-            "total_bytes": traffic.total_bytes(),
-            "outputs": sorted(
-                ["manifest.json", "metrics.csv", "model.fedl", "schema.json",
-                 "traffic.csv"]
-            ),
-        }
-    )
+        outputs += _write_model(out, "", model, schema, reports, worker_ids)
+        extra.update(
+            {
+                "epochs_ran": len(reports),
+                "stopped_early": len(reports) < config.epochs,
+                "final_loss": reports[-1].global_loss,
+                "parameter_count": model.parameter_count,
+            }
+        )
+        summary = [
+            f"{config.mode.value}: epochs={len(reports)} "
+            f"final_loss={reports[-1].global_loss!r} "
+            f"params={model.parameter_count} total_bytes={traffic.total_bytes()}"
+        ]
+    _write_traffic(out / "traffic.csv", traffic)
+    extra.update({"total_bytes": traffic.total_bytes(), "outputs": sorted(outputs)})
     _manifest(out, "train", cfg, extra)
-    print(
-        f"{config.mode.value}: epochs={len(reports)} "
-        f"final_loss={reports[-1].global_loss!r} "
-        f"params={model.parameter_count} total_bytes={traffic.total_bytes()}"
-    )
+    print("\n".join(summary))
     return 0
 
 
@@ -624,25 +576,18 @@ def _pipeline_name(mode: str, clustered: bool) -> str:
     return f"{mode}_clustered" if clustered else mode
 
 
-def _evaluate_run_dir(run_dir: Path, train, test, include_txn: bool):
+def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
     """Score the model(s) saved by `fedl train` on the given test split.
 
     Returns (pipeline_name, rmse, total_bytes, uncovered_test).
     """
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise UsageError(f"{run_dir} has no manifest.json (not a train run dir)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    run_cfg = manifest.get("config", {})
-    mode = run_cfg.get("mode", "central")
     clustered = bool(manifest.get("clustered", False))
-    name = _pipeline_name(mode, clustered)
+    name = _pipeline_name(manifest.get("config", {}).get("mode", "central"), clustered)
     traffic_path = run_dir / "traffic.csv"
     total_bytes = (
         _read_traffic(traffic_path).total_bytes() if traffic_path.exists() else 0
     )
-    actual_all: list[np.ndarray] = []
-    pred_all: list[np.ndarray] = []
+    groups = [("", test)]  # (file suffix, the test records its model scores)
     uncovered = 0
     if clustered:
         assignment_path = run_dir / "assignment.csv"
@@ -659,38 +604,31 @@ def _evaluate_run_dir(run_dir: Path, train, test, include_txn: bool):
             raise DegenerateDataError(
                 f"test stations missing from assignment: {', '.join(unknown)}"
             )
-        clusters = sorted(set(station_cluster.values()))
-        for k in clusters:
+        groups = []
+        for k in sorted(set(station_cluster.values())):
             test_k = [r for r in test if station_cluster[r.station_id] == k]
             if not test_k:
                 continue
-            model_path = run_dir / f"model_cluster{k}.fedl"
-            schema_path = run_dir / f"schema_cluster{k}.json"
-            if not model_path.exists() or not schema_path.exists():
+            suffix = f"_cluster{k}"
+            if not (run_dir / f"model{suffix}.fedl").exists() or not (
+                run_dir / f"schema{suffix}.json"
+            ).exists():
                 uncovered += len(test_k)  # cluster was skipped at train time
                 continue
-            schema = EncodingSchema.from_dict(
-                json.loads(schema_path.read_text(encoding="utf-8"))
-            )
-            model = load_network(model_path)
-            X, _ = encode_features(test_k, schema)
-            pred_all.append(predict(model, X, schema))
-            actual_all.append(
-                np.array([r.energy_kwh for r in test_k], dtype=np.float64)
-            )
-    else:
-        schema = EncodingSchema.from_dict(
-            json.loads((run_dir / "schema.json").read_text(encoding="utf-8"))
-        )
-        model = load_network(run_dir / "model.fedl")
-        X, _ = encode_features(test, schema)
-        pred_all.append(predict(model, X, schema))
-        actual_all.append(np.array([r.energy_kwh for r in test], dtype=np.float64))
+            groups.append((suffix, test_k))
     from .metrics import rmse as _rmse
 
     value = None
-    if actual_all:
-        value = _rmse(np.concatenate(actual_all), np.concatenate(pred_all))
+    if groups:
+        predictions = []
+        for suffix, records in groups:
+            schema_json = (run_dir / f"schema{suffix}.json").read_text(encoding="utf-8")
+            schema = EncodingSchema.from_dict(json.loads(schema_json))
+            model = load_network(run_dir / f"model{suffix}.fedl")
+            X, _ = encode_features(records, schema)
+            predictions.append(predict(model, X, schema))
+        actual = np.array([r.energy_kwh for _, g in groups for r in g], dtype=np.float64)
+        value = _rmse(actual, np.concatenate(predictions))
     return name, value, total_bytes, uncovered
 
 
@@ -722,30 +660,20 @@ def _sweep(args, cfg, records, out: Path) -> int:
         methods += ["central_clustered", "federated_clustered"]
     methods += ["knn", "mean"]
     table: dict[str, dict[float, float]] = {m: {} for m in methods}
+    vocab = sorted({r.station_id for r in records})
     for ratio in SWEEP_RATIOS:
         train, test = split_train_test(records, ratio, config.seed)
-        vocab = sorted({r.station_id for r in records})
-        schema = build_schema(train, include_txn, station_vocabulary=vocab)
-        X_train, y_train = encode_features(train, schema)
-        X_test, _ = encode_features(test, schema)
         actual = np.array([r.energy_kwh for r in test], dtype=np.float64)
-
-        model, _, _ = run_centralized(X_train, y_train, config)
-        table["central"][ratio] = _rmse(actual, predict(model, X_test, schema))
-
-        parts = partition_workers(train, config.workers, config.partition)
-        model, _, _ = run_federated(X_train, y_train, parts, config)
-        table["federated"][ratio] = _rmse(actual, predict(model, X_test, schema))
-
-        if stations is not None:
-            for mode in (TrainMode.CENTRAL, TrainMode.FEDERATED):
+        for mode in (TrainMode.CENTRAL, TrainMode.FEDERATED):
+            model, schema, *_ = _fit_plain(train, vocab, mode, config, include_txn)
+            X_test, _ = encode_features(test, schema)
+            table[mode.value][ratio] = _rmse(actual, predict(model, X_test, schema))
+            if stations is not None:
                 result = run_clustered(
                     train, test, stations, _cluster_config(cfg), mode, config,
                     include_transaction_id=include_txn,
                 )
-                table[_pipeline_name(mode.value, True)][ratio] = (
-                    result.pooled_rmse_kwh
-                )
+                table[_pipeline_name(mode.value, True)][ratio] = result.pooled_rmse_kwh
 
         mean_rmse, knn_rmse = _baseline_rmse(train, test, include_txn, knn_k)
         table["mean"][ratio] = mean_rmse
@@ -765,7 +693,7 @@ def _sweep(args, cfg, records, out: Path) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve(args, TRAIN_KEYS + ("knn_k",))
+    cfg = _resolve(args, "evaluate")
     out = _out_dir(args)
     records, _rejects = _read_transactions(args.transactions)
     if not records:
@@ -774,12 +702,13 @@ def cmd_evaluate(args) -> int:
         return _sweep(args, cfg, records, out)
 
     # inherit split parameters from the run being scored unless overridden
-    run_manifest = None
+    run_manifest: dict = {}
     if args.run_dir is not None:
         manifest_path = args.run_dir / "manifest.json"
-        if manifest_path.exists():
-            run_manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    run_cfg = (run_manifest or {}).get("config", {})
+        if not manifest_path.exists():
+            raise UsageError(f"{args.run_dir} has no manifest.json (not a train run dir)")
+        run_manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    run_cfg = run_manifest.get("config", {})
     ratio = _check_ratio(
         args.ratio if args.ratio is not None else run_cfg.get("ratio", cfg["ratio"])
     )
@@ -794,7 +723,7 @@ def cmd_evaluate(args) -> int:
     uncovered = 0
     if args.run_dir is not None:
         name, value, n_bytes, uncovered = _evaluate_run_dir(
-            args.run_dir, train, test, include_txn
+            args.run_dir, run_manifest, test
         )
         if value is not None:
             rmse_kwh[name] = value

@@ -257,8 +257,14 @@ def build_schema(
                 f"vocabulary does not cover training stations: {sorted(missing)}"
             )
     labels = np.array([r.energy_kwh for r in records], dtype=np.float64)
-    mean = float(labels.mean())
-    std = float(labels.std())  # population stddev
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(labels.mean())
+        std = float(labels.std())  # population stddev
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DegenerateDataError(
+            f"label statistics overflow float64 (mean {mean!r}, std {std!r}); "
+            "standardization is undefined"
+        )
     if std == 0.0:
         raise DegenerateDataError(
             "labels are single-valued; standardization is undefined"

@@ -172,10 +172,6 @@ def init_network(specs, seed: int) -> Network:
     return Network(specs=specs, weights=tuple(weights), biases=tuple(biases))
 
 
-def tanh_activation(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
 def _apply_layer(
     network: Network,
     layer: int,
@@ -183,7 +179,9 @@ def _apply_layer(
     mode: Mode,
     seed: int,
     sample_ids: np.ndarray,
-) -> LayerTrace:
+) -> tuple[LayerTrace, np.ndarray]:
+    """Run one layer: affine map, activation, then dropout if the layer
+    carries one and ``mode`` is TRAIN.  Returns (trace, output)."""
     spec = network.specs[layer]
     if X.ndim != 2 or X.shape[1] != spec.input_width:
         raise ShapeError(
@@ -203,23 +201,6 @@ def _apply_layer(
     else:
         out = act
     return LayerTrace(inputs=X, activated=act, mask=mask), out
-
-
-def dense_forward(
-    layer: int,
-    network: Network,
-    X,
-    mode: Mode = Mode.INFER,
-    seed: int = 0,
-    sample_ids=None,
-) -> np.ndarray:
-    """Run a single layer: affine map, activation, then dropout if the layer
-    carries one and ``mode`` is TRAIN."""
-    X = np.asarray(X, dtype=np.float64)
-    if sample_ids is None:
-        sample_ids = np.arange(X.shape[0]) if X.ndim == 2 else np.arange(1)
-    _, out = _apply_layer(network, layer, X, mode, seed, np.asarray(sample_ids))
-    return out
 
 
 def forward(

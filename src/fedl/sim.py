@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import warnings
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -286,20 +287,11 @@ def local_epoch(
     return _grad_and_loss(global_model, worker.X, worker.y, worker.sample_ids, seed)
 
 
-def aggregate_gradients(
-    grads: Sequence[Gradient], worker_ids: Sequence[int] | None = None
-) -> Gradient:
-    """Elementwise mean of worker gradients.
-
-    When ``worker_ids`` is given the reduction is re-ordered to ascending
-    id first, so any permutation of the input yields identical bits.
-    """
+def aggregate_gradients(grads: Sequence[Gradient]) -> Gradient:
+    """Elementwise mean of worker gradients, reduced in the order given
+    (``run_round`` passes them in ascending worker-id order)."""
     if not grads:
         raise ValueError("cannot aggregate zero gradients")
-    if worker_ids is not None:
-        if len(worker_ids) != len(grads):
-            raise ValueError("worker_ids and grads must have equal length")
-        grads = [g for _, g in sorted(zip(worker_ids, grads), key=lambda p: p[0])]
     first = grads[0]
     for g in grads[1:]:
         if len(g.weights) != len(first.weights) or any(
@@ -352,7 +344,7 @@ def run_round(
     losses = tuple(loss for _, loss in results)
     staleness = max(server.version - w.model_version for w in workers)
 
-    aggregated = aggregate_gradients(grads)  # already in ascending-id order
+    aggregated = aggregate_gradients(grads)
     server.adam, server.network = adam_step(server.adam, server.network, aggregated)
     epoch = server.version
     server.version += 1
@@ -395,6 +387,53 @@ def convergence_check(
 
 
 EpochCallback = Callable[[int, Network], None]
+EpochStep = Callable[[ServerState, int], RoundReport]
+
+
+def _train(
+    input_width: int,
+    config: TrainConfig,
+    on_epoch: EpochCallback | None,
+    step: EpochStep,
+) -> tuple[Network, list[RoundReport], TrafficLog]:
+    """The loop every pipeline shares.
+
+    Initialises the network and Adam from ``config``, then runs
+    ``step(server, epoch_seed)`` once per epoch until every site's loss
+    settles (per convergence_check) or the epoch budget runs out.  The
+    sites are the report's workers, or the one central site when it has
+    none.  A non-finite loss raises FloatingPointError naming the epoch.
+    """
+    network = init_network(network_specs(input_width, config), config.seed)
+    adam = init_adam(
+        network,
+        step_size=config.step_size,
+        beta1=config.beta1,
+        beta2=config.beta2,
+        epsilon=config.epsilon,
+    )
+    server = ServerState(network=network, adam=adam, parallel=config.parallel)
+    reports: list[RoundReport] = []
+    histories: defaultdict[int, list[float]] = defaultdict(list)
+    for epoch in range(config.epochs):
+        report = step(server, fold_seed(config.seed, epoch))
+        reports.append(report)
+        losses = report.worker_losses or (report.global_loss,)
+        if not np.isfinite(losses).all():
+            raise FloatingPointError(
+                f"training loss became non-finite at epoch {epoch}: "
+                f"{report.global_loss!r}"
+            )
+        for site, loss in enumerate(losses):
+            histories[site].append(loss)
+        if on_epoch is not None:
+            on_epoch(epoch, server.network)
+        if all(
+            convergence_check(history, config.tolerance, config.patience)
+            for history in histories.values()
+        ):
+            break
+    return server.network, reports, server.traffic
 
 
 def run_centralized(
@@ -415,44 +454,26 @@ def run_centralized(
         raise DegenerateDataError("centralized training needs a nonempty 2-d X")
     if y.shape != (X.shape[0],):
         raise ShapeError(f"labels shape {y.shape} does not match {X.shape[0]} rows")
-
-    traffic = TrafficLog()
-    traffic.append(
-        TrafficEntry(
-            0, Direction.UP, Payload.DATASET, dataset_bytes(X.shape[0], X.shape[1])
-        )
-    )
-    network = init_network(network_specs(X.shape[1], config), config.seed)
-    adam = init_adam(
-        network,
-        step_size=config.step_size,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
     ids = np.arange(X.shape[0], dtype=np.int64)
-    reports: list[RoundReport] = []
-    history: list[float] = []
-    for epoch in range(config.epochs):
-        epoch_seed = fold_seed(config.seed, epoch)
-        grad, loss = _grad_and_loss(network, X, y, ids, epoch_seed)
-        adam, network = adam_step(adam, network, grad)
-        history.append(loss)
-        reports.append(
-            RoundReport(
-                epoch=epoch,
-                global_loss=loss,
-                worker_losses=(),
-                staleness=0,
-                bytes_up=0,
-                bytes_down=0,
-            )
+
+    def step(server: ServerState, seed: int) -> RoundReport:
+        grad, loss = _grad_and_loss(server.network, X, y, ids, seed)
+        server.adam, server.network = adam_step(server.adam, server.network, grad)
+        server.version += 1
+        return RoundReport(
+            epoch=server.version - 1,
+            global_loss=loss,
+            worker_losses=(),
+            staleness=0,
+            bytes_up=0,
+            bytes_down=0,
         )
-        if on_epoch is not None:
-            on_epoch(epoch, network)
-        if convergence_check(history, config.tolerance, config.patience):
-            break
-    return network, reports, traffic
+
+    network, reports, _ = _train(X.shape[1], config, on_epoch, step)
+    upload = TrafficEntry(
+        0, Direction.UP, Payload.DATASET, dataset_bytes(X.shape[0], X.shape[1])
+    )
+    return network, reports, TrafficLog([upload])
 
 
 def make_workers(
@@ -494,34 +515,14 @@ def run_federated(
     y = np.asarray(y, dtype=np.float64)
     if not partitions:
         raise DegenerateDataError("need at least one worker partition")
-    network = init_network(network_specs(X.shape[1], config), config.seed)
-    adam = init_adam(
-        network,
-        step_size=config.step_size,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
-    server = ServerState(network=network, adam=adam)
-    server.parallel = config.parallel
-    workers = make_workers(X, y, partitions, network)
-    histories: dict[int, list[float]] = {w.worker_id: [] for w in workers}
-    order = sorted(histories)
-    reports: list[RoundReport] = []
-    for epoch in range(config.epochs):
-        epoch_seed = fold_seed(config.seed, epoch)
-        report = run_round(server, workers, epoch_seed)
-        reports.append(report)
-        for wid, loss in zip(order, report.worker_losses):
-            histories[wid].append(loss)
-        if on_epoch is not None:
-            on_epoch(epoch, server.network)
-        if all(
-            convergence_check(histories[wid], config.tolerance, config.patience)
-            for wid in order
-        ):
-            break
-    return server.network, reports, server.traffic
+    workers: list[WorkerState] = []
+
+    def step(server: ServerState, seed: int) -> RoundReport:
+        if not workers:  # the sites start from the network _train initialised
+            workers.extend(make_workers(X, y, partitions, server.network))
+        return run_round(server, workers, seed)
+
+    return _train(X.shape[1], config, on_epoch, step)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fedl
-from fedl.cli import main
+from fedl.cli import DEFAULTS, _resolve, build_parser, main
 
 
 def invoke(*argv):
@@ -109,6 +109,23 @@ def test_ingest_bad_header_exits_2(tmp_path):
     code, _, err = invoke("ingest", "--transactions", csv_path, "--out", tmp_path / "o")
     assert code == 2
     assert "data error" in err
+
+
+def test_overflowing_label_statistics_exit_2(tmp_path, corpus_dir):
+    # five finite labels of 1e308 overflow the label mean: a data error,
+    # so neither command writes a summary or a model
+    lines = (corpus_dir / "transactions.csv").read_text().splitlines()
+    rows = [line.rsplit(",", 1)[0] + ",1e308" for line in lines[1:6]]
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("\n".join([lines[0], *rows, *lines[6:]]) + "\n")
+    for command, flags in (("ingest", ()), ("train", FAST)):
+        code, _, err = invoke(
+            command, "--transactions", csv_path, *flags, "--out", tmp_path / command
+        )
+        assert code == 2, (command, err)
+        assert "label statistics" in err
+    assert not (tmp_path / "ingest" / "ingest_summary.json").exists()
+    assert not (tmp_path / "train" / "model.fedl").exists()
 
 
 def test_missing_input_exits_1(tmp_path):
@@ -318,6 +335,26 @@ def test_train_too_many_workers_exits_2(tmp_path, corpus_dir):
     )
     assert code == 2
     assert "data error" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "extra",
+    [(), ("--mode", "federated", "--workers", 2), ("--clustering", "--clusters", 2)],
+    ids=["central", "federated", "clustered"],
+)
+def test_train_non_finite_loss_exits_3(tmp_path, corpus_dir, extra):
+    # a step size of 1e300 overflows the loss at epoch 1, which ends the
+    # run with a numerical error before any model is written
+    out = tmp_path / "run"
+    code, _, err = invoke(
+        "train", "--transactions", corpus_dir / "transactions.csv",
+        "--stations", corpus_dir / "stations.csv", "--step-size", 1e300,
+        *extra, *FAST, "--out", out,
+    )
+    assert code == 3
+    assert "non-finite at epoch 1" in err
+    assert not list(out.glob("model*.fedl"))
 
 
 # --------------------------------------------------------------- config file
@@ -533,6 +570,25 @@ def test_unknown_flag_exits_1(tmp_path, corpus_dir):
         "ingest", "--transactions", corpus_dir / "transactions.csv", "--frobnicate"
     )
     assert code == 1
+
+
+def test_each_command_resolves_exactly_its_flags():
+    # every config-backed flag a command declares is resolved into its
+    # config, and nothing without a flag is
+    required = {
+        "ingest": ["--transactions", "t.csv"],
+        "cluster": ["--stations", "s.csv"],
+        "train": ["--transactions", "t.csv"],
+        "evaluate": ["--transactions", "t.csv"],
+        "report": ["a=t.csv"],
+        "synth": ["--stations", "1", "--records", "1"],
+    }
+    parser = build_parser()
+    for command, argv in required.items():
+        args = parser.parse_args([command, *argv])
+        flags = set(vars(args)) & set(DEFAULTS)
+        assert flags == set(_resolve(args, command)), command
+        assert "seed" in flags
 
 
 # The checkout's `src` directory, which holds the imported `fedl` package.

@@ -162,6 +162,17 @@ def test_schema_constant_labels_rejected():
         build_schema(records)
 
 
+@pytest.mark.parametrize("energies", [["1e308"] * 3 + ["5.0"], ["1e200", "0.0"]])
+def test_schema_overflowing_label_stats_rejected(energies):
+    # each value is finite, but the mean (first case) or the variance
+    # (second case) overflows float64
+    rows = [f"A,{i},2017-03-06,10:00,{e}" for i, e in enumerate(energies)]
+    records, rejects = parse_transactions(make_csv(rows))
+    assert not rejects
+    with pytest.raises(DegenerateDataError, match="label statistics"):
+        build_schema(records)
+
+
 def test_schema_vocabulary_override_must_cover_records():
     records = corpus_records()
     schema = build_schema(records, station_vocabulary=["A", "B", "C", "Z"])

@@ -14,13 +14,11 @@ from fedl.nn import (
     Network,
     adam_step,
     backward,
-    dense_forward,
     forward,
     init_adam,
     init_network,
     predict,
     sse_loss,
-    tanh_activation,
 )
 from helpers import finite_diff_gradient, max_relative_error
 
@@ -88,28 +86,7 @@ def test_network_parameters_are_read_only():
         net.weights[0][0, 0] = 5.0
 
 
-# --------------------------------------------------------------- activations
-
-
-def test_tanh_values():
-    assert tanh_activation(np.array(0.0)) == 0.0
-    x = np.array([0.5, -0.5])
-    out = tanh_activation(x)
-    assert out[0] == pytest.approx(-out[1])
-    assert abs(tanh_activation(np.array(50.0)) - 1.0) < 1e-15
-
-
-# --------------------------------------------------------------- dense_forward
-
-
-def test_dense_forward_identity_map():
-    net = Network(
-        specs=(LayerSpec(3, 3, Activation.IDENTITY),),
-        weights=(np.eye(3),),
-        biases=(np.zeros(3),),
-    )
-    X = np.arange(6, dtype=float).reshape(2, 3)
-    assert np.array_equal(dense_forward(0, net, X), X)
+# --------------------------------------------------------------- one layer
 
 
 def test_dense_forward_constant_layer():
@@ -118,14 +95,14 @@ def test_dense_forward_constant_layer():
         weights=(np.zeros((1, 2)),),
         biases=(np.array([0.7]),),
     )
-    out = dense_forward(0, net, np.ones((4, 2)))
+    out = forward(net, np.ones((4, 2)))[0]
     assert np.allclose(out, math.tanh(0.7))
 
 
 def test_dense_forward_rejects_bad_width():
     net = tiny_net([3, 2, 1])
     with pytest.raises(ShapeError):
-        dense_forward(0, net, np.ones((2, 4)))
+        forward(net, np.ones((2, 4)))
 
 
 def test_dropout_count_and_scaling():
@@ -138,13 +115,13 @@ def test_dropout_count_and_scaling():
         biases=(np.zeros(100),),
     )
     X = np.ones((10, 1))
-    out = dense_forward(0, net, X, mode=Mode.TRAIN, seed=21)
+    out = forward(net, X, mode=Mode.TRAIN, seed=21)[0]
     zeroed = int(np.sum(out == 0.0))
     assert 100 <= zeroed <= 200
     survivors = out[out != 0.0]
     assert np.allclose(survivors, 1.0 / 0.85)
     # inference applies neither mask nor scaling
-    assert np.array_equal(dense_forward(0, net, X, mode=Mode.INFER, seed=21), np.ones((10, 100)))
+    assert np.array_equal(forward(net, X, mode=Mode.INFER, seed=21)[0], np.ones((10, 100)))
 
 
 def test_dropout_mask_expectation():
@@ -152,7 +129,7 @@ def test_dropout_mask_expectation():
     spec = LayerSpec(1, 200, Activation.IDENTITY, dropout=0.15)
     net = Network(specs=(spec,), weights=(np.ones((200, 1)),), biases=(np.zeros(200),))
     X = np.ones((50, 1))
-    out = dense_forward(0, net, X, mode=Mode.TRAIN, seed=3)
+    out = forward(net, X, mode=Mode.TRAIN, seed=3)[0]
     n = out.size
     kept = int(np.sum(out != 0.0))
     p = 0.85
