@@ -22,6 +22,7 @@ from .data import (
     build_schema,
     destandardize_labels,
     encode_features,
+    feature_codes,
     parse_stations,
     parse_transactions,
     partition_workers,

@@ -27,6 +27,7 @@ from .data import (
     PartitionStrategy,
     build_schema,
     encode_features,
+    feature_codes,
     parse_stations,
     parse_transactions,
     partition_workers,
@@ -67,7 +68,7 @@ OPTIONS = {
     "seed": (0, ("ingest", "synth", "report", *_CLUSTERING),
              {"type": int, "help": "base RNG seed"}),
     "ratio": (0.8, _TRAINING, {"type": float, "help": "training fraction"}),
-    "mode": ("central", _TRAINING, {"choices": ["central", "federated"]}),
+    "mode": ("central", ("train",), {"choices": ["central", "federated"]}),
     "clustering": (False, ("train",),
                    {**_BOOL, "help": "group stations first, one model per cluster"}),
     "workers": (4, _TRAINING, {"type": int}),
@@ -225,7 +226,8 @@ def _train_config(cfg: dict) -> TrainConfig:
             dropout=float(cfg["dropout"]),
             workers=int(cfg["workers"]),
             partition=PartitionStrategy(cfg["partition"]),
-            mode=TrainMode(cfg["mode"]),
+            # evaluate takes no mode: its sweep trains both
+            mode=TrainMode(cfg.get("mode", DEFAULTS["mode"])),
             parallel=bool(cfg["parallel"]),
             seed=int(cfg["seed"]),
         )
@@ -641,10 +643,11 @@ def _baseline_rmse(train, test, include_txn: bool, knn_k: int):
     mean_pred = mean_baseline(train_y).predict(len(test))
     vocab = sorted({r.station_id for r in train} | {r.station_id for r in test})
     schema = build_schema(train, include_txn, station_vocabulary=vocab)
-    X_train, _ = encode_features(train, schema)
-    X_test, _ = encode_features(test, schema)
-    k = min(knn_k, X_train.shape[0])
-    knn_pred = knn_baseline(X_train, train_y, X_test, k)
+    k = min(knn_k, len(train))
+    knn_pred = knn_baseline(
+        feature_codes(train, schema), train_y, feature_codes(test, schema), k,
+        schema=schema,
+    )
     return _rmse(actual, mean_pred), _rmse(actual, knn_pred)
 
 
@@ -687,7 +690,9 @@ def _sweep(args, cfg, records, out: Path) -> int:
         for m in methods
     ]
     _write_csv(out / "sweep.csv", ["method", *[str(r) for r in SWEEP_RATIOS]], rows)
-    _manifest(out, "evaluate-sweep", cfg, {"outputs": ["sweep.csv"]})
+    # the sweep sets its own ratios; a config file's ratio plays no part
+    swept = {k: v for k, v in cfg.items() if k != "ratio"}
+    _manifest(out, "evaluate-sweep", swept, {"outputs": ["sweep.csv"]})
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
@@ -699,6 +704,11 @@ def cmd_evaluate(args) -> int:
     if not records:
         raise DegenerateDataError("no valid records to evaluate on")
     if args.sweep:
+        if args.ratio is not None:
+            raise UsageError(
+                "--sweep trains at ratios "
+                f"{'/'.join(map(str, SWEEP_RATIOS))}; it takes no --ratio"
+            )
         return _sweep(args, cfg, records, out)
 
     # inherit split parameters from the run being scored unless overridden

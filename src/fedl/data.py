@@ -280,6 +280,38 @@ def build_schema(
     )
 
 
+def feature_codes(
+    records: Sequence[TransactionRecord], schema: EncodingSchema
+) -> np.ndarray:
+    """Records as integer codes, one (station index, day, hour, id offset)
+    row each: what :func:`encode_features` writes, before one-hot expansion.
+
+    The id offset is the transaction id clipped to [txn_min, txn_max],
+    minus txn_min, so the encoded id column is exactly offset / span.  It
+    is 0 when the schema leaves the id out.  The array is int64, or holds
+    Python ints (dtype object) when the id span does not fit in int64.
+    """
+    index = {sid: i for i, sid in enumerate(schema.station_vocabulary)}
+    low, high = schema.txn_min, schema.txn_max
+    rows = []
+    for r in records:
+        col = index.get(r.station_id)
+        if col is None:
+            raise EncodingError(f"station {r.station_id!r} not in schema vocabulary")
+        if not (1 <= r.day_of_week <= 7 and 0 <= r.hour <= 23):
+            raise EncodingError(
+                f"record out of range: day={r.day_of_week}, hour={r.hour}"
+            )
+        offset = 0
+        if schema.include_transaction_id:
+            offset = min(max(r.transaction_id, low), high) - low
+        rows.append((col, r.day_of_week, r.hour, offset))
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), 4)
+
+
 def encode_features(
     records: Sequence[TransactionRecord], schema: EncodingSchema
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -288,31 +320,20 @@ def encode_features(
     Row layout: one-hot station | one-hot day (7) | one-hot hour (24)
     | scaled transaction id (when the schema includes it, clipped to [0,1]).
     """
-    index = {sid: i for i, sid in enumerate(schema.station_vocabulary)}
-    n = len(records)
+    codes = feature_codes(records, schema)
     n_stations = len(schema.station_vocabulary)
-    X = np.zeros((n, schema.width), dtype=np.float64)
-    y = np.empty(n, dtype=np.float64)
+    X = np.zeros((len(records), schema.width), dtype=np.float64)
+    rows = np.arange(len(records))
+    station, day, hour = codes[:, :3].astype(np.int64).T
+    X[rows, station] = 1.0
+    X[rows, n_stations + day - 1] = 1.0
+    X[rows, n_stations + 7 + hour] = 1.0
     span = schema.txn_max - schema.txn_min
-    for row, r in enumerate(records):
-        col = index.get(r.station_id)
-        if col is None:
-            raise EncodingError(f"station {r.station_id!r} not in schema vocabulary")
-        if not (1 <= r.day_of_week <= 7 and 0 <= r.hour <= 23):
-            raise EncodingError(
-                f"record out of range: day={r.day_of_week}, hour={r.hour}"
-            )
-        X[row, col] = 1.0
-        X[row, n_stations + (r.day_of_week - 1)] = 1.0
-        X[row, n_stations + 7 + r.hour] = 1.0
-        if schema.include_transaction_id:
-            if span == 0:
-                scaled = 0.0
-            else:
-                scaled = (r.transaction_id - schema.txn_min) / span
-            X[row, -1] = min(1.0, max(0.0, scaled))
-        y[row] = (r.energy_kwh - schema.label_mean) / schema.label_std
-    return X, y
+    if schema.include_transaction_id and span:
+        # Python int division rounds the exact quotient once
+        X[:, -1] = [offset / span for offset in codes[:, 3].tolist()]
+    labels = np.array([r.energy_kwh for r in records], dtype=np.float64)
+    return X, (labels - schema.label_mean) / schema.label_std
 
 
 def destandardize_labels(y, schema: EncodingSchema) -> np.ndarray:

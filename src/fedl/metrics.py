@@ -2,9 +2,10 @@
 
 RMSE is always reported in original label units (kWh) — callers
 de-standardize model outputs first.  The two reference predictors are the
-floor (train-label mean) and a hand-rolled k-nearest-neighbours regressor
-whose distance ties resolve by training-row index, so its output is fully
-deterministic.
+floor (train-label mean) and a hand-rolled k-nearest-neighbours regressor.
+On fedl's own rows the kNN orders neighbours by their exact distance, in
+integers, with ties to the lower training-row index, so its output does
+not depend on floating-point rounding.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DegenerateDataError, ShapeError
+from .data import EncodingSchema
+from .errors import DegenerateDataError, EncodingError, ShapeError
 
 
 def rmse(actual, predicted) -> float:
@@ -30,21 +32,30 @@ def rmse(actual, predicted) -> float:
 
 
 def knn_baseline(
-    train_X, train_y, test_X, k: int, chunk_size: int = 512
+    train, train_y, test, k: int, chunk_size: int = 512, *,
+    schema: EncodingSchema | None = None,
 ) -> np.ndarray:
     """Mean label of the k nearest training rows (Euclidean distance).
 
-    Squared distances are computed in floating point as
-    ||q||^2 + ||x||^2 - 2 q.x and stable-sorted.  Rows whose exact
-    distances tie usually differ in the last bits after rounding, so
-    rounding orders them; only bitwise-equal distances fall back to the
-    lower training-row index.
-    Queries are processed in chunks so memory stays at
+    Neighbours order by squared distance, ties going to the lower
+    training-row index, and their k labels are averaged in that order.
+
+    With ``schema``, ``train`` and ``test`` are :func:`fedl.data.feature_codes`
+    arrays made under it, and the order is exact: on the encoded features
+    the squared distance is 2m + (gap/span)^2, where m counts the
+    mismatched one-hot blocks and gap the id offsets' integer difference,
+    so neighbours order by (m, |gap|, row index) with no floating point.
+    Without it, ``train`` and ``test`` are feature matrices and squared
+    distances are computed in floating point as ||q||^2 + ||x||^2 - 2 q.x;
+    rows whose exact distances tie usually differ in the last bits, so
+    rounding orders them and only bitwise-equal distances fall back to the
+    lower index.  Queries are processed in chunks so memory stays at
     O(chunk_size x |train|).
     """
-    X = np.asarray(train_X, dtype=np.float64)
+    dtype = np.float64 if schema is None else None
+    X = np.asarray(train, dtype=dtype)
     y = np.asarray(train_y, dtype=np.float64)
-    Q = np.asarray(test_X, dtype=np.float64)
+    Q = np.asarray(test, dtype=dtype)
     if X.shape[0] == 0:
         raise DegenerateDataError("knn needs a nonempty training set")
     if not (1 <= k <= X.shape[0]):
@@ -56,15 +67,95 @@ def knn_baseline(
     if y.shape != (X.shape[0],):
         raise ShapeError("train labels must be one per training row")
 
+    if schema is None:
+        nearest = _nearest_dense(X, Q, k, chunk_size)
+    else:
+        _check_codes(X, schema)
+        _check_codes(Q, schema)
+        nearest = _nearest_codes(X, Q, k, chunk_size)
+    return y[nearest].mean(axis=1)
+
+
+def _nearest_dense(X, Q, k: int, chunk_size: int) -> np.ndarray:
+    """(|Q|, k) row indices: the first k of a stable argsort of float
+    squared distances, per query."""
     train_sq = np.einsum("ij,ij->i", X, X)
-    out = np.empty(Q.shape[0], dtype=np.float64)
+    nearest = np.empty((Q.shape[0], k), dtype=np.intp)
     for start in range(0, Q.shape[0], chunk_size):
         chunk = Q[start : start + chunk_size]
         chunk_sq = np.einsum("ij,ij->i", chunk, chunk)
         d2 = chunk_sq[:, None] + train_sq[None, :] - 2.0 * (chunk @ X.T)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out[start : start + chunk.shape[0]] = y[nearest].mean(axis=1)
-    return out
+        nearest[start : start + chunk.shape[0]] = np.argsort(
+            d2, axis=1, kind="stable"
+        )[:, :k]
+    return nearest
+
+
+def _check_codes(codes: np.ndarray, schema: EncodingSchema) -> None:
+    if codes.shape[1] != 4:
+        raise ShapeError(f"knn codes need 4 columns, got {codes.shape[1]}")
+    span = schema.txn_max - schema.txn_min if schema.include_transaction_id else 0
+    high = (len(schema.station_vocabulary) - 1, 7, 23, span)
+    if ((codes < (0, 1, 0, 0)) | (codes > high)).any():
+        raise EncodingError(
+            "knn codes fall outside the schema's ranges (not feature_codes output?)"
+        )
+
+
+def _pair_keys(blocks: np.ndarray):
+    """Group keys for (station, day), (station, hour) and (day, hour)."""
+    s, d, h = blocks.T
+    return s * 8 + d, s * 24 + h, d * 24 + h
+
+
+def _nearest_codes(train, test, k: int, chunk_size: int) -> np.ndarray:
+    """(|test|, k) row indices, ordered by (m, |gap|, row index).
+
+    A row with m <= 1 shares at least two blocks with the query, so it is
+    in one of the query's three pair groups; those groups usually hold k
+    rows or more.  Queries whose groups hold fewer scan every row.
+    """
+    blocks_x = train[:, :3].astype(np.int64)
+    blocks_q = test[:, :3].astype(np.int64)
+    ids_x, ids_q = train[:, 3], test[:, 3]
+    groups = []
+    for key in _pair_keys(blocks_x):
+        order = np.argsort(key, kind="stable")
+        groups.append((key[order], order))
+    nearest = np.empty((test.shape[0], k), dtype=np.intp)
+    for start in range(0, test.shape[0], chunk_size):
+        bq = blocks_q[start : start + chunk_size]
+        tq = ids_q[start : start + chunk_size]
+        qid, rows = [], []
+        for (keys, order), kq in zip(groups, _pair_keys(bq)):
+            lo = np.searchsorted(keys, kq, "left")
+            size = np.searchsorted(keys, kq, "right") - lo
+            qid.append(np.repeat(np.arange(len(kq)), size))
+            offset = np.repeat(lo - (np.cumsum(size) - size), size)
+            rows.append(order[np.arange(size.sum()) + offset])
+        n_first = len(qid[0])
+        qid, rows = np.concatenate(qid), np.concatenate(rows)
+        m = (bq[qid] != blocks_x[rows]).sum(axis=1)
+        # a row matching all three blocks sits in all three groups: keep
+        # only its (station, day) copy
+        keep = (m > 0) | (np.arange(len(m)) < n_first)
+        qid, rows, m = qid[keep], rows[keep], m[keep]
+        gap = np.abs(tq[qid] - ids_x[rows])
+        rows = rows[np.lexsort((rows, gap, m, qid))]
+        counts = np.bincount(qid, minlength=len(bq))
+        first = np.cumsum(counts) - counts
+        best = np.empty((len(bq), k), dtype=np.intp)
+        full = counts >= k
+        best[full] = rows[first[full, None] + np.arange(k)]
+        far = np.flatnonzero(~full)
+        if far.size:
+            m_far = np.zeros((far.size, train.shape[0]), dtype=np.int8)
+            for j in range(3):
+                m_far += bq[far, j : j + 1] != blocks_x[:, j]
+            gap_far = np.abs(tq[far, None] - ids_x[None, :])
+            best[far] = np.lexsort((gap_far, m_far), axis=1)[:, :k]
+        nearest[start : start + len(bq)] = best
+    return nearest
 
 
 @dataclass(frozen=True)

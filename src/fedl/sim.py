@@ -25,6 +25,7 @@ record costs ``width * 8 + 8`` bytes (features plus label).
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import warnings
 from collections import defaultdict
@@ -334,8 +335,13 @@ def run_round(
 
     if len(order) > 1 and server.parallel:
         with ThreadPoolExecutor(max_workers=len(order)) as pool:
+            # each task runs in a copy of the caller's context, so it keeps
+            # the caller's numpy error state (np.errstate)
             futures = [
-                pool.submit(local_epoch, w, server.network, seed) for w in order
+                pool.submit(
+                    contextvars.copy_context().run, local_epoch, w, server.network, seed
+                )
+                for w in order
             ]
             results = [f.result() for f in futures]
     else:
@@ -402,7 +408,9 @@ def _train(
     ``step(server, epoch_seed)`` once per epoch until every site's loss
     settles (per convergence_check) or the epoch budget runs out.  The
     sites are the report's workers, or the one central site when it has
-    none.  A non-finite loss raises FloatingPointError naming the epoch.
+    none.  A non-finite loss raises FloatingPointError naming the epoch;
+    the step runs with numpy's overflow warnings off, so that error is the
+    only report of a diverging run.
     """
     network = init_network(network_specs(input_width, config), config.seed)
     adam = init_adam(
@@ -416,7 +424,8 @@ def _train(
     reports: list[RoundReport] = []
     histories: defaultdict[int, list[float]] = defaultdict(list)
     for epoch in range(config.epochs):
-        report = step(server, fold_seed(config.seed, epoch))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = step(server, fold_seed(config.seed, epoch))
         reports.append(report)
         losses = report.worker_losses or (report.global_loss,)
         if not np.isfinite(losses).all():

@@ -1,10 +1,11 @@
-"""Shared test oracles: finite-difference gradients and brute-force
-constrained assignment.  These are deliberately independent of the library
-implementations they check."""
+"""Shared test oracles: finite-difference gradients, brute-force
+constrained assignment and brute-force kNN.  These are deliberately
+independent of the library implementations they check."""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -108,3 +109,30 @@ def exact_assignment_cost(points, centroids, labels) -> float:
     cents = np.asarray(centroids, dtype=np.float64)
     d2 = ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
     return math.fsum(d2[i, labels[i]] for i in range(len(labels)))
+
+
+def knn_exact_neighbours(train, test, schema, k: int) -> np.ndarray:
+    """(|test|, k) training-row indices of the k nearest rows under exact
+    rational squared distances on the encoded features (one-hot station,
+    day, hour, then the id scaled by (id - txn_min)/span and clamped to
+    [0, 1]), ties to the lower row index."""
+    span = schema.txn_max - schema.txn_min
+
+    def scaled(r):
+        if not schema.include_transaction_id or span == 0:
+            return Fraction(0)
+        exact = Fraction(r.transaction_id - schema.txn_min, span)
+        return min(Fraction(1), max(Fraction(0), exact))
+
+    def blocks(r):
+        return (r.station_id, r.day_of_week, r.hour)
+
+    out = []
+    for q in test:
+        dist = [
+            2 * sum(a != b for a, b in zip(blocks(q), blocks(x)))
+            + (scaled(q) - scaled(x)) ** 2
+            for x in train
+        ]
+        out.append(sorted(range(len(train)), key=lambda i: (dist[i], i))[:k])
+    return np.array(out, dtype=np.intp).reshape(len(test), k)

@@ -357,6 +357,26 @@ def test_train_non_finite_loss_exits_3(tmp_path, corpus_dir, extra):
     assert not list(out.glob("model*.fedl"))
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [(), ("--mode", "federated", "--workers", 2, "--parallel")],
+    ids=["central", "federated-parallel"],
+)
+def test_diverging_run_reports_only_the_error_line(tmp_path, corpus_dir, extra):
+    # in a fresh interpreter, so numpy warnings would reach stderr; the
+    # worker threads of --parallel must keep the training step's error state
+    proc = _run_launcher(
+        "fedl.cli", "main", "train",
+        "--transactions", str(corpus_dir / "transactions.csv"),
+        "--step-size", "1e300", *map(str, extra), *map(str, FAST),
+        "--out", str(tmp_path / "run"),
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "fedl: numerical error: training loss became non-finite at epoch 1: inf\n"
+    )
+
+
 # --------------------------------------------------------------- config file
 
 
@@ -589,6 +609,28 @@ def test_each_command_resolves_exactly_its_flags():
         flags = set(vars(args)) & set(DEFAULTS)
         assert flags == set(_resolve(args, command)), command
         assert "seed" in flags
+        # evaluate's sweep trains both modes and a run dir carries its own
+        assert ("mode" in flags) == (command == "train"), command
+
+
+def test_evaluate_rejects_mode_and_sweep_ratio(tmp_path, corpus_dir):
+    data = ("evaluate", "--transactions", corpus_dir / "transactions.csv")
+    code, _, err = invoke(*data, "--mode", "central", "--out", tmp_path / "m")
+    assert code == 1
+    assert "unrecognized arguments: --mode" in err
+    code, _, err = invoke(*data, "--sweep", "--ratio", 0.3, "--out", tmp_path / "s")
+    assert code == 1
+    assert "takes no --ratio" in err
+    assert not (tmp_path / "s" / "sweep.csv").exists()
+    # a config file's ratio is ignored, as for any key a command does not
+    # use, and the sweep's manifest does not record it
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"ratio": 0.3}), encoding="utf-8")
+    code, _, _ = invoke(*data, "--sweep", "--config", conf, "--epochs", 2,
+                        "--out", tmp_path / "c")
+    assert code == 0
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert "ratio" not in manifest["config"]
 
 
 # The checkout's `src` directory, which holds the imported `fedl` package.

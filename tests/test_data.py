@@ -10,6 +10,7 @@ from fedl.data import (
     build_schema,
     destandardize_labels,
     encode_features,
+    feature_codes,
     parse_stations,
     parse_transactions,
     partition_workers,
@@ -153,6 +154,28 @@ def test_schema_label_stats_are_population_moments():
     y = np.array([r.energy_kwh for r in records])
     assert schema.label_mean == pytest.approx(y.mean(), abs=1e-15)
     assert schema.label_std == pytest.approx(y.std(), abs=1e-15)  # ddof=0
+
+
+def test_feature_codes_are_the_encoding_before_one_hot():
+    records = corpus_records()
+    # ids 20..30 from the middle rows: 10 and 40 get clipped
+    schema = build_schema(records[1:3], station_vocabulary=["A", "B", "C"])
+    codes = feature_codes(records, schema)
+    assert codes.dtype == np.int64
+    # B=1 Mon 14h id 10 -> 0; A=0 Tue 9h 20 -> 0; C=2 Wed 23h 30 -> 10; A Thu 0h 40 -> 10
+    assert codes.tolist() == [[1, 1, 14, 0], [0, 2, 9, 0], [2, 3, 23, 10], [0, 4, 0, 10]]
+    with pytest.raises(EncodingError):
+        feature_codes(records, build_schema(records[::2]))  # vocab B, C: no A
+    X, _ = encode_features(records, schema)
+    s = len(schema.station_vocabulary)
+    rows = np.arange(len(records))
+    assert np.all(X[rows, codes[:, 0]] == 1.0)
+    assert np.all(X[rows, s + codes[:, 1] - 1] == 1.0)
+    assert np.all(X[rows, s + 7 + codes[:, 2]] == 1.0)
+    assert X[:, -1].tolist() == (codes[:, 3] / 10).tolist()
+    assert X.sum() == 3 * len(records) + 2.0
+    no_txn = feature_codes(records, build_schema(records, include_transaction_id=False))
+    assert no_txn[:, 3].tolist() == [0, 0, 0, 0]
 
 
 def test_schema_constant_labels_rejected():

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedl.errors import DegenerateDataError, ShapeError
+from fedl.data import (
+    TransactionRecord,
+    build_schema,
+    encode_features,
+    feature_codes,
+    synth_generate,
+)
+from fedl.errors import DegenerateDataError, EncodingError, ShapeError
 from fedl.metrics import (
     EvalReport,
     knn_baseline,
@@ -13,6 +20,7 @@ from fedl.metrics import (
 )
 from fedl.nn import sse_loss
 from fedl.sim import Direction, Payload, TrafficEntry, TrafficLog
+from helpers import knn_exact_neighbours
 
 
 # --------------------------------------------------------------- rmse
@@ -116,6 +124,116 @@ def test_knn_validation():
         knn_baseline(X, y, np.ones((2, 3)), k=1)
     with pytest.raises(DegenerateDataError):
         knn_baseline(np.zeros((0, 2)), np.zeros(0), X, k=1)
+
+
+@st.composite
+def knn_corpora(draw):
+    """Small train/test record sets over few stations, days and hours, so
+    every mismatch level is populated.  Test ids reach past the training
+    ids (clipping); a single training id gives span 0."""
+    n_train = draw(st.integers(1, 24))
+    n_test = draw(st.integers(1, 6))
+    low = draw(st.integers(-50, 50))
+    width = draw(st.integers(0, 6))
+    n_stations = draw(st.integers(1, 3))
+
+    def rows(n, ids):
+        columns = [
+            draw(st.lists(values, min_size=n, max_size=n))
+            for values in (ids, st.integers(0, n_stations - 1),
+                           st.integers(1, 2), st.integers(0, 2))
+        ]
+        # labels 2^i, so a different neighbour set gives a different mean
+        return [
+            TransactionRecord(f"S{s}", t, d, h, 2.0**i)
+            for i, (t, s, d, h) in enumerate(zip(*columns))
+        ]
+
+    train = rows(n_train, st.integers(low, low + width))
+    test = rows(n_test, st.integers(low - 3, low + width + 3))
+    include = draw(st.booleans())
+    k = draw(st.integers(1, n_train))
+    return train, test, include, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_corpora())
+def test_knn_codes_match_exact_rational_brute_force(corpus):
+    train, test, include, k = corpus
+    vocab = sorted({r.station_id for r in train + test})
+    # one more label keeps a one-row training set's std non-zero; it reuses
+    # train[0]'s id, so the id range is the training rows'
+    extra = TransactionRecord(train[0].station_id, train[0].transaction_id, 1, 0, -1.0)
+    schema = build_schema([*train, extra], include, station_vocabulary=vocab)
+    y = np.array([r.energy_kwh for r in train])
+    got = knn_baseline(
+        feature_codes(train, schema), y, feature_codes(test, schema), k,
+        schema=schema,
+    )
+    want = y[knn_exact_neighbours(train, test, schema, k)].mean(axis=1)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 5, 60, 320])
+def test_knn_codes_without_ids_equal_dense_bitwise(small_corpus, k):
+    # without the id column every float distance is an exact small integer,
+    # so the float path's stable sort sees the exact order too
+    records, _, _ = small_corpus
+    train, test = records[:320], records[320:]
+    vocab = sorted({r.station_id for r in records})
+    schema = build_schema(train, False, station_vocabulary=vocab)
+    X_train, y = encode_features(train, schema)
+    X_test, _ = encode_features(test, schema)
+    dense = knn_baseline(X_train, y, X_test, k)
+    exact = knn_baseline(
+        feature_codes(train, schema), y, feature_codes(test, schema), k, schema=schema
+    )
+    assert dense.tobytes() == exact.tobytes()
+
+
+@pytest.mark.parametrize(
+    "base", [-(2**61), 2**62 - 10, 2**70], ids=["neg61", "pos62", "pos70"]
+)
+def test_knn_codes_order_ids_the_float_encoding_merges(base):
+    # ids 2^62 apart make the span exceed 2^53: the encoded floats of
+    # base, base+1, base+2 coincide, but the integer gaps still order them
+    ids = [base, base + 1, base + 2, -(2**62) + 1, 2**62 - 1]
+    if base > 2**63:  # beyond int64: the codes keep Python ints
+        ids[3:] = [0, 2**71]
+    train = [TransactionRecord("A", t, 1, 0, float(i)) for i, t in enumerate(ids)]
+    schema = build_schema(train)
+    assert schema.txn_max - schema.txn_min > 2**53
+    X, _ = encode_features(train[:3], schema)
+    assert X[0, -1] == X[1, -1] == X[2, -1]
+    codes = feature_codes(train, schema)
+    assert codes.dtype == (object if base > 2**63 else np.int64)
+    y = np.array([r.energy_kwh for r in train])
+    query = feature_codes([TransactionRecord("A", base + 2, 1, 0, 0.0)], schema)
+    assert knn_baseline(codes, y, query, 1, schema=schema).tolist() == [2.0]
+    assert knn_baseline(codes, y, query, 2, schema=schema).tolist() == [1.5]
+    # k past the query's groups scans every row, in the same integer order
+    other = TransactionRecord("B", base, 2, 1, 5.0)
+    schema = build_schema([*train, other])
+    codes = feature_codes([*train, other], schema)
+    y = np.append(y, 5.0)
+    query = feature_codes([TransactionRecord("A", base + 2, 1, 0, 0.0)], schema)
+    assert knn_baseline(codes, y, query, 6, schema=schema).tolist() == [2.5]
+    assert knn_baseline(codes, y, query, 2, schema=schema).tolist() == [1.5]
+
+
+def test_knn_codes_validation():
+    train = [TransactionRecord("A", t, 1, 0, float(t)) for t in range(4)]
+    schema = build_schema(train)
+    codes = feature_codes(train, schema)
+    y = np.arange(4.0)
+    with pytest.raises(ShapeError):
+        knn_baseline(codes[:, :3], y, codes[:, :3], 1, schema=schema)
+    raw = codes.copy()
+    raw[:, 3] += 10  # ids not clipped into [0, span]
+    with pytest.raises(EncodingError):
+        knn_baseline(codes, y, raw, 1, schema=schema)
+    with pytest.raises(ValueError):
+        knn_baseline(codes, y, codes, 5, schema=schema)
 
 
 # --------------------------------------------------------------- mean
