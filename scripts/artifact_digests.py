@@ -1,0 +1,110 @@
+"""Run the fedl CLI pipeline on a fixed corpus and print a digest of everything it wrote.
+
+    python3 scripts/artifact_digests.py [--src SRC] [--keep DIR]
+
+Each line is ``sha256  path``: one per file the pipeline wrote, then one
+per command's standard output (``<step>.stdout``).  Two checkouts that
+write the same bytes print the same lines, so comparing a change with
+its parent is one ``diff``:
+
+    python3 scripts/artifact_digests.py --src ../parent/src > parent.txt
+    python3 scripts/artifact_digests.py > change.txt
+    diff parent.txt change.txt
+
+``--src`` is the directory holding the ``fedl`` package to run (default:
+this checkout's ``src``).  The commands run in a temporary directory with
+relative paths, one interpreter each, with BLAS held to one thread; the
+directory is deleted afterwards unless ``--keep`` names one to use
+instead.  Any command that exits non-zero stops the script with exit 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+T = "corpus/transactions.csv"
+S = "corpus/stations.csv"
+FEDERATED = ("--mode", "federated", "--workers", "3")
+CLUSTERED = ("--clustering", "--stations", S)
+
+# (step name, fedl arguments); each step writes into the directory of its name
+PIPELINE = [
+    ("corpus", ("synth", "--stations", "8", "--records", "1500", "--seed", "3")),
+    ("ingest", ("ingest", "--transactions", T)),
+    ("cluster", ("cluster", "--stations", S)),
+    ("train_central", ("train", "--transactions", T)),
+    ("train_federated", ("train", "--transactions", T, *FEDERATED)),
+    ("train_parallel", ("train", "--transactions", T, *FEDERATED, "--parallel")),
+    ("train_no_id", ("train", "--transactions", T, "--no-include-transaction-id")),
+    ("train_clustered_central", ("train", "--transactions", T, *CLUSTERED)),
+    ("train_clustered_federated", ("train", "--transactions", T, *CLUSTERED, *FEDERATED)),
+    ("evaluate_central", ("evaluate", "--transactions", T, "--run-dir", "train_central")),
+    ("evaluate_clustered",
+     ("evaluate", "--transactions", T, "--run-dir", "train_clustered_federated")),
+    ("sweep", ("evaluate", "--transactions", T, "--sweep", "--stations", S)),
+    ("report", ("report", "central=train_central/traffic.csv",
+                "federated=train_federated/traffic.csv",
+                "clustered=train_clustered_federated/traffic.csv")),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_pipeline(src: Path, work: Path) -> list[str]:
+    """Run every step in ``work``; return the digest lines."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(src),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
+    stdout_lines = []
+    for step, argv in PIPELINE:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedl.cli", *argv, "--out", step],
+            cwd=work, env=env, capture_output=True,
+        )
+        if proc.returncode != 0:
+            sys.exit(f"{step}: fedl exited {proc.returncode}\n"
+                     f"{proc.stderr.decode(errors='replace')}")
+        stdout_lines.append(f"{_sha256(proc.stdout)}  {step}.stdout")
+    files = sorted(p for p in work.rglob("*") if p.is_file())
+    return [
+        f"{_sha256(p.read_bytes())}  {p.relative_to(work).as_posix()}" for p in files
+    ] + stdout_lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path,
+                        default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory holding the fedl package to run")
+    parser.add_argument("--keep", type=Path, default=None,
+                        help="run in this (new or empty) directory and keep it")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "fedl" / "__init__.py").is_file():
+        parser.error(f"no fedl package in {src}")
+    if args.keep is not None:
+        args.keep.mkdir(parents=True, exist_ok=True)
+        if any(args.keep.iterdir()):
+            parser.error(f"{args.keep} is not empty")
+        lines = run_pipeline(src, args.keep.resolve())
+    else:
+        with tempfile.TemporaryDirectory(prefix="fedl_digests_") as tmp:
+            lines = run_pipeline(src, Path(tmp))
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,7 +20,6 @@ from .data import (
     TransactionRecord,
     WorkerPartition,
     build_schema,
-    destandardize_labels,
     encode_features,
     feature_codes,
     parse_stations,

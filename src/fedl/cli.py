@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from datetime import date as _date, timedelta
 from pathlib import Path
 
@@ -24,7 +25,6 @@ import numpy as np
 from .clustering import ClusterConfig, constrained_kmeans
 from .data import (
     EncodingSchema,
-    PartitionStrategy,
     build_schema,
     encode_features,
     feature_codes,
@@ -184,7 +184,32 @@ def _load_config_file(path: Path | None) -> dict:
     unknown = sorted(set(data) - set(DEFAULTS))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    return data
+    return {key: _typed(key, value) for key, value in data.items()}
+
+
+def _typed(key: str, value):
+    """A config-file value checked as argparse checks ``key``'s flag: a JSON
+    integer for ``type=int``, a number (made float) for ``type=float``, a
+    string for ``type=str``, true/false for an on/off flag, one of the
+    ``choices``; null only where the default is None."""
+    default, _, kwargs = OPTIONS[key]
+    if value is None and default is None:
+        return None
+    kind = kwargs.get("type")
+    if "action" in kwargs:
+        want, ok = "true or false", isinstance(value, bool)
+    elif "choices" in kwargs:
+        want, ok = "one of " + ", ".join(kwargs["choices"]), value in kwargs["choices"]
+    elif kind is str:
+        want, ok = "a string", isinstance(value, str)
+    elif kind is int:
+        want, ok = "an integer", type(value) is int  # not bool
+    else:  # an integer past float64's range would not convert
+        want = "a number"
+        ok = type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+    if not ok:
+        raise UsageError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
 
 
 def _resolve(args, command: str) -> dict:
@@ -204,32 +229,16 @@ def _resolve(args, command: str) -> dict:
     return resolved
 
 
-def _parse_hidden(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        widths = tuple(int(v) for v in value)
-    else:
-        text = str(value).strip()
-        widths = tuple(int(p) for p in text.split(",") if p.strip()) if text else ()
-    if any(w < 1 for w in widths):
-        raise UsageError(f"hidden layer widths must be >= 1, got {value!r}")
-    return widths
+_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
 def _train_config(cfg: dict) -> TrainConfig:
+    """The options named like TrainConfig fields, plus the ``hidden`` widths
+    (evaluate takes no mode: its sweep trains both)."""
     try:
         return TrainConfig(
-            epochs=int(cfg["epochs"]),
-            tolerance=float(cfg["tolerance"]),
-            patience=int(cfg["patience"]),
-            step_size=float(cfg["step_size"]),
-            hidden_layers=_parse_hidden(cfg["hidden"]),
-            dropout=float(cfg["dropout"]),
-            workers=int(cfg["workers"]),
-            partition=PartitionStrategy(cfg["partition"]),
-            # evaluate takes no mode: its sweep trains both
-            mode=TrainMode(cfg.get("mode", DEFAULTS["mode"])),
-            parallel=bool(cfg["parallel"]),
-            seed=int(cfg["seed"]),
+            hidden_layers=[int(w) for w in cfg["hidden"].split(",") if w.strip()],
+            **{key: value for key, value in cfg.items() if key in _TRAIN_FIELDS},
         )
     except ValueError as e:
         raise UsageError(str(e)) from None
@@ -237,18 +246,18 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 def _cluster_config(cfg: dict) -> ClusterConfig:
     return ClusterConfig(
-        k=int(cfg["clusters"]),
+        k=cfg["clusters"],
         theta_low=cfg["theta_low"],
         theta_high=cfg["theta_high"],
-        max_iterations=int(cfg["max_iterations"]),
-        seed=int(cfg["seed"]),
+        max_iterations=cfg["max_iterations"],
+        seed=cfg["seed"],
     )
 
 
 def _check_ratio(ratio: float) -> float:
-    if not (0.0 < float(ratio) < 1.0):
+    if not (0.0 < ratio < 1.0):
         raise UsageError(f"--ratio must be in (0, 1), got {ratio}")
-    return float(ratio)
+    return ratio
 
 
 def _out_dir(args) -> Path:
@@ -309,7 +318,7 @@ def _manifest(out: Path, command: str, cfg: dict, extra: dict) -> dict:
     return manifest
 
 
-def _metrics_rows(reports, worker_ids):
+def _metrics_rows(reports):
     rows = []
     for r in reports:
         row = [r.epoch, r.global_loss]
@@ -317,7 +326,7 @@ def _metrics_rows(reports, worker_ids):
         row.extend([r.bytes_up, r.bytes_down, r.staleness])
         rows.append(row)
     header = ["epoch", "global_loss"]
-    header.extend(f"worker_loss_{wid}" for wid in worker_ids)
+    header.extend(f"worker_loss_{j}" for j in range(len(reports[0].worker_losses)))
     header.extend(["bytes_up", "bytes_down", "staleness"])
     return header, rows
 
@@ -356,8 +365,7 @@ def cmd_synth(args) -> int:
         raise UsageError("--stations and --records must be >= 1")
     out = _out_dir(args)
     records, stations, meta = synth_generate(
-        args.n_stations, args.n_records, seed=int(cfg["seed"]),
-        noise_std=float(cfg["noise"]),
+        args.n_stations, args.n_records, seed=cfg["seed"], noise_std=cfg["noise"],
     )
     monday = _date(2023, 1, 2)  # day_of_week 1 maps to this Monday
     _write_csv(
@@ -402,7 +410,7 @@ def cmd_ingest(args) -> int:
     cfg = _resolve(args, "ingest")
     out = _out_dir(args)
     records, rejects = _read_transactions(args.transactions)
-    schema = build_schema(records, bool(cfg["include_transaction_id"]))
+    schema = build_schema(records, cfg["include_transaction_id"])
     n_stations = len(schema.station_vocabulary)
     if rejects:
         _write_csv(
@@ -458,27 +466,25 @@ def cmd_cluster(args) -> int:
 def _fit_plain(train, vocab, mode: TrainMode, config: TrainConfig, include_txn: bool):
     """Fit one central or federated model on ``train``; writes nothing.
 
-    Returns (model, schema, reports, traffic, worker_ids).
+    Returns (model, schema, reports, traffic).
     """
     schema = build_schema(train, include_txn, station_vocabulary=vocab)
     X, y = encode_features(train, schema)
     if mode is TrainMode.FEDERATED:
         parts = partition_workers(train, config.workers, config.partition)
         model, reports, traffic = run_federated(X, y, parts, config)
-        worker_ids = sorted(p.worker_id for p in parts)
     else:
         model, reports, traffic = run_centralized(X, y, config)
-        worker_ids = []
-    return model, schema, reports, traffic, worker_ids
+    return model, schema, reports, traffic
 
 
-def _write_model(out: Path, suffix: str, model, schema, reports, worker_ids) -> list[str]:
+def _write_model(out: Path, suffix: str, model, schema, reports) -> list[str]:
     """Write ``model{suffix}.fedl``, ``schema{suffix}.json`` and
     ``metrics{suffix}.csv``; returns their names."""
     names = [f"model{suffix}.fedl", f"schema{suffix}.json", f"metrics{suffix}.csv"]
     save_network(model, out / names[0])
     _write_json(out / names[1], schema.to_dict())
-    _write_csv(out / names[2], *_metrics_rows(reports, worker_ids))
+    _write_csv(out / names[2], *_metrics_rows(reports))
     return names
 
 
@@ -492,8 +498,8 @@ def cmd_train(args) -> int:
         raise DegenerateDataError("no valid records to train on")
     train, test = split_train_test(records, ratio, config.seed)
     vocab = sorted({r.station_id for r in records})
-    include_txn = bool(cfg["include_transaction_id"])
-    clustering = bool(cfg["clustering"])
+    include_txn = cfg["include_transaction_id"]
+    clustering = cfg["clustering"]
     extra: dict = {
         "n_records": len(records),
         "n_rejects": len(rejects),
@@ -538,9 +544,8 @@ def cmd_train(args) -> int:
             )
             if c.skipped:
                 continue
-            wids = range(c.workers) if config.mode is TrainMode.FEDERATED else []
             outputs += _write_model(
-                out, f"_cluster{c.cluster_id}", c.model, c.schema, c.reports, wids
+                out, f"_cluster{c.cluster_id}", c.model, c.schema, c.reports
             )
         extra.update(
             {
@@ -550,10 +555,10 @@ def cmd_train(args) -> int:
             }
         )
     else:
-        model, schema, reports, traffic, worker_ids = _fit_plain(
+        model, schema, reports, traffic = _fit_plain(
             train, vocab, config.mode, config, include_txn
         )
-        outputs += _write_model(out, "", model, schema, reports, worker_ids)
+        outputs += _write_model(out, "", model, schema, reports)
         extra.update(
             {
                 "epochs_ran": len(reports),
@@ -655,8 +660,7 @@ def _sweep(args, cfg, records, out: Path) -> int:
     from .metrics import rmse as _rmse
 
     config = _train_config(cfg)
-    include_txn = bool(cfg["include_transaction_id"])
-    knn_k = int(cfg["knn_k"])
+    include_txn = cfg["include_transaction_id"]
     stations = _read_stations(args.stations) if args.stations is not None else None
     methods = ["central", "federated"]
     if stations is not None:
@@ -678,7 +682,7 @@ def _sweep(args, cfg, records, out: Path) -> int:
                 )
                 table[_pipeline_name(mode.value, True)][ratio] = result.pooled_rmse_kwh
 
-        mean_rmse, knn_rmse = _baseline_rmse(train, test, include_txn, knn_k)
+        mean_rmse, knn_rmse = _baseline_rmse(train, test, include_txn, cfg["knn_k"])
         table["mean"][ratio] = mean_rmse
         table["knn"][ratio] = knn_rmse
         print(f"ratio {ratio}: " + " ".join(
@@ -719,13 +723,18 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"{args.run_dir} has no manifest.json (not a train run dir)")
         run_manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     run_cfg = run_manifest.get("config", {})
-    ratio = _check_ratio(
-        args.ratio if args.ratio is not None else run_cfg.get("ratio", cfg["ratio"])
-    )
-    seed = int(args.seed if args.seed is not None else run_cfg.get("seed", cfg["seed"]))
-    include_txn = bool(
-        run_cfg.get("include_transaction_id", cfg["include_transaction_id"])
-    )
+
+    def inherited(key, check):
+        # a flag wins, then the scored run's value, then config file/default
+        if getattr(args, key) is None and key in run_cfg:
+            return check(run_cfg[key])
+        return cfg[key]
+
+    ratio = _check_ratio(inherited("ratio", float))
+    seed = inherited("seed", int)
+    include_txn = cfg["include_transaction_id"]
+    if "include_transaction_id" in run_cfg:  # the run's encoding, over any flag
+        include_txn = bool(run_cfg["include_transaction_id"])
     train, test = split_train_test(records, ratio, seed)
 
     rmse_kwh: dict[str, float] = {}
@@ -738,7 +747,7 @@ def cmd_evaluate(args) -> int:
         if value is not None:
             rmse_kwh[name] = value
         total_bytes[name] = n_bytes
-    mean_rmse, knn_rmse = _baseline_rmse(train, test, include_txn, int(cfg["knn_k"]))
+    mean_rmse, knn_rmse = _baseline_rmse(train, test, include_txn, cfg["knn_k"])
     rmse_kwh["mean"] = mean_rmse
     rmse_kwh["knn"] = knn_rmse
 

@@ -336,11 +336,6 @@ def encode_features(
     return X, (labels - schema.label_mean) / schema.label_std
 
 
-def destandardize_labels(y, schema: EncodingSchema) -> np.ndarray:
-    """Map standardized labels back to kWh."""
-    return np.asarray(y, dtype=np.float64) * schema.label_std + schema.label_mean
-
-
 def split_train_test(
     records: Sequence[TransactionRecord], ratio: float, seed: int
 ) -> tuple[list[TransactionRecord], list[TransactionRecord]]:

@@ -3,9 +3,9 @@
 RMSE is always reported in original label units (kWh) — callers
 de-standardize model outputs first.  The two reference predictors are the
 floor (train-label mean) and a hand-rolled k-nearest-neighbours regressor.
-On fedl's own rows the kNN orders neighbours by their exact distance, in
-integers, with ties to the lower training-row index, so its output does
-not depend on floating-point rounding.
+The kNN orders neighbours by their exact distance, in integers, with ties
+to the lower training-row index, so its output does not depend on
+floating-point rounding.
 """
 
 from __future__ import annotations
@@ -32,30 +32,21 @@ def rmse(actual, predicted) -> float:
 
 
 def knn_baseline(
-    train, train_y, test, k: int, chunk_size: int = 512, *,
-    schema: EncodingSchema | None = None,
+    train, train_y, test, k: int, chunk_size: int = 512, *, schema: EncodingSchema,
 ) -> np.ndarray:
-    """Mean label of the k nearest training rows (Euclidean distance).
+    """Mean label of the k nearest training rows (Euclidean distance on the
+    encoded features), averaged in neighbour order.
 
-    Neighbours order by squared distance, ties going to the lower
-    training-row index, and their k labels are averaged in that order.
-
-    With ``schema``, ``train`` and ``test`` are :func:`fedl.data.feature_codes`
-    arrays made under it, and the order is exact: on the encoded features
-    the squared distance is 2m + (gap/span)^2, where m counts the
-    mismatched one-hot blocks and gap the id offsets' integer difference,
-    so neighbours order by (m, |gap|, row index) with no floating point.
-    Without it, ``train`` and ``test`` are feature matrices and squared
-    distances are computed in floating point as ||q||^2 + ||x||^2 - 2 q.x;
-    rows whose exact distances tie usually differ in the last bits, so
-    rounding orders them and only bitwise-equal distances fall back to the
-    lower index.  Queries are processed in chunks so memory stays at
-    O(chunk_size x |train|).
+    ``train`` and ``test`` are :func:`fedl.data.feature_codes` arrays made
+    under ``schema``.  On the encoded features the squared distance is
+    2m + (gap/span)^2, where m counts the mismatched one-hot blocks and gap
+    the id offsets' integer difference, so neighbours order by (m, |gap|,
+    training-row index) with no floating point.  Queries are processed in
+    chunks of ``chunk_size``.
     """
-    dtype = np.float64 if schema is None else None
-    X = np.asarray(train, dtype=dtype)
+    X = np.asarray(train)
     y = np.asarray(train_y, dtype=np.float64)
-    Q = np.asarray(test, dtype=dtype)
+    Q = np.asarray(test)
     if X.shape[0] == 0:
         raise DegenerateDataError("knn needs a nonempty training set")
     if not (1 <= k <= X.shape[0]):
@@ -66,29 +57,9 @@ def knn_baseline(
         )
     if y.shape != (X.shape[0],):
         raise ShapeError("train labels must be one per training row")
-
-    if schema is None:
-        nearest = _nearest_dense(X, Q, k, chunk_size)
-    else:
-        _check_codes(X, schema)
-        _check_codes(Q, schema)
-        nearest = _nearest_codes(X, Q, k, chunk_size)
-    return y[nearest].mean(axis=1)
-
-
-def _nearest_dense(X, Q, k: int, chunk_size: int) -> np.ndarray:
-    """(|Q|, k) row indices: the first k of a stable argsort of float
-    squared distances, per query."""
-    train_sq = np.einsum("ij,ij->i", X, X)
-    nearest = np.empty((Q.shape[0], k), dtype=np.intp)
-    for start in range(0, Q.shape[0], chunk_size):
-        chunk = Q[start : start + chunk_size]
-        chunk_sq = np.einsum("ij,ij->i", chunk, chunk)
-        d2 = chunk_sq[:, None] + train_sq[None, :] - 2.0 * (chunk @ X.T)
-        nearest[start : start + chunk.shape[0]] = np.argsort(
-            d2, axis=1, kind="stable"
-        )[:, :k]
-    return nearest
+    _check_codes(X, schema)
+    _check_codes(Q, schema)
+    return y[_nearest_codes(X, Q, k, chunk_size)].mean(axis=1)
 
 
 def _check_codes(codes: np.ndarray, schema: EncodingSchema) -> None:

@@ -72,14 +72,12 @@ def network_from_bytes(blob: bytes) -> Network:
             raise DataFormatError(f"unknown activation code {act_code}")
         if drop_flag not in (0, 1) or (drop_flag == 0) != (dropout == 0.0):
             raise DataFormatError("inconsistent dropout flag/fraction")
-        specs.append(
-            LayerSpec(
-                input_width=in_w,
-                output_width=out_w,
-                activation=_CODE_ACTIVATIONS[act_code],
-                dropout=dropout,
+        try:
+            specs.append(
+                LayerSpec(in_w, out_w, _CODE_ACTIVATIONS[act_code], dropout=dropout)
             )
-        )
+        except ValueError as e:  # a zero width, or a dropout outside [0, 1)
+            raise DataFormatError(f"bad layer {len(specs)}: {e}") from None
     weights = []
     biases = []
     for spec in specs:

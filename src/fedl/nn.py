@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,12 +121,14 @@ class Gradient:
 
 @dataclass(frozen=True)
 class AdamState:
-    """Adam accumulators plus hyper-parameters; ``steps`` counts updates."""
+    """Adam accumulators plus hyper-parameters; ``steps`` counts updates.
 
-    eta_weights: tuple[np.ndarray, ...]  # first-moment running average
-    eta_biases: tuple[np.ndarray, ...]
-    delta_weights: tuple[np.ndarray, ...]  # second-moment running average
-    delta_biases: tuple[np.ndarray, ...]
+    Each moment holds one array per parameter array, in the order
+    ``(*weights, *biases)``.
+    """
+
+    eta: tuple[np.ndarray, ...]  # first-moment running average
+    delta: tuple[np.ndarray, ...]  # second-moment running average
     step_size: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
@@ -288,18 +290,12 @@ def init_adam(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> AdamState:
-    zeros_w = tuple(_frozen(np.zeros_like(w)) for w in network.weights)
-    zeros_b = tuple(_frozen(np.zeros_like(b)) for b in network.biases)
+    zeros = tuple(
+        _frozen(np.zeros_like(p)) for p in (*network.weights, *network.biases)
+    )
     return AdamState(
-        eta_weights=zeros_w,
-        eta_biases=zeros_b,
-        delta_weights=tuple(_frozen(np.zeros_like(w)) for w in network.weights),
-        delta_biases=tuple(_frozen(np.zeros_like(b)) for b in network.biases),
-        step_size=step_size,
-        beta1=beta1,
-        beta2=beta2,
+        eta=zeros, delta=zeros, step_size=step_size, beta1=beta1, beta2=beta2,
         epsilon=epsilon,
-        steps=0,
     )
 
 
@@ -318,50 +314,22 @@ def adam_step(
     b1, b2 = state.beta1, state.beta2
     lr_t = state.step_size * math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
 
-    new_eta_w, new_eta_b = [], []
-    new_delta_w, new_delta_b = [], []
-    new_w, new_b = [], []
-    for layer in range(len(network.specs)):
-        for (eta, delta, grad, param, out_eta, out_delta, out_param) in (
-            (
-                state.eta_weights[layer],
-                state.delta_weights[layer],
-                gradient.weights[layer],
-                network.weights[layer],
-                new_eta_w,
-                new_delta_w,
-                new_w,
-            ),
-            (
-                state.eta_biases[layer],
-                state.delta_biases[layer],
-                gradient.biases[layer],
-                network.biases[layer],
-                new_eta_b,
-                new_delta_b,
-                new_b,
-            ),
-        ):
-            eta1 = b1 * eta + (1.0 - b1) * grad
-            delta1 = b2 * delta + (1.0 - b2) * grad * grad
-            step = lr_t * eta1 / (np.sqrt(delta1) + state.epsilon)
-            out_eta.append(_frozen(eta1))
-            out_delta.append(_frozen(delta1))
-            out_param.append(_frozen(param - step))
+    eta, delta, params = [], [], []
+    for m, v, grad, param in zip(
+        state.eta, state.delta,
+        (*gradient.weights, *gradient.biases), (*network.weights, *network.biases),
+    ):
+        eta1 = b1 * m + (1.0 - b1) * grad
+        delta1 = b2 * v + (1.0 - b2) * grad * grad
+        eta.append(_frozen(eta1))
+        delta.append(_frozen(delta1))
+        params.append(_frozen(param - lr_t * eta1 / (np.sqrt(delta1) + state.epsilon)))
 
-    new_state = AdamState(
-        eta_weights=tuple(new_eta_w),
-        eta_biases=tuple(new_eta_b),
-        delta_weights=tuple(new_delta_w),
-        delta_biases=tuple(new_delta_b),
-        step_size=state.step_size,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-        steps=t,
+    n = len(network.specs)
+    new_network = Network(
+        specs=network.specs, weights=tuple(params[:n]), biases=tuple(params[n:])
     )
-    new_network = Network(specs=network.specs, weights=tuple(new_w), biases=tuple(new_b))
-    return new_state, new_network
+    return replace(state, eta=tuple(eta), delta=tuple(delta), steps=t), new_network
 
 
 def predict(network: Network, X, schema) -> np.ndarray:

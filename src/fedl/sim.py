@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextvars
 import enum
+import math
 import warnings
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -183,6 +184,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
+        object.__setattr__(self, "partition", PartitionStrategy(self.partition))
+        object.__setattr__(self, "mode", TrainMode(self.mode))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.tolerance < 0:
@@ -193,8 +196,8 @@ class TrainConfig:
             raise ValueError("workers must be >= 1")
         if not (0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not (0 < self.step_size < math.inf):
+            raise ValueError("step_size must be positive and finite")
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden layer widths must be >= 1")
 

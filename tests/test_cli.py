@@ -357,6 +357,18 @@ def test_train_non_finite_loss_exits_3(tmp_path, corpus_dir, extra):
     assert not list(out.glob("model*.fedl"))
 
 
+@pytest.mark.parametrize("step_size", ["nan", "inf"])
+def test_train_non_finite_step_size_exits_1(tmp_path, corpus_dir, step_size):
+    out = tmp_path / "run"
+    code, _, err = invoke(
+        "train", "--transactions", corpus_dir / "transactions.csv",
+        *FAST, "--step-size", step_size, "--epochs", 1, "--out", out,
+    )
+    assert code == 1
+    assert "step_size must be positive and finite" in err
+    assert not list(out.glob("model*.fedl"))
+
+
 @pytest.mark.parametrize(
     "extra",
     [(), ("--mode", "federated", "--workers", 2, "--parallel")],
@@ -394,6 +406,41 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, corpus_dir):
     assert manifest["config"]["epochs"] == 2  # flag beats file
     assert manifest["config"]["hidden"] == "5"  # file beats default
     assert manifest["epochs_ran"] == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"clustering": "false"}, {"include_transaction_id": "no"}, {"epochs": True},
+     {"epochs": 2.7}, {"hidden": [64, 64]}, {"theta_low": [1, 1]},
+     {"mode": "serial"}, {"ratio": None}],
+    ids=lambda entry: json.dumps(entry),
+)
+def test_config_file_value_of_the_wrong_type_exits_1(tmp_path, corpus_dir, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    out = tmp_path / "run"
+    code, _, err = invoke(
+        "train", "--transactions", corpus_dir / "transactions.csv",
+        "--stations", corpus_dir / "stations.csv", *FAST, "--config", cfg, "--out", out,
+    )
+    assert code == 1
+    assert f"config key {next(iter(entry))!r} must be" in err
+    assert not out.exists()
+
+
+def test_config_file_values_take_their_flags_types(tmp_path, corpus_dir):
+    # a JSON integer for a float option is the flag's float, so the file
+    # and the flags spell one run; null stays the default of theta_low
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance": 0, "ratio": 0.8, "clustering": False,
+                               "theta_low": None}))
+    data = ("train", "--transactions", corpus_dir / "transactions.csv")
+    code_f, _, _ = invoke(*data, "--epochs", 4, "--hidden", "6", "--seed", 1,
+                          "--config", cfg, "--out", tmp_path / "f")
+    code_a, _, _ = invoke(*data, *FAST, "--out", tmp_path / "a")
+    assert code_f == code_a == 0
+    for name in ("manifest.json", "model.fedl"):
+        assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
 def test_config_file_unknown_key_exits_1(tmp_path, corpus_dir):
@@ -442,6 +489,20 @@ def test_evaluate_scores_run_and_baselines(tmp_path, corpus_dir, trained_run):
         "--run-dir", trained_run, "--out", out2,
     )
     assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_evaluate_corrupt_model_exits_2(tmp_path, corpus_dir, trained_run):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    blob = bytearray((run / "model.fedl").read_bytes())
+    blob[12:16] = (0).to_bytes(4, "little")  # the first layer's input width
+    (run / "model.fedl").write_bytes(bytes(blob))
+    code, _, err = invoke(
+        "evaluate", "--transactions", corpus_dir / "transactions.csv",
+        "--run-dir", run, "--out", tmp_path / "eval",
+    )
+    assert code == 2
+    assert "data error: bad layer 0" in err
 
 
 def test_evaluate_baselines_only(tmp_path, corpus_dir):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fedl.data import (
     PartitionStrategy,
     build_schema,
-    destandardize_labels,
     encode_features,
     feature_codes,
     parse_stations,
@@ -249,15 +248,6 @@ def test_encoded_labels_are_standardized():
     _, y = encode_features(records, schema)
     assert y.mean() == pytest.approx(0.0, abs=1e-9)
     assert y.std() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_destandardize_roundtrip():
-    records = corpus_records()
-    schema = build_schema(records)
-    _, y = encode_features(records, schema)
-    back = destandardize_labels(y, schema)
-    original = np.array([r.energy_kwh for r in records])
-    assert np.allclose(back, original, rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------- split

@@ -8,7 +8,6 @@ from fedl.data import (
     build_schema,
     encode_features,
     feature_codes,
-    synth_generate,
 )
 from fedl.errors import DegenerateDataError, EncodingError, ShapeError
 from fedl.metrics import (
@@ -63,67 +62,47 @@ def test_rmse_squared_times_n_is_sse():
 # --------------------------------------------------------------- knn
 
 
-def test_knn_k1_returns_exact_neighbor_label():
-    train_X = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-    train_y = np.array([1.0, 2.0, 3.0])
-    test_X = np.array([[9.0, 0.5], [0.1, 0.1], [1.0, 9.0]])
-    out = knn_baseline(train_X, train_y, test_X, k=1)
-    assert out.tolist() == [2.0, 1.0, 3.0]
-
-
-def test_knn_full_k_is_global_mean():
-    rng = np.random.default_rng(1)
-    train_X = rng.normal(size=(12, 3))
-    train_y = rng.normal(size=12)
-    out = knn_baseline(train_X, train_y, rng.normal(size=(5, 3)), k=12)
-    assert np.allclose(out, train_y.mean(), atol=1e-12)
-
-
-def test_knn_query_in_train_is_reproduced_at_k1():
-    rng = np.random.default_rng(2)
-    train_X = rng.normal(size=(20, 4))
-    train_y = rng.normal(size=20)
-    out = knn_baseline(train_X, train_y, train_X[:7], k=1)
-    assert np.array_equal(out, train_y[:7])
+def _codes_corpus(records):
+    """(codes, labels, schema) for records over their own stations."""
+    schema = build_schema(records)
+    y = np.array([r.energy_kwh for r in records])
+    return feature_codes(records, schema), y, schema
 
 
 def test_knn_ties_resolve_to_lower_train_index():
-    # two identical training rows with different labels: integer features
-    # make the squared distances exactly equal, the stable sort keeps row 0
-    train_X = np.array([[1.0, 2.0], [1.0, 2.0], [50.0, 50.0]])
-    train_y = np.array([7.0, 9.0, 0.0])
-    out = knn_baseline(train_X, train_y, np.array([[1.0, 2.0]]), k=1)
-    assert out[0] == 7.0
+    # rows 0 and 1 are the same codes with different labels: an exact tie
+    train = [TransactionRecord("A", 5, 1, 2, 7.0), TransactionRecord("A", 5, 1, 2, 9.0),
+             TransactionRecord("B", 9, 3, 4, 0.0)]
+    codes, y, schema = _codes_corpus(train)
+    assert knn_baseline(codes, y, codes[:1], k=1, schema=schema).tolist() == [7.0]
 
 
-def test_knn_k2_averages():
-    train_X = np.array([[0.0], [1.0], [100.0]])
-    train_y = np.array([10.0, 20.0, 500.0])
-    out = knn_baseline(train_X, train_y, np.array([[0.4]]), k=2)
-    assert out[0] == 15.0
-
-
-def test_knn_chunking_is_invisible():
-    rng = np.random.default_rng(3)
-    train_X = rng.normal(size=(40, 5))
-    train_y = rng.normal(size=40)
-    test_X = rng.normal(size=(23, 5))
-    whole = knn_baseline(train_X, train_y, test_X, k=3, chunk_size=1000)
-    tiny = knn_baseline(train_X, train_y, test_X, k=3, chunk_size=4)
-    assert np.array_equal(whole, tiny)
+def test_knn_chunking_is_invisible(small_corpus):
+    records, _, _ = small_corpus
+    codes, y, schema = _codes_corpus(records)
+    train, test = codes[:320], codes[320:]
+    # k=3 mostly reads the queries' pair groups; k=60 outgrows them and
+    # scans every row
+    for k in (3, 60):
+        whole = knn_baseline(train, y[:320], test, k, chunk_size=1000, schema=schema)
+        tiny = knn_baseline(train, y[:320], test, k, chunk_size=4, schema=schema)
+        assert whole.tobytes() == tiny.tobytes()
 
 
 def test_knn_validation():
-    X = np.ones((3, 2))
-    y = np.ones(3)
+    codes, y, schema = _codes_corpus(
+        [TransactionRecord("A", t, 1, 0, float(t)) for t in range(3)]
+    )
     with pytest.raises(ValueError):
-        knn_baseline(X, y, X, k=0)
+        knn_baseline(codes, y, codes, k=0, schema=schema)
     with pytest.raises(ValueError):
-        knn_baseline(X, y, X, k=4)
+        knn_baseline(codes, y, codes, k=4, schema=schema)
     with pytest.raises(ShapeError):
-        knn_baseline(X, y, np.ones((2, 3)), k=1)
+        knn_baseline(codes, y, codes[:, :3], k=1, schema=schema)
+    with pytest.raises(ShapeError):
+        knn_baseline(codes, y[:2], codes, k=1, schema=schema)
     with pytest.raises(DegenerateDataError):
-        knn_baseline(np.zeros((0, 2)), np.zeros(0), X, k=1)
+        knn_baseline(codes[:0], y[:0], codes, k=1, schema=schema)
 
 
 @st.composite
@@ -176,19 +155,18 @@ def test_knn_codes_match_exact_rational_brute_force(corpus):
 
 @pytest.mark.parametrize("k", [1, 5, 60, 320])
 def test_knn_codes_without_ids_equal_dense_bitwise(small_corpus, k):
-    # without the id column every float distance is an exact small integer,
-    # so the float path's stable sort sees the exact order too
+    # the reference is an exact brute force over the encoded (dense) rows;
+    # without the id column every distance is 2m, so most rows tie
     records, _, _ = small_corpus
     train, test = records[:320], records[320:]
     vocab = sorted({r.station_id for r in records})
     schema = build_schema(train, False, station_vocabulary=vocab)
-    X_train, y = encode_features(train, schema)
-    X_test, _ = encode_features(test, schema)
-    dense = knn_baseline(X_train, y, X_test, k)
-    exact = knn_baseline(
+    y = np.array([r.energy_kwh for r in train])
+    got = knn_baseline(
         feature_codes(train, schema), y, feature_codes(test, schema), k, schema=schema
     )
-    assert dense.tobytes() == exact.tobytes()
+    want = y[knn_exact_neighbours(train, test, schema, k)].mean(axis=1)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -232,8 +210,6 @@ def test_knn_codes_validation():
     raw[:, 3] += 10  # ids not clipped into [0, span]
     with pytest.raises(EncodingError):
         knn_baseline(codes, y, raw, 1, schema=schema)
-    with pytest.raises(ValueError):
-        knn_baseline(codes, y, codes, 5, schema=schema)
 
 
 # --------------------------------------------------------------- mean

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedl.errors import DataFormatError
 from fedl.model_io import (
+    _HEADER,
+    _LAYER,
     load_network,
     network_from_bytes,
     network_to_bytes,
@@ -89,3 +93,39 @@ def test_dropout_survives_roundtrip():
     assert clone.specs[1].dropout == 0.15
     assert clone.specs[1].activation is Activation.TANH
     assert clone.specs[2].activation is Activation.IDENTITY
+
+
+@pytest.mark.parametrize(
+    "in_w, out_w, dropout", [(8, 8, 1.5), (8, 8, float("nan")), (0, 8, 0.15)],
+    ids=["dropout-1.5", "dropout-nan", "width-0"],
+)
+def test_out_of_range_layer_fields_rejected(in_w, out_w, dropout):
+    blob = bytearray(network_to_bytes(sample_net()))
+    second = _HEADER.size + _LAYER.size  # the 8x8 dropout layer's entry
+    blob[second : second + _LAYER.size] = _LAYER.pack(in_w, out_w, 1, 1, dropout)
+    with pytest.raises(DataFormatError):
+        network_from_bytes(bytes(blob))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=2, max_size=4),
+    st.sampled_from([0.0, 0.15]),
+    st.integers(0, 2**32 - 1),
+)
+def test_corrupt_blobs_load_or_raise_only_data_format_error(widths, dropout, seed):
+    # every truncation, and every single-byte overwrite of the header and
+    # the layer table
+    specs = [LayerSpec(a, b, Activation.TANH, dropout) for a, b in zip(widths, widths[1:])]
+    blob = network_to_bytes(init_network(specs, seed))
+    for cut in range(len(blob)):
+        with pytest.raises(DataFormatError):
+            network_from_bytes(blob[:cut])
+    for at in range(_HEADER.size + _LAYER.size * len(specs)):
+        corrupt = bytearray(blob)
+        for value in range(256):
+            corrupt[at] = value
+            try:
+                network_from_bytes(bytes(corrupt))  # loading is fine too
+            except DataFormatError:
+                pass

@@ -90,6 +90,9 @@ def test_train_config_validation():
         TrainConfig(workers=0)
     with pytest.raises(ValueError):
         TrainConfig(hidden_layers=(8, 0))
+    for step_size in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrainConfig(step_size=step_size)
 
 
 def test_network_specs_layout():
