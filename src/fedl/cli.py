@@ -703,6 +703,13 @@ def _sweep(args, cfg, records, out: Path) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve(args, "evaluate")
+    if args.run_dir is not None and args.include_transaction_id is not None:
+        flag = "include-transaction-id" if args.include_transaction_id else (
+            "no-include-transaction-id")
+        raise UsageError(
+            f"--run-dir scores the run with the encoding its manifest records; "
+            f"it takes no --{flag}"
+        )
     out = _out_dir(args)
     records, _rejects = _read_transactions(args.transactions)
     if not records:
@@ -733,7 +740,7 @@ def cmd_evaluate(args) -> int:
     ratio = _check_ratio(inherited("ratio", float))
     seed = inherited("seed", int)
     include_txn = cfg["include_transaction_id"]
-    if "include_transaction_id" in run_cfg:  # the run's encoding, over any flag
+    if "include_transaction_id" in run_cfg:  # the run's encoding
         include_txn = bool(run_cfg["include_transaction_id"])
     train, test = split_train_test(records, ratio, seed)
 

@@ -2,15 +2,19 @@
 
 Design points:
 
-* everything is a pure function — networks, gradients and optimiser state
-  are never mutated; each step returns fresh (read-only) arrays, so values
-  can be shared across threads and repeated calls are bit-identical;
+* networks, gradients and optimiser state are never mutated: parameters,
+  gradients and Adam moments are fresh read-only arrays, so values can be
+  shared across threads and repeated calls are bit-identical;
+* the batch-sized intermediates of a training step live in a caller-owned
+  :class:`Workspace` and are overwritten in place: tapes are views valid
+  until the workspace's next step.  A call given no workspace makes its
+  own, so results never depend on whether one was passed;
 * the training loss is the plain sum of squared errors over the batch
   (no averaging), and gradients are its exact reverse-mode derivatives;
 * dropout is the inverted variant: in training mode a fraction ``f`` of a
   layer's activations is zeroed and survivors are scaled by ``1/(1-f)``;
   inference applies no mask and no scaling.  Masks are counter-based
-  (see :mod:`fedl.rng`): the mask row of a sample depends only on the
+  (:func:`fedl.rng.keep_mask`): the mask row of a sample depends only on the
   seed, the layer and the sample's global id, so any sub-batch sees the
   same masks it would inside the full batch.
 """
@@ -24,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeError
-from .rng import uniform_hash
+from .rng import MASK_BLOCK_ROWS, keep_mask
 
 
 class Activation(enum.Enum):
@@ -38,11 +42,33 @@ class Mode(enum.Enum):
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out is a:
-        out = out.copy()
-    out.setflags(write=False)
-    return out
+    """Mark an array this module just created read-only, in place."""
+    a.setflags(write=False)
+    return a
+
+
+class Workspace:
+    """Scratch arrays for forward and backward, reused across steps.
+
+    Each array is kept at the largest batch it has served and handed out as
+    a view of its leading rows, so repeated steps write into the same
+    memory instead of allocating it afresh.  One workspace serves one step
+    at a time: concurrent steps need one each.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[tuple, np.ndarray] = {}
+
+    def take(self, name: tuple, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """An uninitialised C-contiguous array of ``shape``: the leading
+        ``shape[0]`` rows of the array kept for (name, row shape, dtype),
+        grown first if it has fewer rows."""
+        key = (name, shape[1:], np.dtype(dtype))
+        a = self._arrays.get(key)
+        if a is None or a.shape[0] < shape[0]:
+            a = np.empty(shape, dtype=dtype)
+            self._arrays[key] = a
+        return a[: shape[0]]
 
 
 @dataclass(frozen=True)
@@ -140,12 +166,16 @@ class AdamState:
 class LayerTrace:
     inputs: np.ndarray  # what the layer saw
     activated: np.ndarray  # activation output, before any dropout
-    mask: np.ndarray | None  # boolean keep-mask, None when no dropout applied
+    mask: np.ndarray | None  # keep-mask of 1.0/0.0, None when no dropout applied
 
 
 @dataclass(frozen=True)
 class Tape:
-    """Intermediate values of one forward pass, consumed by backward()."""
+    """Intermediate values of one forward pass, consumed by backward().
+
+    Its arrays are views into the forward pass's workspace, valid until that
+    workspace's next step.
+    """
 
     traces: tuple[LayerTrace, ...]
     output: np.ndarray
@@ -181,27 +211,36 @@ def _apply_layer(
     mode: Mode,
     seed: int,
     sample_ids: np.ndarray,
+    workspace: Workspace,
 ) -> tuple[LayerTrace, np.ndarray]:
     """Run one layer: affine map, activation, then dropout if the layer
-    carries one and ``mode`` is TRAIN.  Returns (trace, output)."""
+    carries one and ``mode`` is TRAIN.  Returns (trace, output), both
+    written into ``workspace``."""
     spec = network.specs[layer]
     if X.ndim != 2 or X.shape[1] != spec.input_width:
         raise ShapeError(
             f"layer {layer} expects input width {spec.input_width}, "
             f"got array of shape {X.shape}"
         )
-    pre = X @ network.weights[layer].T + network.biases[layer]
+    shape = (X.shape[0], spec.output_width)
+    act = workspace.take(("activated", layer), shape)
+    np.matmul(X, network.weights[layer].T, out=act)
+    np.add(act, network.biases[layer], out=act)
     if spec.activation is Activation.TANH:
-        act = np.tanh(pre)
-    else:
-        act = pre
+        np.tanh(act, out=act)
     mask = None
+    out = act
     if spec.dropout > 0.0 and mode is Mode.TRAIN:
-        u = uniform_hash(seed, layer, sample_ids, spec.output_width)
-        mask = u >= spec.dropout
-        out = act * mask / (1.0 - spec.dropout)
-    else:
-        out = act
+        mask = keep_mask(
+            seed, layer, sample_ids, spec.output_width, spec.dropout,
+            out=workspace.take(("mask", layer), shape),
+            scratch=workspace.take(
+                ("hash",), (2, MASK_BLOCK_ROWS, spec.output_width), np.uint64
+            ),
+        )
+        # multiply, then divide: scaling by 1/(1-f) instead would change bits
+        out = np.multiply(act, mask, out=workspace.take(("dropped", layer), shape))
+        np.divide(out, 1.0 - spec.dropout, out=out)
     return LayerTrace(inputs=X, activated=act, mask=mask), out
 
 
@@ -211,11 +250,14 @@ def forward(
     mode: Mode = Mode.INFER,
     seed: int = 0,
     sample_ids=None,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, Tape]:
     """Full forward pass.  Returns (predictions, tape).
 
     ``sample_ids`` are the rows' global identities, used only to derive
-    dropout masks; they default to 0..n-1.  Inference ignores them.
+    dropout masks; they default to 0..n-1.  Inference ignores them.  The
+    predictions and the tape are views into ``workspace`` (a fresh one when
+    None), valid until its next step.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -228,10 +270,12 @@ def forward(
             raise ShapeError(
                 f"sample_ids shape {ids.shape} does not match batch of {X.shape[0]}"
             )
+    if workspace is None:
+        workspace = Workspace()
     traces = []
     out = X
     for layer in range(len(network.specs)):
-        trace, out = _apply_layer(network, layer, out, mode, seed, ids)
+        trace, out = _apply_layer(network, layer, out, mode, seed, ids, workspace)
         traces.append(trace)
     return out, Tape(traces=tuple(traces), output=out)
 
@@ -246,8 +290,14 @@ def sse_loss(predictions, targets) -> float:
     return float(np.sum(d * d))
 
 
-def backward(network: Network, tape: Tape, targets) -> Gradient:
-    """Exact reverse-mode gradient of sse_loss(tape.output, targets)."""
+def backward(
+    network: Network, tape: Tape, targets, workspace: Workspace | None = None
+) -> Gradient:
+    """Exact reverse-mode gradient of sse_loss(tape.output, targets).
+
+    The batch-sized partials are written into ``workspace`` (a fresh one
+    when None), never into the arrays of ``tape``; the gradient is fresh.
+    """
     if len(tape.traces) != len(network.specs):
         raise ShapeError("tape depth does not match network depth")
     for layer, trace in enumerate(tape.traces):
@@ -263,23 +313,38 @@ def backward(network: Network, tape: Tape, targets) -> Gradient:
         t = t.reshape(y.shape)
     elif t.shape != y.shape:
         raise ShapeError(f"target shape {t.shape} != output shape {y.shape}")
+    if workspace is None:
+        workspace = Workspace()
 
+    # Partials alternate between two slots per width, so a GEMM never
+    # writes into its own operand.
+    n = y.shape[0]
+    slot = 0
     grad_w: list[np.ndarray | None] = [None] * len(network.specs)
     grad_b: list[np.ndarray | None] = [None] * len(network.specs)
-    d_out = 2.0 * (y - t)  # dL/d(layer output) for the last layer
+    d_out = workspace.take(("partial", slot), y.shape)
+    np.subtract(y, t, out=d_out)
+    np.multiply(2.0, d_out, out=d_out)  # dL/d(layer output) for the last layer
     for layer in range(len(network.specs) - 1, -1, -1):
         spec = network.specs[layer]
         trace = tape.traces[layer]
         if trace.mask is not None:
-            d_out = d_out * trace.mask / (1.0 - spec.dropout)
+            np.multiply(d_out, trace.mask, out=d_out)
+            np.divide(d_out, 1.0 - spec.dropout, out=d_out)
         if spec.activation is Activation.TANH:
-            d_pre = d_out * (1.0 - trace.activated * trace.activated)
+            slot = 1 - slot
+            d_pre = workspace.take(("partial", slot), d_out.shape)
+            np.multiply(trace.activated, trace.activated, out=d_pre)
+            np.subtract(1.0, d_pre, out=d_pre)
+            np.multiply(d_out, d_pre, out=d_pre)
         else:
             d_pre = d_out
         grad_w[layer] = _frozen(d_pre.T @ trace.inputs)
         grad_b[layer] = _frozen(d_pre.sum(axis=0))
         if layer > 0:
-            d_out = d_pre @ network.weights[layer]
+            slot = 1 - slot
+            d_out = workspace.take(("partial", slot), (n, spec.input_width))
+            np.matmul(d_pre, network.weights[layer], out=d_out)
     return Gradient(weights=tuple(grad_w), biases=tuple(grad_b))
 
 

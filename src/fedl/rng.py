@@ -1,12 +1,14 @@
 """Deterministic seeding and counter-based randomness.
 
 Every random choice in the package flows either through a numpy Generator
-seeded with :func:`fold_seed`, or through :func:`uniform_hash`, a stateless
+seeded with :func:`fold_seed`, or through :func:`keep_mask`, a stateless
 hash of integer coordinates.  Both are pure functions of their inputs, so
 identical configurations produce bit-identical runs on any platform.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,6 +16,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+
+# Rows hashed per pass of keep_mask: its two uint64 scratch blocks of
+# MASK_BLOCK_ROWS x n_cols stay in L2 cache at the network's widths.
+MASK_BLOCK_ROWS = 512
 
 
 def _mix64(x: int) -> int:
@@ -38,22 +44,50 @@ def fold_seed(*parts: int) -> int:
     return state
 
 
-def uniform_hash(seed: int, tag: int, row_ids, n_cols: int) -> np.ndarray:
-    """Uniforms in [0, 1), one per (row id, column) pair.
+def keep_mask(
+    seed: int,
+    tag: int,
+    row_ids,
+    n_cols: int,
+    p: float,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Dropout keep-mask: 1.0 where the hash uniform at (row, column) is
+    ``>= p``, else 0.0, as a float64 array of shape ``(len(row_ids), n_cols)``.
 
-    The value at (i, j) depends only on ``(seed, tag, row_ids[i], j)`` —
-    never on the batch shape — so hashing a subset of rows reproduces
-    exactly the rows that subset would receive inside a larger batch.
-    Returns an array of shape ``(len(row_ids), n_cols)``.
+    The uniform at (i, j) is the top 53 bits of the splitmix64 finaliser of
+    ``fold_seed(seed, tag) + row_ids[i]*M1 + j*G`` (mod 2^64), scaled by
+    2^-53.  It depends only on ``(seed, tag, row_ids[i], j)`` — never on the
+    batch shape — so a subset of rows gets exactly the rows it would get
+    inside a larger batch.  The comparison runs on the integers: for
+    ``0 <= p < 1``, ``u >= p`` holds exactly when the hash is at least
+    ``ceil(p * 2^53) << 11``, since a 53-bit integer is exact in float64.
+
+    ``out`` receives the mask when given.  ``scratch``, a uint64 array of
+    shape ``(2, MASK_BLOCK_ROWS, n_cols)``, holds the hashes of one block of
+    rows at a time; without it the call allocates its own.
     """
+    ids = np.asarray(row_ids)
+    n = ids.shape[0]
+    if out is None:
+        out = np.empty((n, n_cols), dtype=np.float64)
+    if scratch is None:
+        scratch = np.empty((2, MASK_BLOCK_ROWS, n_cols), dtype=np.uint64)
     base = np.uint64(fold_seed(seed, tag))
-    rows = np.asarray(row_ids, dtype=np.uint64).reshape(-1, 1)
-    cols = np.arange(n_cols, dtype=np.uint64).reshape(1, -1)
-    x = base + rows * np.uint64(_MIX1) + cols * np.uint64(_GOLDEN)
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(_MIX1)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(_MIX2)
-    x = x ^ (x >> np.uint64(31))
-    # top 53 bits -> float64 in [0, 1)
-    return (x >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    cols = np.arange(n_cols, dtype=np.uint64) * np.uint64(_GOLDEN)
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    for start in range(0, n, MASK_BLOCK_ROWS):
+        stop = min(start + MASK_BLOCK_ROWS, n)
+        x = scratch[0, : stop - start]
+        shifted = scratch[1, : stop - start]
+        rows = ids[start:stop].astype(np.uint64) * np.uint64(_MIX1) + base
+        np.add(rows[:, None], cols, out=x)
+        for shift, multiplier in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(x, np.uint64(shift), out=shifted)
+            np.bitwise_xor(x, shifted, out=x)
+            np.multiply(x, np.uint64(multiplier), out=x)
+        np.right_shift(x, np.uint64(31), out=shifted)
+        np.bitwise_xor(x, shifted, out=x)
+        np.greater_equal(x, threshold, out=out[start:stop])
+    return out

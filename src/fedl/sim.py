@@ -16,7 +16,9 @@ Determinism contract: given (config, seed) every run is bit-reproducible.
 Worker gradients may be computed in parallel threads, but reduction always
 happens in ascending worker-id order, so parallel equals serial bit for
 bit.  With one worker the federated trajectory is bit-identical to the
-centralized one.
+centralized one.  A run keeps its scratch arrays (:class:`fedl.nn.Workspace`)
+and its thread pool from the first epoch to the last: one workspace when
+steps run one at a time, one per worker when they run in threads.
 
 Traffic sizing is fixed and documented: a gradient or model message costs
 ``parameter_count * 8 + 64`` bytes (payload plus header); one encoded
@@ -25,6 +27,7 @@ record costs ``width * 8 + 8`` bytes (features plus label).
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import enum
 import math
@@ -60,6 +63,7 @@ from .nn import (
     LayerSpec,
     Mode,
     Network,
+    Workspace,
     adam_step,
     backward,
     forward,
@@ -267,28 +271,44 @@ class ServerState:
     adam: AdamState
     version: int = 0
     traffic: TrafficLog = field(default_factory=TrafficLog)
-    parallel: bool = False  # thread-pool worker execution; output is bit-identical
+    # runs worker steps in threads when set; the output is bit-identical
+    pool: ThreadPoolExecutor | None = None
+    workspaces: list[Workspace] = field(default_factory=list)  # one per concurrent step
 
 
 def _grad_and_loss(
-    network: Network, X: np.ndarray, y: np.ndarray, sample_ids, seed: int
+    network: Network,
+    X: np.ndarray,
+    y: np.ndarray,
+    sample_ids,
+    seed: int,
+    workspace: Workspace | None,
 ) -> tuple[Gradient, float]:
-    out, tape = forward(network, X, mode=Mode.TRAIN, seed=seed, sample_ids=sample_ids)
+    out, tape = forward(
+        network, X, mode=Mode.TRAIN, seed=seed, sample_ids=sample_ids,
+        workspace=workspace,
+    )
     loss = sse_loss(out[:, 0], y)
-    return backward(network, tape, y), loss
+    return backward(network, tape, y, workspace=workspace), loss
 
 
 def local_epoch(
-    worker: WorkerState, global_model: Network, seed: int
+    worker: WorkerState,
+    global_model: Network,
+    seed: int,
+    workspace: Workspace | None = None,
 ) -> tuple[Gradient, float]:
     """One full-batch pass on the worker's slice against the given global
-    model.  Returns (exact gradient, local loss); mutates nothing."""
+    model, with its scratch arrays in ``workspace`` (a fresh one when None).
+    Returns (exact gradient, local loss); mutates nothing else."""
     if worker.X.shape[1] != global_model.input_width:
         raise ShapeError(
             f"worker {worker.worker_id} data width {worker.X.shape[1]} does not "
             f"match model input width {global_model.input_width}"
         )
-    return _grad_and_loss(global_model, worker.X, worker.y, worker.sample_ids, seed)
+    return _grad_and_loss(
+        global_model, worker.X, worker.y, worker.sample_ids, seed, workspace
+    )
 
 
 def aggregate_gradients(grads: Sequence[Gradient]) -> Gradient:
@@ -336,19 +356,23 @@ def run_round(
     if len({w.worker_id for w in order}) != len(order):
         raise ValueError("worker ids must be unique")
 
-    if len(order) > 1 and server.parallel:
-        with ThreadPoolExecutor(max_workers=len(order)) as pool:
-            # each task runs in a copy of the caller's context, so it keeps
-            # the caller's numpy error state (np.errstate)
-            futures = [
-                pool.submit(
-                    contextvars.copy_context().run, local_epoch, w, server.network, seed
-                )
-                for w in order
-            ]
-            results = [f.result() for f in futures]
+    threaded = len(order) > 1 and server.pool is not None
+    while len(server.workspaces) < (len(order) if threaded else 1):
+        server.workspaces.append(Workspace())
+    if threaded:
+        # each task runs in a copy of the caller's context, so it keeps the
+        # caller's numpy error state (np.errstate)
+        futures = [
+            server.pool.submit(
+                contextvars.copy_context().run,
+                local_epoch, w, server.network, seed, workspace,
+            )
+            for w, workspace in zip(order, server.workspaces)
+        ]
+        results = [f.result() for f in futures]
     else:
-        results = [local_epoch(w, server.network, seed) for w in order]
+        workspace = server.workspaces[0]
+        results = [local_epoch(w, server.network, seed, workspace) for w in order]
     grads = [g for g, _ in results]
     losses = tuple(loss for _, loss in results)
     staleness = max(server.version - w.model_version for w in workers)
@@ -404,11 +428,13 @@ def _train(
     config: TrainConfig,
     on_epoch: EpochCallback | None,
     step: EpochStep,
+    sites: int = 1,
 ) -> tuple[Network, list[RoundReport], TrafficLog]:
     """The loop every pipeline shares.
 
-    Initialises the network and Adam from ``config``, then runs
-    ``step(server, epoch_seed)`` once per epoch until every site's loss
+    Initialises the network and Adam from ``config``, and a thread pool of
+    ``sites`` threads when ``config.parallel`` and there are several, then
+    runs ``step(server, epoch_seed)`` once per epoch until every site's loss
     settles (per convergence_check) or the epoch budget runs out.  The
     sites are the report's workers, or the one central site when it has
     none.  A non-finite loss raises FloatingPointError naming the epoch;
@@ -423,28 +449,30 @@ def _train(
         beta2=config.beta2,
         epsilon=config.epsilon,
     )
-    server = ServerState(network=network, adam=adam, parallel=config.parallel)
     reports: list[RoundReport] = []
     histories: defaultdict[int, list[float]] = defaultdict(list)
-    for epoch in range(config.epochs):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            report = step(server, fold_seed(config.seed, epoch))
-        reports.append(report)
-        losses = report.worker_losses or (report.global_loss,)
-        if not np.isfinite(losses).all():
-            raise FloatingPointError(
-                f"training loss became non-finite at epoch {epoch}: "
-                f"{report.global_loss!r}"
-            )
-        for site, loss in enumerate(losses):
-            histories[site].append(loss)
-        if on_epoch is not None:
-            on_epoch(epoch, server.network)
-        if all(
-            convergence_check(history, config.tolerance, config.patience)
-            for history in histories.values()
-        ):
-            break
+    threaded = config.parallel and sites > 1
+    with ThreadPoolExecutor(sites) if threaded else contextlib.nullcontext() as pool:
+        server = ServerState(network=network, adam=adam, pool=pool)
+        for epoch in range(config.epochs):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                report = step(server, fold_seed(config.seed, epoch))
+            reports.append(report)
+            losses = report.worker_losses or (report.global_loss,)
+            if not np.isfinite(losses).all():
+                raise FloatingPointError(
+                    f"training loss became non-finite at epoch {epoch}: "
+                    f"{report.global_loss!r}"
+                )
+            for site, loss in enumerate(losses):
+                histories[site].append(loss)
+            if on_epoch is not None:
+                on_epoch(epoch, server.network)
+            if all(
+                convergence_check(history, config.tolerance, config.patience)
+                for history in histories.values()
+            ):
+                break
     return server.network, reports, server.traffic
 
 
@@ -467,9 +495,10 @@ def run_centralized(
     if y.shape != (X.shape[0],):
         raise ShapeError(f"labels shape {y.shape} does not match {X.shape[0]} rows")
     ids = np.arange(X.shape[0], dtype=np.int64)
+    workspace = Workspace()
 
     def step(server: ServerState, seed: int) -> RoundReport:
-        grad, loss = _grad_and_loss(server.network, X, y, ids, seed)
+        grad, loss = _grad_and_loss(server.network, X, y, ids, seed, workspace)
         server.adam, server.network = adam_step(server.adam, server.network, grad)
         server.version += 1
         return RoundReport(
@@ -534,7 +563,7 @@ def run_federated(
             workers.extend(make_workers(X, y, partitions, server.network))
         return run_round(server, workers, seed)
 
-    return _train(X.shape[1], config, on_epoch, step)
+    return _train(X.shape[1], config, on_epoch, step, sites=len(partitions))
 
 
 @dataclass(frozen=True)

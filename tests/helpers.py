@@ -1,6 +1,7 @@
-"""Shared test oracles: finite-difference gradients, brute-force
-constrained assignment and brute-force kNN.  These are deliberately
-independent of the library implementations they check."""
+"""Shared test oracles: the float dropout hash and a fresh-allocating
+forward/backward, finite-difference gradients, brute-force constrained
+assignment and brute-force kNN.  These are deliberately independent of the
+library implementations they check."""
 
 from __future__ import annotations
 
@@ -9,7 +10,77 @@ from fractions import Fraction
 
 import numpy as np
 
-from fedl.nn import Mode, Network, forward, sse_loss
+from fedl.errors import ShapeError
+from fedl.nn import Activation, LayerTrace, Mode, Network, Tape, forward, sse_loss
+from fedl.rng import _GOLDEN, _MIX1, _MIX2, fold_seed
+
+
+def uniform_hash(seed: int, tag: int, row_ids, n_cols: int) -> np.ndarray:
+    """Uniforms in [0, 1), one per (row id, column) pair: the top 53 bits of
+    the splitmix64 finaliser of fold_seed(seed, tag) + row*M1 + col*G,
+    computed on whole uint64 arrays and scaled to float64."""
+    base = np.uint64(fold_seed(seed, tag))
+    rows = np.asarray(row_ids, dtype=np.uint64).reshape(-1, 1)
+    cols = np.arange(n_cols, dtype=np.uint64).reshape(1, -1)
+    x = base + rows * np.uint64(_MIX1) + cols * np.uint64(_GOLDEN)
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(_MIX1)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(_MIX2)
+    x = x ^ (x >> np.uint64(31))
+    return (x >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def reference_forward(network: Network, X, mode: Mode = Mode.INFER, seed: int = 0,
+                      sample_ids=None):
+    """Forward pass on fresh arrays, with a boolean mask from the float
+    hash: the layout fedl.nn.forward must reproduce bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    if sample_ids is None:
+        ids = np.arange(X.shape[0], dtype=np.int64)
+    else:
+        ids = np.asarray(sample_ids, dtype=np.int64)
+    traces = []
+    out = X
+    for layer, spec in enumerate(network.specs):
+        inputs = out
+        pre = inputs @ network.weights[layer].T + network.biases[layer]
+        act = np.tanh(pre) if spec.activation is Activation.TANH else pre
+        mask = None
+        out = act
+        if spec.dropout > 0.0 and mode is Mode.TRAIN:
+            mask = uniform_hash(seed, layer, ids, spec.output_width) >= spec.dropout
+            out = act * mask / (1.0 - spec.dropout)
+        traces.append(LayerTrace(inputs=inputs, activated=act, mask=mask))
+    return out, Tape(traces=tuple(traces), output=out)
+
+
+def reference_backward(network: Network, tape: Tape, targets):
+    """Reverse pass of reference_forward's tape on fresh arrays.  Returns
+    (weight grads, bias grads) as lists."""
+    y = tape.output
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != y.shape:
+        if t.ndim != 1 or y.shape[1] != 1:
+            raise ShapeError("targets do not match the output")
+        t = t.reshape(y.shape)
+    grad_w = [None] * len(network.specs)
+    grad_b = [None] * len(network.specs)
+    d_out = 2.0 * (y - t)
+    for layer in range(len(network.specs) - 1, -1, -1):
+        spec = network.specs[layer]
+        trace = tape.traces[layer]
+        if trace.mask is not None:
+            d_out = d_out * trace.mask / (1.0 - spec.dropout)
+        if spec.activation is Activation.TANH:
+            d_pre = d_out * (1.0 - trace.activated * trace.activated)
+        else:
+            d_pre = d_out
+        grad_w[layer] = d_pre.T @ trace.inputs
+        grad_b[layer] = d_pre.sum(axis=0)
+        if layer > 0:
+            d_out = d_pre @ network.weights[layer]
+    return grad_w, grad_b
 
 
 def loss_at(network: Network, X, y, seed: int, mode: Mode) -> float:

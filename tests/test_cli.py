@@ -505,6 +505,19 @@ def test_evaluate_corrupt_model_exits_2(tmp_path, corpus_dir, trained_run):
     assert "data error: bad layer 0" in err
 
 
+@pytest.mark.parametrize("flag", ["--include-transaction-id", "--no-include-transaction-id"])
+def test_evaluate_run_dir_rejects_transaction_id_flag(tmp_path, corpus_dir, trained_run, flag):
+    # the run's manifest fixes its encoding, so the flag could only be ignored
+    out = tmp_path / "eval"
+    code, _, err = invoke(
+        "evaluate", "--transactions", corpus_dir / "transactions.csv",
+        "--run-dir", trained_run, flag, "--out", out,
+    )
+    assert code == 1
+    assert f"takes no {flag}" in err
+    assert not (out / "report.json").exists()
+
+
 def test_evaluate_baselines_only(tmp_path, corpus_dir):
     out = tmp_path / "eval"
     code, stdout, _ = invoke(

@@ -12,6 +12,7 @@ from fedl.nn import (
     LayerSpec,
     Mode,
     Network,
+    Workspace,
     adam_step,
     backward,
     forward,
@@ -20,7 +21,12 @@ from fedl.nn import (
     predict,
     sse_loss,
 )
-from helpers import finite_diff_gradient, max_relative_error
+from helpers import (
+    finite_diff_gradient,
+    max_relative_error,
+    reference_backward,
+    reference_forward,
+)
 
 
 def tiny_net(widths, seed=0, dropout_last=0.0):
@@ -276,6 +282,49 @@ def test_backward_rejects_foreign_tape():
     _, tape = forward(net_a, np.ones((2, 2)))
     with pytest.raises(ShapeError):
         backward(net_b, tape, np.ones(2))
+
+
+@st.composite
+def _layer_stacks(draw):
+    widths = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4))
+    widths[-1] = 1
+    specs = [
+        LayerSpec(
+            a, b,
+            draw(st.sampled_from(list(Activation))),
+            dropout=draw(st.sampled_from([0.0, 0.15, 0.5, draw(st.floats(0.0, 0.95))])),
+        )
+        for a, b in zip(widths, widths[1:])
+    ]
+    return init_network(specs, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _layer_stacks(),
+    st.lists(st.integers(0, 1100), min_size=3, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_workspace_steps_match_fresh_reference_bytes(net, sizes, seed):
+    # one workspace serves a shrinking then growing batch; every step must
+    # give the fresh-allocating reference's bits (mask, order of operations
+    # and GEMM operand shapes all unchanged)
+    big, small, grown = sorted(sizes)[1], sorted(sizes)[0], sorted(sizes)[2] + 1
+    rng = np.random.default_rng(seed)
+    workspace = Workspace()
+    for n in (big, small, grown):
+        X = rng.normal(size=(n, net.input_width))
+        y = rng.normal(size=n)
+        ids = rng.integers(0, 2**62, size=n)
+        out, tape = forward(net, X, Mode.TRAIN, seed, ids, workspace=workspace)
+        ref_out, ref_tape = reference_forward(net, X, Mode.TRAIN, seed, ids)
+        assert out.tobytes() == ref_out.tobytes()
+        assert sse_loss(out[:, 0], y) == sse_loss(ref_out[:, 0], y)
+        g = backward(net, tape, y, workspace=workspace)
+        ref_w, ref_b = reference_backward(net, ref_tape, y)
+        for got, want in zip((*g.weights, *g.biases), (*ref_w, *ref_b)):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------- adam
