@@ -44,9 +44,13 @@ PIPELINE = [
     ("train_no_id", ("train", "--transactions", T, "--no-include-transaction-id")),
     ("train_clustered_central", ("train", "--transactions", T, *CLUSTERED)),
     ("train_clustered_federated", ("train", "--transactions", T, *CLUSTERED, *FEDERATED)),
+    ("train_clustered_round_robin",
+     ("train", "--transactions", T, *CLUSTERED, *FEDERATED, "--partition", "round_robin")),
     ("evaluate_central", ("evaluate", "--transactions", T, "--run-dir", "train_central")),
     ("evaluate_clustered",
      ("evaluate", "--transactions", T, "--run-dir", "train_clustered_federated")),
+    ("evaluate_clustered_round_robin",
+     ("evaluate", "--transactions", T, "--run-dir", "train_clustered_round_robin")),
     ("sweep", ("evaluate", "--transactions", T, "--sweep", "--stations", S)),
     ("report", ("report", "central=train_central/traffic.csv",
                 "federated=train_federated/traffic.csv",

@@ -45,14 +45,16 @@ from .errors import (
 )
 from .metrics import EvalReport, knn_baseline, mean_baseline, overhead_report
 from .model_io import load_network, save_network
-from .nn import predict
 from .sim import (
     TrafficLog,
     TrainConfig,
     TrainMode,
+    by_cluster,
+    pooled_rmse,
     run_centralized,
     run_clustered,
     run_federated,
+    score,
 )
 
 SWEEP_RATIOS = (0.8, 0.7, 0.6, 0.5)
@@ -357,6 +359,54 @@ def _read_traffic(path: Path) -> TrafficLog:
             raise DataFormatError(f"{path}: bad traffic row: {e}") from None
 
 
+def _read_assignment(path: Path) -> dict[str, int]:
+    """Station id -> cluster id from an ``assignment.csv``.  The header must
+    be ``station_id,cluster_id``, each row two fields, each station once,
+    and each cluster id an integer in [0, number of rows)."""
+    with _open_input(path) as f:
+        reader = csv.reader(f)
+        if [c.strip() for c in next(reader, None) or []] != ["station_id", "cluster_id"]:
+            raise DataFormatError(f"{path}: header is not station_id,cluster_id")
+        rows = [(reader.line_num, row) for row in reader if row]
+    cluster_of: dict[str, int] = {}
+    for line, row in rows:
+        if len(row) != 2:
+            raise DataFormatError(f"{path} line {line}: expected 2 fields, got {len(row)}")
+        station_id, raw = row
+        if station_id in cluster_of:
+            raise DataFormatError(f"{path} line {line}: duplicate station {station_id!r}")
+        try:
+            cluster_of[station_id] = int(raw)
+        except ValueError:
+            raise DataFormatError(
+                f"{path} line {line}: cluster id is not an integer: {raw!r}"
+            ) from None
+        if not 0 <= cluster_of[station_id] < len(rows):
+            raise DataFormatError(
+                f"{path} line {line}: cluster id {raw} is outside [0, {len(rows)})"
+            )
+    return cluster_of
+
+
+def _read_json_object(path: Path) -> dict:
+    """A JSON file that must hold an object, as every run-directory JSON does."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise DataFormatError(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise DataFormatError(f"{path} must hold a JSON object")
+    return data
+
+
+def _read_schema(path: Path) -> EncodingSchema:
+    data = _read_json_object(path)
+    try:
+        return EncodingSchema.from_dict(data)
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}: {e}") from None
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_synth(args) -> int:
@@ -600,20 +650,14 @@ def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
         assignment_path = run_dir / "assignment.csv"
         if not assignment_path.exists():
             raise UsageError(f"{run_dir} is clustered but has no assignment.csv")
-        with _open_input(assignment_path) as f:
-            reader = csv.reader(f)
-            next(reader)
-            station_cluster = {row[0]: int(row[1]) for row in reader if row}
-        unknown = sorted(
-            {r.station_id for r in test} - set(station_cluster)
-        )
+        cluster_of = _read_assignment(assignment_path)
+        unknown = sorted({r.station_id for r in test} - set(cluster_of))
         if unknown:
             raise DegenerateDataError(
                 f"test stations missing from assignment: {', '.join(unknown)}"
             )
         groups = []
-        for k in sorted(set(station_cluster.values())):
-            test_k = [r for r in test if station_cluster[r.station_id] == k]
+        for k, test_k in enumerate(by_cluster(test, cluster_of, len(cluster_of))):
             if not test_k:
                 continue
             suffix = f"_cluster{k}"
@@ -623,20 +667,12 @@ def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
                 uncovered += len(test_k)  # cluster was skipped at train time
                 continue
             groups.append((suffix, test_k))
-    from .metrics import rmse as _rmse
-
-    value = None
-    if groups:
-        predictions = []
-        for suffix, records in groups:
-            schema_json = (run_dir / f"schema{suffix}.json").read_text(encoding="utf-8")
-            schema = EncodingSchema.from_dict(json.loads(schema_json))
-            model = load_network(run_dir / f"model{suffix}.fedl")
-            X, _ = encode_features(records, schema)
-            predictions.append(predict(model, X, schema))
-        actual = np.array([r.energy_kwh for _, g in groups for r in g], dtype=np.float64)
-        value = _rmse(actual, np.concatenate(predictions))
-    return name, value, total_bytes, uncovered
+    scored = []
+    for suffix, records in groups:
+        schema = _read_schema(run_dir / f"schema{suffix}.json")
+        model = load_network(run_dir / f"model{suffix}.fedl")
+        scored.append(score(model, schema, records))
+    return name, pooled_rmse(scored), total_bytes, uncovered
 
 
 def _baseline_rmse(train, test, include_txn: bool, knn_k: int):
@@ -657,8 +693,6 @@ def _baseline_rmse(train, test, include_txn: bool, knn_k: int):
 
 
 def _sweep(args, cfg, records, out: Path) -> int:
-    from .metrics import rmse as _rmse
-
     config = _train_config(cfg)
     include_txn = cfg["include_transaction_id"]
     stations = _read_stations(args.stations) if args.stations is not None else None
@@ -670,11 +704,9 @@ def _sweep(args, cfg, records, out: Path) -> int:
     vocab = sorted({r.station_id for r in records})
     for ratio in SWEEP_RATIOS:
         train, test = split_train_test(records, ratio, config.seed)
-        actual = np.array([r.energy_kwh for r in test], dtype=np.float64)
         for mode in (TrainMode.CENTRAL, TrainMode.FEDERATED):
             model, schema, *_ = _fit_plain(train, vocab, mode, config, include_txn)
-            X_test, _ = encode_features(test, schema)
-            table[mode.value][ratio] = _rmse(actual, predict(model, X_test, schema))
+            table[mode.value][ratio] = pooled_rmse([score(model, schema, test)])
             if stations is not None:
                 result = run_clustered(
                     train, test, stations, _cluster_config(cfg), mode, config,
@@ -728,8 +760,10 @@ def cmd_evaluate(args) -> int:
         manifest_path = args.run_dir / "manifest.json"
         if not manifest_path.exists():
             raise UsageError(f"{args.run_dir} has no manifest.json (not a train run dir)")
-        run_manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        run_manifest = _read_json_object(manifest_path)
     run_cfg = run_manifest.get("config", {})
+    if not isinstance(run_cfg, dict):
+        raise DataFormatError(f"{args.run_dir / 'manifest.json'}: config is not an object")
 
     def inherited(key, check):
         # a flag wins, then the scored run's value, then config file/default

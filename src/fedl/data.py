@@ -87,13 +87,32 @@ class EncodingSchema:
 
     @staticmethod
     def from_dict(d: dict) -> "EncodingSchema":
+        """The inverse of :meth:`to_dict`.  A missing key, or a value not of
+        the type ``to_dict`` writes, raises DataFormatError."""
+        types = {  # exact types: a JSON true is not a number here
+            "station_vocabulary": (list,),
+            "include_transaction_id": (bool,),
+            "label_mean": (int, float),
+            "label_std": (int, float),
+            "txn_min": (int,),
+            "txn_max": (int,),
+        }
+        missing = [key for key in types if key not in d]
+        if missing:
+            raise DataFormatError(f"schema lacks keys: {', '.join(missing)}")
+        wrong = [key for key, allowed in types.items() if type(d[key]) not in allowed]
+        vocab = d["station_vocabulary"]
+        if type(vocab) is list and any(type(s) is not str for s in vocab):
+            wrong.insert(0, "station_vocabulary")
+        if wrong:
+            raise DataFormatError(f"schema values of the wrong type: {', '.join(wrong)}")
         return EncodingSchema(
-            station_vocabulary=tuple(d["station_vocabulary"]),
-            include_transaction_id=bool(d["include_transaction_id"]),
+            station_vocabulary=tuple(vocab),
+            include_transaction_id=d["include_transaction_id"],
             label_mean=float(d["label_mean"]),
             label_std=float(d["label_std"]),
-            txn_min=int(d["txn_min"]),
-            txn_max=int(d["txn_max"]),
+            txn_min=d["txn_min"],
+            txn_max=d["txn_max"],
         )
 
 
@@ -107,13 +126,11 @@ class WorkerPartition:
     """One worker's slice of the training set.
 
     ``record_indices`` index into the training record list and are kept in
-    ascending order; ``station_ids`` are the distinct stations whose
-    records landed on this worker (the membership relation).
+    ascending order.
     """
 
     worker_id: int
     record_indices: tuple[int, ...]
-    station_ids: tuple[str, ...]
 
 
 def _parse_row(line_number: int, row: list[str]):
@@ -389,11 +406,7 @@ def partition_workers(
             f"(too many workers for this corpus/strategy)"
         )
     return [
-        WorkerPartition(
-            worker_id=j,
-            record_indices=tuple(bucket),
-            station_ids=tuple(sorted({records[i].station_id for i in bucket})),
-        )
+        WorkerPartition(worker_id=j, record_indices=tuple(bucket))
         for j, bucket in enumerate(buckets)
     ]
 

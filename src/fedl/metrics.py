@@ -18,6 +18,9 @@ import numpy as np
 from .data import EncodingSchema
 from .errors import DegenerateDataError, EncodingError, ShapeError
 
+# Queries per kNN lookup pass; the result does not depend on it.
+KNN_CHUNK_ROWS = 512
+
 
 def rmse(actual, predicted) -> float:
     """Root-mean-squared error between two equal-length vectors."""
@@ -32,7 +35,7 @@ def rmse(actual, predicted) -> float:
 
 
 def knn_baseline(
-    train, train_y, test, k: int, chunk_size: int = 512, *, schema: EncodingSchema,
+    train, train_y, test, k: int, *, schema: EncodingSchema,
 ) -> np.ndarray:
     """Mean label of the k nearest training rows (Euclidean distance on the
     encoded features), averaged in neighbour order.
@@ -42,7 +45,7 @@ def knn_baseline(
     2m + (gap/span)^2, where m counts the mismatched one-hot blocks and gap
     the id offsets' integer difference, so neighbours order by (m, |gap|,
     training-row index) with no floating point.  Queries are processed in
-    chunks of ``chunk_size``.
+    chunks of ``KNN_CHUNK_ROWS``.
     """
     X = np.asarray(train)
     y = np.asarray(train_y, dtype=np.float64)
@@ -59,7 +62,7 @@ def knn_baseline(
         raise ShapeError("train labels must be one per training row")
     _check_codes(X, schema)
     _check_codes(Q, schema)
-    return y[_nearest_codes(X, Q, k, chunk_size)].mean(axis=1)
+    return y[_nearest_codes(X, Q, k)].mean(axis=1)
 
 
 def _check_codes(codes: np.ndarray, schema: EncodingSchema) -> None:
@@ -79,7 +82,7 @@ def _pair_keys(blocks: np.ndarray):
     return s * 8 + d, s * 24 + h, d * 24 + h
 
 
-def _nearest_codes(train, test, k: int, chunk_size: int) -> np.ndarray:
+def _nearest_codes(train, test, k: int) -> np.ndarray:
     """(|test|, k) row indices, ordered by (m, |gap|, row index).
 
     A row with m <= 1 shares at least two blocks with the query, so it is
@@ -94,9 +97,9 @@ def _nearest_codes(train, test, k: int, chunk_size: int) -> np.ndarray:
         order = np.argsort(key, kind="stable")
         groups.append((key[order], order))
     nearest = np.empty((test.shape[0], k), dtype=np.intp)
-    for start in range(0, test.shape[0], chunk_size):
-        bq = blocks_q[start : start + chunk_size]
-        tq = ids_q[start : start + chunk_size]
+    for start in range(0, test.shape[0], KNN_CHUNK_ROWS):
+        bq = blocks_q[start : start + KNN_CHUNK_ROWS]
+        tq = ids_q[start : start + KNN_CHUNK_ROWS]
         qid, rows = [], []
         for (keys, order), kq in zip(groups, _pair_keys(bq)):
             lo = np.searchsorted(keys, kq, "left")

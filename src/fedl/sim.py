@@ -35,7 +35,7 @@ import warnings
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -586,7 +586,7 @@ class ClusteredResult:
     assignment: ClusterAssignment
     clusters: tuple[ClusterRunResult, ...]
     pooled_rmse_kwh: float | None
-    uncovered_test: int  # test records whose cluster had no training data
+    uncovered_test: int  # test records whose cluster was skipped
 
     def combined_traffic(self) -> TrafficLog:
         log = TrafficLog()
@@ -595,6 +595,33 @@ class ClusteredResult:
                 for entry in c.traffic.entries:
                     log.append(entry)
         return log
+
+
+def by_cluster(items: Iterable, cluster_of: Mapping[str, int], k: int) -> list[list]:
+    """``items`` (anything with a ``station_id``) split in one pass into
+    ``k`` lists by ``cluster_of[station_id]``, each list in input order."""
+    groups: list[list] = [[] for _ in range(k)]
+    for item in items:
+        groups[cluster_of[item.station_id]].append(item)
+    return groups
+
+
+def score(
+    model: Network, schema: EncodingSchema, records: Sequence[TransactionRecord]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(actual kWh, predicted kWh) of ``model`` on ``records``."""
+    X, _ = encode_features(records, schema)
+    predictions = predict(model, X, schema)
+    return np.array([r.energy_kwh for r in records], dtype=np.float64), predictions
+
+
+def pooled_rmse(scored: Sequence[tuple[np.ndarray, np.ndarray]]) -> float | None:
+    """RMSE over the (actual, predicted) pairs concatenated in the order
+    given; None when there are none."""
+    if not scored:
+        return None
+    actual, predicted = zip(*scored)
+    return rmse(np.concatenate(actual), np.concatenate(predicted))
 
 
 def run_clustered(
@@ -609,7 +636,8 @@ def run_clustered(
     """Group stations first, then train one independent model per cluster.
 
     Transactions follow their station's cluster.  A cluster without
-    training transactions is skipped with a warning; its test records are
+    training transactions, or whose training labels admit no schema
+    (single-valued, say), is skipped with a warning; its test records are
     counted as uncovered and excluded from the pooled RMSE.  A federated
     cluster trains on J_k = min(J, shards its partition can fill) workers:
     its distinct training stations under by_station, its training records
@@ -625,75 +653,59 @@ def run_clustered(
             f"no coordinates for stations: {', '.join(missing)}"
         )
     assignment = constrained_kmeans(stations, cluster_config)
-    labels = assignment.labels
-    station_cluster = {s.station_id: int(labels[i]) for i, s in enumerate(stations)}
+    k = cluster_config.k
+    cluster_of = {s.station_id: int(c) for s, c in zip(stations, assignment.labels)}
+    routed = zip(
+        by_cluster(stations, cluster_of, k),
+        by_cluster(train_records, cluster_of, k),
+        by_cluster(test_records, cluster_of, k),
+    )
 
     results: list[ClusterRunResult] = []
-    pooled_actual: list[np.ndarray] = []
-    pooled_pred: list[np.ndarray] = []
-    uncovered = 0
-    for k in range(cluster_config.k):
-        train_k = [r for r in train_records if station_cluster[r.station_id] == k]
-        test_k = [r for r in test_records if station_cluster[r.station_id] == k]
-        assigned = tuple(
-            sorted(s.station_id for s in stations if station_cluster[s.station_id] == k)
-        )
-        if not train_k:
+    scored = []
+    for cluster_id, (members, train_k, test_k) in enumerate(routed):
+        schema, reason = None, "has no training transactions"
+        if train_k:
+            vocab = sorted(
+                {r.station_id for r in train_k} | {r.station_id for r in test_k}
+            )
+            try:
+                schema = build_schema(
+                    train_k, include_transaction_id, station_vocabulary=vocab
+                )
+            except DegenerateDataError as e:
+                reason = f"cannot be trained ({e})"
+        model, reports, traffic, sites, cluster_rmse = None, (), None, 0, None
+        if schema is None:
             warnings.warn(
-                f"cluster {k} has no training transactions; skipping its model",
+                f"cluster {cluster_id} {reason}; skipping its model",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            uncovered += len(test_k)
-            results.append(
-                ClusterRunResult(
-                    cluster_id=k,
-                    station_ids=assigned,
-                    skipped=True,
-                    n_train=0,
-                    n_test=len(test_k),
-                    model=None,
-                    schema=None,
-                    reports=(),
-                    traffic=None,
-                    rmse_kwh=None,
-                    workers=0,
-                )
-            )
-            continue
-        vocab = sorted(
-            {r.station_id for r in train_k} | {r.station_id for r in test_k}
-        )
-        schema = build_schema(
-            train_k, include_transaction_id, station_vocabulary=vocab
-        )
-        X_train, y_train = encode_features(train_k, schema)
-        if inner_mode is TrainMode.FEDERATED:
-            if config.partition is PartitionStrategy.BY_STATION:
-                shards = len({r.station_id for r in train_k})
-            else:
-                shards = len(train_k)
-            parts = partition_workers(
-                train_k, min(config.workers, shards), config.partition
-            )
-            model, reports, traffic = run_federated(X_train, y_train, parts, config)
-            sites = len(parts)
         else:
-            model, reports, traffic = run_centralized(X_train, y_train, config)
-            sites = 1
-        cluster_rmse = None
-        if test_k:
-            X_test, _ = encode_features(test_k, schema)
-            predictions = predict(model, X_test, schema)
-            actual = np.array([r.energy_kwh for r in test_k], dtype=np.float64)
-            cluster_rmse = rmse(actual, predictions)
-            pooled_actual.append(actual)
-            pooled_pred.append(predictions)
+            X_train, y_train = encode_features(train_k, schema)
+            if inner_mode is TrainMode.FEDERATED:
+                if config.partition is PartitionStrategy.BY_STATION:
+                    shards = len({r.station_id for r in train_k})
+                else:
+                    shards = len(train_k)
+                parts = partition_workers(
+                    train_k, min(config.workers, shards), config.partition
+                )
+                model, reports, traffic = run_federated(X_train, y_train, parts, config)
+                sites = len(parts)
+            else:
+                model, reports, traffic = run_centralized(X_train, y_train, config)
+                sites = 1
+            if test_k:
+                actual, predictions = score(model, schema, test_k)
+                cluster_rmse = rmse(actual, predictions)
+                scored.append((actual, predictions))
         results.append(
             ClusterRunResult(
-                cluster_id=k,
-                station_ids=assigned,
-                skipped=False,
+                cluster_id=cluster_id,
+                station_ids=tuple(sorted(s.station_id for s in members)),
+                skipped=schema is None,
                 n_train=len(train_k),
                 n_test=len(test_k),
                 model=model,
@@ -704,12 +716,9 @@ def run_clustered(
                 workers=sites,
             )
         )
-    pooled = None
-    if pooled_actual:
-        pooled = rmse(np.concatenate(pooled_actual), np.concatenate(pooled_pred))
     return ClusteredResult(
         assignment=assignment,
         clusters=tuple(results),
-        pooled_rmse_kwh=pooled,
-        uncovered_test=uncovered,
+        pooled_rmse_kwh=pooled_rmse(scored),
+        uncovered_test=sum(c.n_test for c in results if c.skipped),
     )

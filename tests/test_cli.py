@@ -6,12 +6,17 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedl
-from fedl.cli import DEFAULTS, _resolve, build_parser, main
+from fedl.cli import DEFAULTS, _read_traffic, _resolve, _write_traffic, build_parser, main
+from fedl.data import parse_stations, parse_transactions, synth_generate
+from fedl.sim import Direction, Payload, TrafficEntry, TrafficLog
 
 
 def invoke(*argv):
@@ -59,6 +64,29 @@ def test_synth_is_byte_deterministic(tmp_path, corpus_dir):
     assert code == 0
     for name in ("transactions.csv", "stations.csv", "generator.json"):
         assert (other / name).read_bytes() == (corpus_dir / name).read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    n_stations=st.integers(1, 12),
+    n_records=st.integers(1, 40),
+)
+def test_synth_csv_reads_back_as_the_generated_corpus(seed, n_stations, n_records):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, err = invoke(
+            "synth", "--stations", n_stations, "--records", n_records,
+            "--seed", seed, "--out", tmp,
+        )
+        assert code == 0, err
+        with open(Path(tmp) / "transactions.csv", newline="") as f:
+            records, rejects = parse_transactions(f)
+        with open(Path(tmp) / "stations.csv", newline="") as f:
+            stations = parse_stations(f)
+    expected_records, expected_stations, _ = synth_generate(n_stations, n_records, seed)
+    assert rejects == []
+    assert records == expected_records
+    assert stations == expected_stations
 
 
 def test_synth_rejects_nonpositive_counts(tmp_path):
@@ -319,6 +347,56 @@ def test_train_clustered_federated_caps_workers_per_cluster(tmp_path):
         assert "worker_loss_2" not in header
 
 
+def lonely_corpus(out: Path, n_lonely: int) -> tuple[Path, Path]:
+    """Six stations near (56.46, -3.03) with 300 transactions, and a station
+    S6 at (10, 10) with ``n_lonely`` transactions of 7 kWh each.  With two
+    clusters of 1 to 6 stations, S6 is a cluster alone whose training labels
+    are single-valued.  Returns (transactions CSV, stations CSV)."""
+    code, _, err = invoke(
+        "synth", "--stations", 6, "--records", 300, "--seed", 0, "--out", out
+    )
+    assert code == 0, err
+    with open(out / "stations.csv", "a") as f:
+        f.write("S6,10.0,10.0\n")
+    with open(out / "transactions.csv", "a") as f:
+        f.writelines(f"S6,{i},2023-01-02,10:00,7.0\n" for i in range(1, n_lonely + 1))
+    return out / "transactions.csv", out / "stations.csv"
+
+
+LONELY = ("--clustering", "--clusters", 2, "--theta-low", 1, "--theta-high", 6)
+
+
+@pytest.mark.parametrize("mode", ["central", "federated"])
+def test_train_skips_a_cluster_with_single_valued_labels(tmp_path, mode):
+    transactions, stations = lonely_corpus(tmp_path / "corpus", 1)
+    out = tmp_path / "run"
+    with pytest.warns(RuntimeWarning, match=r"cannot be trained \(labels are single-valued"):
+        code, stdout, err = invoke(
+            "train", "--transactions", transactions, "--stations", stations, *LONELY,
+            "--mode", mode, "--epochs", 3, "--hidden", "6", "--seed", 0, "--out", out,
+        )
+    assert code == 0, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    (lonely,) = [row for row in manifest["clusters"] if row["stations"] == 1]
+    assert lonely["skipped"] and lonely["n_train"] == 1 and lonely["workers"] == 0
+    assert not (out / f"model_cluster{lonely['cluster_id']}.fedl").exists()
+    assert manifest["pooled_rmse_kwh"] > 0
+    assert "(skipped)" in stdout
+
+
+def test_sweep_skips_a_cluster_with_single_valued_labels(tmp_path):
+    transactions, stations = lonely_corpus(tmp_path / "corpus", 1)
+    with pytest.warns(RuntimeWarning, match="skipping its model") as caught:
+        code, _, err = invoke(
+            "evaluate", "--transactions", transactions, "--stations", stations,
+            "--sweep", "--clusters", 2, "--theta-low", 1, "--theta-high", 6,
+            "--epochs", 2, "--hidden", "4", "--workers", 2, "--seed", 0,
+            "--out", tmp_path / "sweep",
+        )
+    assert code == 0, err
+    assert any("single-valued" in str(w.message) for w in caught)
+
+
 def test_train_bad_ratio_exits_1(tmp_path, corpus_dir):
     code, _, err = invoke(
         "train", "--transactions", corpus_dir / "transactions.csv",
@@ -549,6 +627,90 @@ def test_evaluate_clustered_run_dir(tmp_path, corpus_dir):
     assert report["rmse_kwh"]["central_clustered"] == pytest.approx(pooled, rel=1e-12)
 
 
+def test_evaluate_clustered_run_dir_with_a_skipped_cluster(tmp_path):
+    # seed 2 puts four of S6's five records in the training split and one
+    # in the test split
+    transactions, stations = lonely_corpus(tmp_path / "corpus", 5)
+    run = tmp_path / "run"
+    with pytest.warns(RuntimeWarning, match="skipping its model"):
+        code, _, err = invoke(
+            "train", "--transactions", transactions, "--stations", stations, *LONELY,
+            "--epochs", 3, "--hidden", "6", "--seed", 2, "--out", run,
+        )
+    assert code == 0, err
+    manifest = json.loads((run / "manifest.json").read_text())
+    out = tmp_path / "eval"
+    code, _, err = invoke(
+        "evaluate", "--transactions", transactions, "--run-dir", run, "--out", out
+    )
+    assert code == 0, err
+    report = json.loads((out / "report.json").read_text())
+    assert manifest["uncovered_test"] > 0
+    assert report["uncovered_test"] == manifest["uncovered_test"]
+    assert report["rmse_kwh"]["central_clustered"] == manifest["pooled_rmse_kwh"]
+
+
+@pytest.fixture(scope="module")
+def clustered_run(tmp_path_factory, corpus_dir):
+    out = tmp_path_factory.mktemp("run") / "clustered"
+    code, _, err = invoke(
+        "train", "--transactions", corpus_dir / "transactions.csv",
+        "--stations", corpus_dir / "stations.csv", "--clustering",
+        "--clusters", 2, *FAST, "--out", out,
+    )
+    assert code == 0, err
+    return out
+
+
+def _drop_label_std(text):
+    schema = json.loads(text)
+    del schema["label_std"]
+    return json.dumps(schema)
+
+
+def _vocabulary_of_numbers(text):
+    schema = json.loads(text)
+    schema["station_vocabulary"] = [1, 2]
+    return json.dumps(schema)
+
+
+def _assignment_rows(*rows):
+    return lambda text: "\n".join(["station_id,cluster_id", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    ("assignment.csv", lambda text: ""),
+    ("assignment.csv", lambda text: text.replace("station_id,cluster_id", "a,b")),
+    ("assignment.csv", _assignment_rows("S0")),
+    ("assignment.csv", _assignment_rows("S0,0", "S1,x", "S2,1", "S3,1")),
+    ("assignment.csv", _assignment_rows("S0,0", "S1,-1", "S2,1", "S3,1")),
+    ("assignment.csv", _assignment_rows("S0,0", "S1,4", "S2,1", "S3,1")),
+    ("assignment.csv", _assignment_rows("S0,0", "S0,1", "S2,1", "S3,1")),
+    ("schema_cluster0.json", _drop_label_std),
+    ("schema_cluster0.json", _vocabulary_of_numbers),
+    ("schema_cluster0.json", lambda text: text.replace("false", "0").replace("true", "1")),
+    ("schema_cluster0.json", lambda text: text[:-3]),
+    ("manifest.json", lambda text: "[]"),
+    ("manifest.json", lambda text: json.dumps({**json.loads(text), "config": []})),
+], ids=[
+    "empty-assignment", "assignment-header", "one-field-row", "non-integer-cluster",
+    "negative-cluster", "cluster-past-row-count", "duplicate-station",
+    "schema-lacks-key", "schema-vocabulary-of-numbers", "schema-flag-not-bool",
+    "schema-not-json", "manifest-list", "manifest-config-list",
+])
+def test_evaluate_corrupt_run_dir_file_exits_2(tmp_path, corpus_dir, clustered_run, name, corrupt):
+    run = tmp_path / "run"
+    shutil.copytree(clustered_run, run)
+    (run / name).write_text(corrupt((run / name).read_text()))
+    code, _, err = invoke(
+        "evaluate", "--transactions", corpus_dir / "transactions.csv",
+        "--run-dir", run, "--out", tmp_path / "eval",
+    )
+    assert code == 2, err
+    (line,) = err.splitlines()
+    assert line.startswith("fedl: data error:") and name in line
+
+
 def test_evaluate_sweep_writes_method_by_ratio_grid(tmp_path, corpus_dir):
     out = tmp_path / "sweep"
     code, stdout, _ = invoke(
@@ -600,6 +762,24 @@ def two_traffic_logs(tmp_path_factory, corpus_dir):
         "--mode", "federated", "--workers", 2, *FAST, "--out", f_out,
     )
     return c_out / "traffic.csv", f_out / "traffic.csv"
+
+
+traffic_entries = st.builds(
+    TrafficEntry,
+    epoch=st.integers(0, 2**64),
+    direction=st.sampled_from(Direction),
+    payload=st.sampled_from(Payload),
+    n_bytes=st.integers(1, 2**64),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(entries=st.lists(traffic_entries, max_size=30))
+def test_traffic_csv_reads_back_as_the_written_log(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traffic.csv"
+        _write_traffic(path, TrafficLog(entries))
+        assert _read_traffic(path).entries == tuple(entries)
 
 
 def test_report_compares_pipelines(tmp_path, two_traffic_logs):

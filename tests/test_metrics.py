@@ -9,6 +9,7 @@ from fedl.data import (
     encode_features,
     feature_codes,
 )
+from fedl import metrics
 from fedl.errors import DegenerateDataError, EncodingError, ShapeError
 from fedl.metrics import (
     EvalReport,
@@ -77,15 +78,17 @@ def test_knn_ties_resolve_to_lower_train_index():
     assert knn_baseline(codes, y, codes[:1], k=1, schema=schema).tolist() == [7.0]
 
 
-def test_knn_chunking_is_invisible(small_corpus):
+def test_knn_chunking_is_invisible(small_corpus, monkeypatch):
     records, _, _ = small_corpus
     codes, y, schema = _codes_corpus(records)
     train, test = codes[:320], codes[320:]
     # k=3 mostly reads the queries' pair groups; k=60 outgrows them and
     # scans every row
     for k in (3, 60):
-        whole = knn_baseline(train, y[:320], test, k, chunk_size=1000, schema=schema)
-        tiny = knn_baseline(train, y[:320], test, k, chunk_size=4, schema=schema)
+        monkeypatch.setattr(metrics, "KNN_CHUNK_ROWS", 1000)
+        whole = knn_baseline(train, y[:320], test, k, schema=schema)
+        monkeypatch.setattr(metrics, "KNN_CHUNK_ROWS", 4)
+        tiny = knn_baseline(train, y[:320], test, k, schema=schema)
         assert whole.tobytes() == tiny.tobytes()
 
 

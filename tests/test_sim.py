@@ -552,6 +552,32 @@ def test_clustered_skips_cluster_without_training_data():
     assert result.pooled_rmse_kwh is not None  # station A's record still scores
 
 
+@pytest.mark.parametrize("mode", list(TrainMode))
+def test_clustered_skips_cluster_with_single_valued_labels(mode):
+    # six stations near (56.46, -3.03) and S6 far away with one training
+    # and one test record: S6 is a cluster alone, and one label admits no
+    # standardization
+    from fedl.data import StationInfo, TransactionRecord, split_train_test
+
+    records, stations, _ = synth_generate(6, 300, seed=0)
+    train, test = split_train_test(records, 0.8, seed=0)
+    train.append(TransactionRecord("S6", 1, 1, 10, 7.0))
+    test.append(TransactionRecord("S6", 2, 1, 11, 7.0))
+    stations = [*stations, StationInfo("S6", 10.0, 10.0)]
+    cc = ClusterConfig(k=2, theta_low=1, theta_high=6, seed=0)
+    with pytest.warns(RuntimeWarning, match=r"cluster 1 cannot be trained \(labels"):
+        result = run_clustered(
+            train, test, stations, cc, mode, quick_cfg(epochs=2, workers=2)
+        )
+    lonely = result.clusters[1]
+    assert lonely.station_ids == ("S6",)
+    assert lonely.skipped and lonely.model is None and lonely.workers == 0
+    assert (lonely.n_train, lonely.n_test) == (1, 1)
+    assert result.uncovered_test == 1
+    assert not result.clusters[0].skipped
+    assert result.pooled_rmse_kwh == result.clusters[0].rmse_kwh
+
+
 def test_clustered_requires_station_coordinates(small_corpus):
     records, stations, _ = small_corpus
     from fedl.data import split_train_test
