@@ -13,7 +13,13 @@ its parent is one ``diff``:
 
 ``--src`` is the directory holding the ``fedl`` package to run (default:
 this checkout's ``src``).  The commands run in a temporary directory with
-relative paths, one interpreter each, with BLAS held to one thread; the
+relative paths, one interpreter each, with BLAS held to one thread, so
+training steps run on as many threads as the process has cores.
+``train_federated_one_thread`` repeats ``train_federated`` pinned to one
+core, where that BLAS thread is then the core count and the steps run on
+one thread; its files must digest the same as ``train_federated``'s.
+(Raising the BLAS thread count instead would change the GEMMs' bits.)
+Where the platform cannot pin a process, that step runs unpinned.  The
 directory is deleted afterwards unless ``--keep`` names one to use
 instead.  Any command that exits non-zero stops the script with exit 1.
 """
@@ -40,7 +46,7 @@ PIPELINE = [
     ("cluster", ("cluster", "--stations", S)),
     ("train_central", ("train", "--transactions", T)),
     ("train_federated", ("train", "--transactions", T, *FEDERATED)),
-    ("train_parallel", ("train", "--transactions", T, *FEDERATED, "--parallel")),
+    ("train_federated_one_thread", ("train", "--transactions", T, *FEDERATED)),
     ("train_no_id", ("train", "--transactions", T, "--no-include-transaction-id")),
     ("train_clustered_central", ("train", "--transactions", T, *CLUSTERED)),
     ("train_clustered_federated", ("train", "--transactions", T, *CLUSTERED, *FEDERATED)),
@@ -56,6 +62,15 @@ PIPELINE = [
                 "federated=train_federated/traffic.csv",
                 "clustered=train_clustered_federated/traffic.csv")),
 ]
+
+
+def _pin_to_one_core() -> None:
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+# steps run on one core by _pin_to_one_core
+ONE_CORE = {"train_federated_one_thread"}
 
 
 def _sha256(data: bytes) -> str:
@@ -76,6 +91,7 @@ def run_pipeline(src: Path, work: Path) -> list[str]:
         proc = subprocess.run(
             [sys.executable, "-m", "fedl.cli", *argv, "--out", step],
             cwd=work, env=env, capture_output=True,
+            preexec_fn=_pin_to_one_core if step in ONE_CORE else None,
         )
         if proc.returncode != 0:
             sys.exit(f"{step}: fedl exited {proc.returncode}\n"

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import fields
 from datetime import date as _date, timedelta
 from pathlib import Path
@@ -91,8 +92,6 @@ OPTIONS = {
     "include_transaction_id": (True, ("ingest", *_TRAINING), _BOOL),
     "knn_k": (5, ("evaluate",), {"type": int}),
     "noise": (0.8, ("synth",), {"type": float, "help": "label noise stddev"}),
-    "parallel": (False, _TRAINING,
-                 {**_BOOL, "help": "compute worker gradients in threads (bit-identical output)"}),
 }
 DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
 
@@ -765,17 +764,19 @@ def cmd_evaluate(args) -> int:
     if not isinstance(run_cfg, dict):
         raise DataFormatError(f"{args.run_dir / 'manifest.json'}: config is not an object")
 
-    def inherited(key, check):
-        # a flag wins, then the scored run's value, then config file/default
+    def inherited(key):
+        # a flag wins, then the scored run's value, then config file/default;
+        # --run-dir takes no transaction-id flag, so the run's encoding wins
         if getattr(args, key) is None and key in run_cfg:
-            return check(run_cfg[key])
+            try:
+                return _typed(key, run_cfg[key])
+            except UsageError as e:
+                raise DataFormatError(f"{args.run_dir / 'manifest.json'}: {e}") from None
         return cfg[key]
 
-    ratio = _check_ratio(inherited("ratio", float))
-    seed = inherited("seed", int)
-    include_txn = cfg["include_transaction_id"]
-    if "include_transaction_id" in run_cfg:  # the run's encoding
-        include_txn = bool(run_cfg["include_transaction_id"])
+    ratio = _check_ratio(inherited("ratio"))
+    seed = inherited("seed")
+    include_txn = inherited("include_transaction_id")
     train, test = split_train_test(records, ratio, seed)
 
     rmse_kwh: dict[str, float] = {}
@@ -824,6 +825,12 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning (a skipped cluster, say) as one ``fedl: warning:``
+    line, without the source location Python adds."""
+    print(f"fedl: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -831,7 +838,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.handler(args)
     except UsageError as e:
         print(f"fedl: error: {e}", file=sys.stderr)
         return 1

@@ -166,7 +166,7 @@ class AdamState:
 class LayerTrace:
     inputs: np.ndarray  # what the layer saw
     activated: np.ndarray  # activation output, before any dropout
-    mask: np.ndarray | None  # keep-mask of 1.0/0.0, None when no dropout applied
+    mask: np.ndarray | None  # boolean keep-mask, None when no dropout applied
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,8 @@ def _apply_layer(
     if spec.dropout > 0.0 and mode is Mode.TRAIN:
         mask = keep_mask(
             seed, layer, sample_ids, spec.output_width, spec.dropout,
-            out=workspace.take(("mask", layer), shape),
+            # bool: an eighth of a float64 mask's memory, the same products
+            out=workspace.take(("mask", layer), shape, np.bool_),
             scratch=workspace.take(
                 ("hash",), (2, MASK_BLOCK_ROWS, spec.output_width), np.uint64
             ),

@@ -64,9 +64,10 @@ def keep_mask(
     ``0 <= p < 1``, ``u >= p`` holds exactly when the hash is at least
     ``ceil(p * 2^53) << 11``, since a 53-bit integer is exact in float64.
 
-    ``out`` receives the mask when given.  ``scratch``, a uint64 array of
-    shape ``(2, MASK_BLOCK_ROWS, n_cols)``, holds the hashes of one block of
-    rows at a time; without it the call allocates its own.
+    ``out`` receives the mask when given; a bool ``out`` gets True/False.
+    ``scratch``, a uint64 array of shape ``(2, MASK_BLOCK_ROWS, n_cols)``,
+    holds the hashes of one block of rows at a time; without it the call
+    allocates its own.
     """
     ids = np.asarray(row_ids)
     n = ids.shape[0]

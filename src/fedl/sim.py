@@ -13,12 +13,13 @@ Three ways to fit the same network family:
   per cluster.
 
 Determinism contract: given (config, seed) every run is bit-reproducible.
-Worker gradients may be computed in parallel threads, but reduction always
-happens in ascending worker-id order, so parallel equals serial bit for
-bit.  With one worker the federated trajectory is bit-identical to the
-centralized one.  A run keeps its scratch arrays (:class:`fedl.nn.Workspace`)
-and its thread pool from the first epoch to the last: one workspace when
-steps run one at a time, one per worker when they run in threads.
+A round is a list of independent tasks, one per (site, block of at most
+:data:`STEP_BLOCK_ROWS` consecutive rows), run on a :class:`StepPool` that
+lives for the whole run.  A site's gradient and loss are its blocks'
+results summed in block order, and sites are reduced in ascending worker-id
+order, so the output is the same bits for any thread count.  A site of one
+block gets exactly its whole-batch gradient, and with one worker the
+federated trajectory is bit-identical to the centralized one.
 
 Traffic sizing is fixed and documented: a gradient or model message costs
 ``parameter_count * 8 + 64`` bytes (payload plus header); one encoded
@@ -30,9 +31,13 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import enum
+import itertools
 import math
+import os
+import threading
 import warnings
 from collections import defaultdict
+from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -183,7 +188,6 @@ class TrainConfig:
     workers: int = 4
     partition: PartitionStrategy = PartitionStrategy.BY_STATION
     mode: TrainMode = TrainMode.CENTRAL
-    parallel: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -271,44 +275,182 @@ class ServerState:
     adam: AdamState
     version: int = 0
     traffic: TrafficLog = field(default_factory=TrafficLog)
-    # runs worker steps in threads when set; the output is bit-identical
-    pool: ThreadPoolExecutor | None = None
-    workspaces: list[Workspace] = field(default_factory=list)  # one per concurrent step
 
 
-def _grad_and_loss(
-    network: Network,
-    X: np.ndarray,
-    y: np.ndarray,
-    sample_ids,
-    seed: int,
-    workspace: Workspace | None,
-) -> tuple[Gradient, float]:
-    out, tape = forward(
-        network, X, mode=Mode.TRAIN, seed=seed, sample_ids=sample_ids,
-        workspace=workspace,
-    )
-    loss = sse_loss(out[:, 0], y)
-    return backward(network, tape, y, workspace=workspace), loss
+STEP_BLOCK_ROWS = 2048  # rows per training-step task (README "Threads")
+
+# a site's rows: (features, labels, global row ids that drive dropout masks)
+Site = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def step_threads() -> int:
+    """Threads a training run may give its steps: the usable cores divided
+    by the threads each BLAS call already takes, and at least 1.
+
+    The BLAS thread count is the first of ``OPENBLAS_NUM_THREADS``,
+    ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` that holds a positive
+    integer.  With none set, BLAS is taken to use every core, so the steps
+    get one thread and never compete with BLAS for the cores.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    blas = cores
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return max(1, cores // blas)
+
+
+class StepPool:
+    """Runs the tasks of a training step on ``min(tasks, step_threads())``
+    threads: the calling thread and helper threads that live until
+    :meth:`close`.  Each thread has its own :class:`fedl.nn.Workspace`, kept
+    from one step to the next.  Use it as a context manager, or close it."""
+
+    def __init__(self, tasks: int) -> None:
+        self._workspaces = [Workspace() for _ in range(min(tasks, step_threads()))]
+        self._helpers = ThreadPoolExecutor(
+            max(1, len(self._workspaces) - 1), thread_name_prefix="fedl-step"
+        )
+
+    def __enter__(self) -> "StepPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._helpers.shutdown()
+
+    def map(self, fn: Callable, items: Sequence) -> list:
+        """``[fn(item, workspace) for item in items]``.  Each thread takes
+        the next item not yet taken until none is left, and calls ``fn``
+        with its own workspace; helpers run in a copy of the caller's
+        context, so they keep its numpy error state."""
+        results = [None] * len(items)
+        taken = itertools.count()
+        lock = threading.Lock()
+
+        def drain(workspace: Workspace) -> None:
+            while True:
+                with lock:
+                    i = next(taken)
+                if i >= len(items):
+                    return
+                results[i] = fn(items[i], workspace)
+
+        helpers = [
+            self._helpers.submit(contextvars.copy_context().run, drain, workspace)
+            for workspace in self._workspaces[1:]
+        ]
+        try:
+            drain(self._workspaces[0])
+        finally:
+            futures.wait(helpers)
+        for helper in helpers:
+            helper.result()
+        return results
+
+
+def _row_blocks(rows: int) -> range:
+    """First rows of a site's blocks of at most STEP_BLOCK_ROWS rows."""
+    return range(0, rows, STEP_BLOCK_ROWS)
+
+
+def _summed(grads: Sequence[Gradient]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Elementwise sums of ``grads`` in the order given, starting from
+    copies of the first (not from zeros, which would change signed zeros);
+    one gradient's own arrays when there is nothing to add."""
+    if len(grads) == 1:
+        return list(grads[0].weights), list(grads[0].biases)
+    sum_w = [w.copy() for w in grads[0].weights]
+    sum_b = [b.copy() for b in grads[0].biases]
+    for g in grads[1:]:
+        for layer in range(len(sum_w)):
+            sum_w[layer] += g.weights[layer]
+            sum_b[layer] += g.biases[layer]
+    return sum_w, sum_b
+
+
+def _site_gradients(
+    network: Network, sites: Sequence[Site], seed: int, pool: StepPool | None = None
+) -> list[tuple[Gradient, float]]:
+    """Each site's exact gradient and SSE loss at ``network``.
+
+    Every (site, row block) is one task on ``pool`` (a pool for this call
+    only when None).  A site's gradient and loss are its blocks' results
+    summed in block order, so they do not depend on the pool's size.
+    """
+    blocks = [_row_blocks(len(y)) for _, y, _ in sites]
+    tasks = [
+        (site, slice(start, start + STEP_BLOCK_ROWS))
+        for site, starts in zip(sites, blocks)
+        for start in starts
+    ]
+
+    def block_step(task, workspace: Workspace) -> tuple[Gradient, float]:
+        (X, y, sample_ids), rows = task
+        out, tape = forward(
+            network, X[rows], mode=Mode.TRAIN, seed=seed, sample_ids=sample_ids[rows],
+            workspace=workspace,
+        )
+        loss = sse_loss(out[:, 0], y[rows])
+        return backward(network, tape, y[rows], workspace=workspace), loss
+
+    own = StepPool(len(tasks)) if pool is None else contextlib.nullcontext(pool)
+    with own as runner:
+        results = iter(runner.map(block_step, tasks))
+    sums = []
+    for starts in blocks:
+        grads, losses = zip(*itertools.islice(results, len(starts)))
+        loss = losses[0]
+        for block_loss in losses[1:]:
+            loss += block_loss
+        sum_w, sum_b = _summed(grads)
+        sums.append((Gradient(weights=tuple(sum_w), biases=tuple(sum_b)), loss))
+    return sums
+
+
+def _check_width(worker: WorkerState, network: Network) -> None:
+    if worker.X.shape[1] != network.input_width:
+        raise ShapeError(
+            f"worker {worker.worker_id} data width {worker.X.shape[1]} does not "
+            f"match model input width {network.input_width}"
+        )
+
+
+def _check_gradients(
+    results: Sequence[tuple[Gradient, float]], epoch: int, worker_ids: Sequence
+) -> None:
+    """A site whose loss is finite but whose gradient is not raises
+    FloatingPointError naming the epoch and the worker (None: the central
+    site).  A non-finite loss is left to the training loop to report."""
+    for (grad, loss), worker in zip(results, worker_ids):
+        if math.isfinite(loss) and not all(
+            np.isfinite(a).all() for a in (*grad.weights, *grad.biases)
+        ):
+            where = "" if worker is None else f" on worker {worker}"
+            raise FloatingPointError(
+                f"training gradient became non-finite at epoch {epoch}{where}"
+            )
 
 
 def local_epoch(
-    worker: WorkerState,
-    global_model: Network,
-    seed: int,
-    workspace: Workspace | None = None,
+    worker: WorkerState, global_model: Network, seed: int
 ) -> tuple[Gradient, float]:
     """One full-batch pass on the worker's slice against the given global
-    model, with its scratch arrays in ``workspace`` (a fresh one when None).
+    model, in row blocks summed in block order, as a round computes it.
     Returns (exact gradient, local loss); mutates nothing else."""
-    if worker.X.shape[1] != global_model.input_width:
-        raise ShapeError(
-            f"worker {worker.worker_id} data width {worker.X.shape[1]} does not "
-            f"match model input width {global_model.input_width}"
-        )
-    return _grad_and_loss(
-        global_model, worker.X, worker.y, worker.sample_ids, seed, workspace
-    )
+    _check_width(worker, global_model)
+    sites = [(worker.X, worker.y, worker.sample_ids)]
+    return _site_gradients(global_model, sites, seed)[0]
 
 
 def aggregate_gradients(grads: Sequence[Gradient]) -> Gradient:
@@ -324,12 +466,7 @@ def aggregate_gradients(grads: Sequence[Gradient]) -> Gradient:
         ):
             raise ShapeError("gradient shapes differ across workers")
     j = float(len(grads))
-    sum_w = [w.copy() for w in first.weights]
-    sum_b = [b.copy() for b in first.biases]
-    for g in grads[1:]:
-        for layer in range(len(sum_w)):
-            sum_w[layer] += g.weights[layer]
-            sum_b[layer] += g.biases[layer]
+    sum_w, sum_b = _summed(grads)
     return Gradient(
         weights=tuple(w / j for w in sum_w),
         biases=tuple(b / j for b in sum_b),
@@ -337,10 +474,14 @@ def aggregate_gradients(grads: Sequence[Gradient]) -> Gradient:
 
 
 def run_round(
-    server: ServerState, workers: Sequence[WorkerState], seed: int
+    server: ServerState,
+    workers: Sequence[WorkerState],
+    seed: int,
+    pool: StepPool | None = None,
 ) -> RoundReport:
     """One synchronous round: J local gradients against the same model
-    version, mean-aggregate, one Adam step, broadcast.
+    version (their row blocks run on ``pool``, a pool for this round only
+    when None), mean-aggregate, one Adam step, broadcast.
 
     The barrier is structural — aggregation happens only after every
     worker's gradient for the current version is in hand, so staleness is
@@ -352,27 +493,15 @@ def run_round(
                 f"worker {w.worker_id} holds model version {w.model_version}, "
                 f"server is at {server.version}"
             )
+        _check_width(w, server.network)
     order = sorted(workers, key=lambda w: w.worker_id)
     if len({w.worker_id for w in order}) != len(order):
         raise ValueError("worker ids must be unique")
 
-    threaded = len(order) > 1 and server.pool is not None
-    while len(server.workspaces) < (len(order) if threaded else 1):
-        server.workspaces.append(Workspace())
-    if threaded:
-        # each task runs in a copy of the caller's context, so it keeps the
-        # caller's numpy error state (np.errstate)
-        futures = [
-            server.pool.submit(
-                contextvars.copy_context().run,
-                local_epoch, w, server.network, seed, workspace,
-            )
-            for w, workspace in zip(order, server.workspaces)
-        ]
-        results = [f.result() for f in futures]
-    else:
-        workspace = server.workspaces[0]
-        results = [local_epoch(w, server.network, seed, workspace) for w in order]
+    results = _site_gradients(
+        server.network, [(w.X, w.y, w.sample_ids) for w in order], seed, pool
+    )
+    _check_gradients(results, server.version, [w.worker_id for w in order])
     grads = [g for g, _ in results]
     losses = tuple(loss for _, loss in results)
     staleness = max(server.version - w.model_version for w in workers)
@@ -420,7 +549,7 @@ def convergence_check(
 
 
 EpochCallback = Callable[[int, Network], None]
-EpochStep = Callable[[ServerState, int], RoundReport]
+EpochStep = Callable[[ServerState, int, StepPool], RoundReport]
 
 
 def _train(
@@ -428,14 +557,14 @@ def _train(
     config: TrainConfig,
     on_epoch: EpochCallback | None,
     step: EpochStep,
-    sites: int = 1,
+    site_rows: Sequence[int],
 ) -> tuple[Network, list[RoundReport], TrafficLog]:
     """The loop every pipeline shares.
 
-    Initialises the network and Adam from ``config``, and a thread pool of
-    ``sites`` threads when ``config.parallel`` and there are several, then
-    runs ``step(server, epoch_seed)`` once per epoch until every site's loss
-    settles (per convergence_check) or the epoch budget runs out.  The
+    Initialises the network and Adam from ``config``, and one StepPool for
+    the row blocks of sites of ``site_rows`` rows, then runs
+    ``step(server, epoch_seed, pool)`` once per epoch until every site's
+    loss settles (per convergence_check) or the epoch budget runs out.  The
     sites are the report's workers, or the one central site when it has
     none.  A non-finite loss raises FloatingPointError naming the epoch;
     the step runs with numpy's overflow warnings off, so that error is the
@@ -451,12 +580,11 @@ def _train(
     )
     reports: list[RoundReport] = []
     histories: defaultdict[int, list[float]] = defaultdict(list)
-    threaded = config.parallel and sites > 1
-    with ThreadPoolExecutor(sites) if threaded else contextlib.nullcontext() as pool:
-        server = ServerState(network=network, adam=adam, pool=pool)
+    with StepPool(sum(len(_row_blocks(rows)) for rows in site_rows)) as pool:
+        server = ServerState(network=network, adam=adam)
         for epoch in range(config.epochs):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                report = step(server, fold_seed(config.seed, epoch))
+                report = step(server, fold_seed(config.seed, epoch), pool)
             reports.append(report)
             losses = report.worker_losses or (report.global_loss,)
             if not np.isfinite(losses).all():
@@ -494,11 +622,12 @@ def run_centralized(
         raise DegenerateDataError("centralized training needs a nonempty 2-d X")
     if y.shape != (X.shape[0],):
         raise ShapeError(f"labels shape {y.shape} does not match {X.shape[0]} rows")
-    ids = np.arange(X.shape[0], dtype=np.int64)
-    workspace = Workspace()
+    sites = [(X, y, np.arange(X.shape[0], dtype=np.int64))]
 
-    def step(server: ServerState, seed: int) -> RoundReport:
-        grad, loss = _grad_and_loss(server.network, X, y, ids, seed, workspace)
+    def step(server: ServerState, seed: int, pool: StepPool) -> RoundReport:
+        results = _site_gradients(server.network, sites, seed, pool)
+        _check_gradients(results, server.version, [None])
+        ((grad, loss),) = results
         server.adam, server.network = adam_step(server.adam, server.network, grad)
         server.version += 1
         return RoundReport(
@@ -510,7 +639,7 @@ def run_centralized(
             bytes_down=0,
         )
 
-    network, reports, _ = _train(X.shape[1], config, on_epoch, step)
+    network, reports, _ = _train(X.shape[1], config, on_epoch, step, [X.shape[0]])
     upload = TrafficEntry(
         0, Direction.UP, Payload.DATASET, dataset_bytes(X.shape[0], X.shape[1])
     )
@@ -558,12 +687,13 @@ def run_federated(
         raise DegenerateDataError("need at least one worker partition")
     workers: list[WorkerState] = []
 
-    def step(server: ServerState, seed: int) -> RoundReport:
+    def step(server: ServerState, seed: int, pool: StepPool) -> RoundReport:
         if not workers:  # the sites start from the network _train initialised
             workers.extend(make_workers(X, y, partitions, server.network))
-        return run_round(server, workers, seed)
+        return run_round(server, workers, seed, pool)
 
-    return _train(X.shape[1], config, on_epoch, step, sites=len(partitions))
+    site_rows = [len(p.record_indices) for p in partitions]
+    return _train(X.shape[1], config, on_epoch, step, site_rows)
 
 
 @dataclass(frozen=True)

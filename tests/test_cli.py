@@ -3,17 +3,20 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedl
+from fedl.nn import Gradient
 from fedl.cli import DEFAULTS, _read_traffic, _resolve, _write_traffic, build_parser, main
 from fedl.data import parse_stations, parse_transactions, synth_generate
 from fedl.sim import Direction, Payload, TrafficEntry, TrafficLog
@@ -351,7 +354,8 @@ def lonely_corpus(out: Path, n_lonely: int) -> tuple[Path, Path]:
     """Six stations near (56.46, -3.03) with 300 transactions, and a station
     S6 at (10, 10) with ``n_lonely`` transactions of 7 kWh each.  With two
     clusters of 1 to 6 stations, S6 is a cluster alone whose training labels
-    are single-valued.  Returns (transactions CSV, stations CSV)."""
+    are single-valued, which training reports as one SKIPPED line on stderr.
+    Returns (transactions CSV, stations CSV)."""
     code, _, err = invoke(
         "synth", "--stations", 6, "--records", 300, "--seed", 0, "--out", out
     )
@@ -364,18 +368,20 @@ def lonely_corpus(out: Path, n_lonely: int) -> tuple[Path, Path]:
 
 
 LONELY = ("--clustering", "--clusters", 2, "--theta-low", 1, "--theta-high", 6)
+SKIPPED = re.compile(r"fedl: warning: cluster \d (.+); skipping its model")
+SINGLE_VALUED = "cannot be trained (labels are single-valued; standardization is undefined)"
 
 
 @pytest.mark.parametrize("mode", ["central", "federated"])
 def test_train_skips_a_cluster_with_single_valued_labels(tmp_path, mode):
     transactions, stations = lonely_corpus(tmp_path / "corpus", 1)
     out = tmp_path / "run"
-    with pytest.warns(RuntimeWarning, match=r"cannot be trained \(labels are single-valued"):
-        code, stdout, err = invoke(
-            "train", "--transactions", transactions, "--stations", stations, *LONELY,
-            "--mode", mode, "--epochs", 3, "--hidden", "6", "--seed", 0, "--out", out,
-        )
+    code, stdout, err = invoke(
+        "train", "--transactions", transactions, "--stations", stations, *LONELY,
+        "--mode", mode, "--epochs", 3, "--hidden", "6", "--seed", 0, "--out", out,
+    )
     assert code == 0, err
+    assert SKIPPED.fullmatch(err.rstrip("\n"))[1] == SINGLE_VALUED, err
     manifest = json.loads((out / "manifest.json").read_text())
     (lonely,) = [row for row in manifest["clusters"] if row["stations"] == 1]
     assert lonely["skipped"] and lonely["n_train"] == 1 and lonely["workers"] == 0
@@ -386,15 +392,16 @@ def test_train_skips_a_cluster_with_single_valued_labels(tmp_path, mode):
 
 def test_sweep_skips_a_cluster_with_single_valued_labels(tmp_path):
     transactions, stations = lonely_corpus(tmp_path / "corpus", 1)
-    with pytest.warns(RuntimeWarning, match="skipping its model") as caught:
-        code, _, err = invoke(
-            "evaluate", "--transactions", transactions, "--stations", stations,
-            "--sweep", "--clusters", 2, "--theta-low", 1, "--theta-high", 6,
-            "--epochs", 2, "--hidden", "4", "--workers", 2, "--seed", 0,
-            "--out", tmp_path / "sweep",
-        )
+    code, _, err = invoke(
+        "evaluate", "--transactions", transactions, "--stations", stations,
+        "--sweep", "--clusters", 2, "--theta-low", 1, "--theta-high", 6,
+        "--epochs", 2, "--hidden", "4", "--workers", 2, "--seed", 0,
+        "--out", tmp_path / "sweep",
+    )
     assert code == 0, err
-    assert any("single-valued" in str(w.message) for w in caught)
+    # the smaller training splits leave S6 no training records at all
+    reasons = [SKIPPED.fullmatch(line)[1] for line in err.splitlines()]
+    assert reasons == [SINGLE_VALUED, "has no training transactions"], err
 
 
 def test_train_bad_ratio_exits_1(tmp_path, corpus_dir):
@@ -435,6 +442,33 @@ def test_train_non_finite_loss_exits_3(tmp_path, corpus_dir, extra):
     assert not list(out.glob("model*.fedl"))
 
 
+@pytest.mark.parametrize(
+    "extra, where",
+    [((), ""), (("--mode", "federated", "--workers", 2), " on worker 0")],
+    ids=["central", "federated"],
+)
+def test_train_non_finite_gradient_exits_3(monkeypatch, tmp_path, corpus_dir, extra, where):
+    # a gradient that turns non-finite behind a finite loss would leave the
+    # last Adam step's parameters non-finite; the run stops before that step
+    import fedl.sim
+
+    backward = fedl.sim.backward
+
+    def poisoned(network, tape, targets, workspace=None):
+        g = backward(network, tape, targets, workspace=workspace)
+        return Gradient(weights=(g.weights[0] * np.inf, *g.weights[1:]), biases=g.biases)
+
+    monkeypatch.setattr(fedl.sim, "backward", poisoned)
+    out = tmp_path / "run"
+    code, _, err = invoke(
+        "train", "--transactions", corpus_dir / "transactions.csv",
+        *extra, *FAST, "--out", out,
+    )
+    assert code == 3
+    assert err == f"fedl: numerical error: training gradient became non-finite at epoch 0{where}\n"
+    assert not list(out.glob("model*.fedl"))
+
+
 @pytest.mark.parametrize("step_size", ["nan", "inf"])
 def test_train_non_finite_step_size_exits_1(tmp_path, corpus_dir, step_size):
     out = tmp_path / "run"
@@ -449,17 +483,19 @@ def test_train_non_finite_step_size_exits_1(tmp_path, corpus_dir, step_size):
 
 @pytest.mark.parametrize(
     "extra",
-    [(), ("--mode", "federated", "--workers", 2, "--parallel")],
-    ids=["central", "federated-parallel"],
+    [(), ("--mode", "federated", "--workers", 2)],
+    ids=["central", "federated-threads"],
 )
 def test_diverging_run_reports_only_the_error_line(tmp_path, corpus_dir, extra):
-    # in a fresh interpreter, so numpy warnings would reach stderr; the
-    # worker threads of --parallel must keep the training step's error state
+    # in a fresh interpreter, so numpy warnings would reach stderr; with one
+    # BLAS thread the workers' steps may run on two threads wherever there
+    # are two cores, and both must keep the step's error state
     proc = _run_launcher(
         "fedl.cli", "main", "train",
         "--transactions", str(corpus_dir / "transactions.csv"),
         "--step-size", "1e300", *map(str, extra), *map(str, FAST),
         "--out", str(tmp_path / "run"),
+        env={"OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == 3
     assert proc.stderr == (
@@ -632,12 +668,12 @@ def test_evaluate_clustered_run_dir_with_a_skipped_cluster(tmp_path):
     # in the test split
     transactions, stations = lonely_corpus(tmp_path / "corpus", 5)
     run = tmp_path / "run"
-    with pytest.warns(RuntimeWarning, match="skipping its model"):
-        code, _, err = invoke(
-            "train", "--transactions", transactions, "--stations", stations, *LONELY,
-            "--epochs", 3, "--hidden", "6", "--seed", 2, "--out", run,
-        )
+    code, _, err = invoke(
+        "train", "--transactions", transactions, "--stations", stations, *LONELY,
+        "--epochs", 3, "--hidden", "6", "--seed", 2, "--out", run,
+    )
     assert code == 0, err
+    assert SKIPPED.fullmatch(err.rstrip("\n"))[1] == SINGLE_VALUED, err
     manifest = json.loads((run / "manifest.json").read_text())
     out = tmp_path / "eval"
     code, _, err = invoke(
@@ -674,6 +710,14 @@ def _vocabulary_of_numbers(text):
     return json.dumps(schema)
 
 
+def _manifest_config(**values):
+    def corrupt(text):
+        manifest = json.loads(text)
+        manifest["config"].update(values)
+        return json.dumps(manifest)
+    return corrupt
+
+
 def _assignment_rows(*rows):
     return lambda text: "\n".join(["station_id,cluster_id", *rows]) + "\n"
 
@@ -692,11 +736,15 @@ def _assignment_rows(*rows):
     ("schema_cluster0.json", lambda text: text[:-3]),
     ("manifest.json", lambda text: "[]"),
     ("manifest.json", lambda text: json.dumps({**json.loads(text), "config": []})),
+    ("manifest.json", _manifest_config(ratio="abc")),
+    ("manifest.json", _manifest_config(include_transaction_id="no")),
+    ("manifest.json", _manifest_config(seed=1.5)),
 ], ids=[
     "empty-assignment", "assignment-header", "one-field-row", "non-integer-cluster",
     "negative-cluster", "cluster-past-row-count", "duplicate-station",
     "schema-lacks-key", "schema-vocabulary-of-numbers", "schema-flag-not-bool",
     "schema-not-json", "manifest-list", "manifest-config-list",
+    "manifest-ratio-string", "manifest-flag-string", "manifest-seed-float",
 ])
 def test_evaluate_corrupt_run_dir_file_exits_2(tmp_path, corpus_dir, clustered_run, name, corrupt):
     run = tmp_path / "run"
@@ -891,11 +939,12 @@ def test_evaluate_rejects_mode_and_sweep_ratio(tmp_path, corpus_dir):
 SRC = Path(fedl.__file__).resolve().parents[1]
 
 
-def _run_launcher(module, attr, *argv):
+def _run_launcher(module, attr, *argv, env=()):
     """Call `module:attr` the way an installer's console-script launcher does,
-    with the checkout's `src` first on the import path."""
+    with the checkout's `src` first on the import path and ``env`` added to
+    the environment."""
     pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join(pythonpath)}
     code = (
         f"import sys; from {module} import {attr}; "
         f"sys.argv[0] = 'fedl'; sys.exit({attr}())"

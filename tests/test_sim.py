@@ -1,16 +1,28 @@
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import params_fingerprint
-from fedl.data import PartitionStrategy, partition_workers, synth_generate
+from fedl.data import (
+    PartitionStrategy,
+    build_schema,
+    encode_features,
+    partition_workers,
+    synth_generate,
+)
 from fedl.errors import DegenerateDataError, ShapeError, StalenessError
-from fedl.nn import Mode, backward, forward, init_adam, init_network, sse_loss
+from fedl.model_io import network_to_bytes
+from fedl.nn import Gradient, Mode, backward, forward, init_adam, init_network, sse_loss
 from fedl.rng import fold_seed
 from fedl.sim import (
+    STEP_BLOCK_ROWS,
     Direction,
     Payload,
     RoundReport,
     ServerState,
+    StepPool,
     TrafficEntry,
     TrafficLog,
     TrainConfig,
@@ -28,6 +40,7 @@ from fedl.sim import (
     run_clustered,
     run_federated,
     run_round,
+    step_threads,
 )
 from fedl.clustering import ClusterConfig
 
@@ -445,15 +458,148 @@ def test_federated_stops_when_all_workers_settle():
     assert len(reports) == 3  # patience + 1
 
 
-def test_federated_parallel_matches_serial_bitwise():
-    X, y = toy_problem(36, 5, seed=13)
-    records = synth_generate(4, 36, seed=6)[0]
-    base = dict(epochs=12, tolerance=0.0, hidden_layers=(8,), workers=4, seed=5)
-    parts = partition_workers(records, 4, PartitionStrategy.ROUND_ROBIN)
-    net_s, rep_s, _ = run_federated(X, y, parts, TrainConfig(**base, parallel=False))
-    net_p, rep_p, _ = run_federated(X, y, parts, TrainConfig(**base, parallel=True))
-    assert params_fingerprint(net_s) == params_fingerprint(net_p)
-    assert [r.global_loss for r in rep_s] == [r.global_loss for r in rep_p]
+@pytest.fixture(scope="module")
+def multi_block_corpus():
+    """17k records over 8 stations: 9 central blocks, and 3 blocks per
+    shard when split round-robin over 4 workers."""
+    records, stations, _ = synth_generate(8, 17_000, seed=8)
+    schema = build_schema(records, True)
+    X, y = encode_features(records, schema)
+    assert len(y) > 4 * 2 * STEP_BLOCK_ROWS
+    return records, stations, X, y
+
+
+def _outputs(network, reports, traffic):
+    return (
+        network_to_bytes(network),
+        [(r.global_loss, r.worker_losses) for r in reports],
+        traffic.to_rows(),
+    )
+
+
+@pytest.mark.parametrize("pipeline", ["central", "federated", "clustered"])
+def test_pool_size_changes_no_bit(monkeypatch, multi_block_corpus, pipeline):
+    import fedl.sim
+
+    records, stations, X, y = multi_block_corpus
+    cfg = TrainConfig(
+        epochs=3, tolerance=0.0, hidden_layers=(8,), workers=4,
+        partition=PartitionStrategy.ROUND_ROBIN, seed=2,
+    )
+
+    def run():
+        if pipeline == "central":
+            return _outputs(*run_centralized(X, y, cfg))
+        if pipeline == "federated":
+            parts = partition_workers(records, 4, PartitionStrategy.ROUND_ROBIN)
+            return _outputs(*run_federated(X, y, parts, cfg))
+        result = run_clustered(
+            records[:12_000], records[12_000:], stations, ClusterConfig(k=2, seed=0),
+            TrainMode.FEDERATED, dataclasses.replace(cfg, workers=2),
+        )
+        return [_outputs(c.model, c.reports, c.traffic) for c in result.clusters]
+
+    outputs = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(fedl.sim, "step_threads", lambda: threads)
+        outputs.append(run())
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_blocked_worker_gradients_sum_to_full_batch(multi_block_corpus):
+    # criterion 3 at shards of several blocks: each worker gradient is a sum
+    # of block gradients, and the workers' sum is the full-batch gradient
+    records, _, X, y = multi_block_corpus
+    cfg = TrainConfig(hidden_layers=(16,), dropout=0.15, seed=31)
+    net = init_network(network_specs(X.shape[1], cfg), cfg.seed)
+    parts = partition_workers(records, 2, PartitionStrategy.ROUND_ROBIN)
+    results = [local_epoch(w, net, seed=7) for w in make_workers(X, y, parts, net)]
+    g_full, loss_full = full_batch_gradient(net, X, y, seed=7)
+    assert sum(loss for _, loss in results) == pytest.approx(loss_full, rel=1e-12)
+    for layer in range(len(g_full.weights)):
+        for part in ("weights", "biases"):
+            full = getattr(g_full, part)[layer]
+            summed = sum(getattr(g, part)[layer] for g, _ in results)
+            assert np.max(np.abs(summed - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, 1),  # BLAS is taken to use every core
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"MKL_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),  # the first wins
+    ({"OPENBLAS_NUM_THREADS": "two", "OMP_NUM_THREADS": "2"}, 2),  # not an integer
+    ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, 4),  # not positive
+    ({"OPENBLAS_NUM_THREADS": "16"}, 1),  # never below one thread
+])
+def test_step_threads_divides_cores_by_blas_threads(monkeypatch, env, threads):
+    import os
+
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert step_threads() == threads
+
+
+def test_step_threads_counts_cores_without_an_affinity_call(monkeypatch):
+    import os
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert step_threads() == 4
+
+
+def test_step_pool_threads_keep_the_callers_error_state(monkeypatch):
+    import fedl.sim
+
+    monkeypatch.setattr(fedl.sim, "step_threads", lambda: 2)
+    barrier = threading.Barrier(2, timeout=10)
+
+    def task(item, workspace):
+        barrier.wait()  # so each of the two threads takes one item
+        return np.geterr()["over"], threading.get_ident(), id(workspace)
+
+    with StepPool(2) as pool, np.errstate(over="ignore"):
+        results = pool.map(task, ["a", "b"])
+    assert [over for over, _, _ in results] == ["ignore", "ignore"]
+    assert len({thread for _, thread, _ in results}) == 2
+    assert len({workspace for _, _, workspace in results}) == 2
+
+
+def _backward_poisoned_at_5_rows(network, tape, targets, workspace=None):
+    """backward, except that a 5-row batch's first weight gradient holds an
+    infinity."""
+    g = backward(network, tape, targets, workspace=workspace)
+    if len(targets) != 5:
+        return g
+    w0 = g.weights[0].copy()
+    w0[0, 0] = np.inf
+    return Gradient(weights=(w0, *g.weights[1:]), biases=g.biases)
+
+
+@pytest.mark.parametrize("rows, workers, where", [(5, 0, ""), (11, 2, " on worker 1")])
+def test_non_finite_gradient_behind_a_finite_loss_stops_the_run(
+    monkeypatch, rows, workers, where
+):
+    # round-robin gives worker 1 five of the eleven rows
+    import fedl.sim
+
+    X, y = toy_problem(rows, 4)
+    cfg = TrainConfig(epochs=3, tolerance=0.0, hidden_layers=(4,), seed=0)
+    monkeypatch.setattr(fedl.sim, "backward", _backward_poisoned_at_5_rows)
+    message = f"training gradient became non-finite at epoch 0{where}"
+    with pytest.raises(FloatingPointError, match=f"^{message}$"):
+        if workers:
+            records = synth_generate(2, rows, seed=1)[0]
+            parts = partition_workers(records, workers, PartitionStrategy.ROUND_ROBIN)
+            run_federated(X, y, parts, cfg)
+        else:
+            run_centralized(X, y, cfg)
 
 
 def test_federated_requires_partitions():
