@@ -3,7 +3,10 @@
     python3 scripts/artifact_digests.py [--src SRC] [--keep DIR]
 
 Each line is ``sha256  path``: one per file the pipeline wrote, then one
-per command's standard output (``<step>.stdout``).  Two checkouts that
+per command's standard output (``<step>.stdout``).  Besides the
+synthetic corpus, the pipeline ingests and trains on ``dirty.csv``, a
+fixed file with a row for every reason a row is rejected, so the rejects
+report and the rejecting parse path are digested too.  Two checkouts that
 write the same bytes print the same lines, so comparing a change with
 its parent is one ``diff``:
 
@@ -36,6 +39,34 @@ from pathlib import Path
 
 T = "corpus/transactions.csv"
 S = "corpus/stations.csv"
+DIRTY = "dirty.csv"
+
+
+def dirty_corpus() -> str:
+    """Valid rows, some with padded fields or seconds, with one row for
+    each reject reason and a blank line among them."""
+    rejects = [
+        "D1,1,2023-01-02,08:00",  # 4 fields
+        "D1,2,2023-01-02,08:00,1.0,extra",  # 6 fields
+        " ,3,2023-01-02,08:00,1.0",  # empty station_id
+        "D1,x,2023-01-02,08:00,1.0",  # transaction_id not an integer
+        "D1,4,2023-02-30,08:00,1.0",  # date not ISO-8601
+        "D1,5,2023-01-02,25:00,1.0",  # time not HH:MM
+        "D1,6,2023-01-02,08:00,abc",  # energy not a number
+        "D1,7,2023-01-02,08:00,inf",  # energy not finite
+        "D1,8,2023-01-02,08:00,-0.5",  # negative energy
+        "",  # a blank line is skipped, not rejected
+    ]
+    rows = []
+    for i in range(90):
+        day, hour, minute = 2 + i % 7, (5 * i) % 24, (7 * i) % 60
+        time = f"{hour:02d}:{minute:02d}" + (":30" if i % 5 == 0 else "")
+        kwh = f"{(13 * i) % 17 + 0.25 * (i % 4)}"
+        rows.append(f"D{i % 4}, {100 + i} ,2023-01-{day:02d},{time}, {kwh}")
+        if i % 9 == 4:
+            rows.append(rejects[i // 9])
+    return "\n".join(["station_id,transaction_id,date,time,energy_kwh", *rows]) + "\n"
+
 FEDERATED = ("--mode", "federated", "--workers", "3")
 CLUSTERED = ("--clustering", "--stations", S)
 
@@ -58,6 +89,8 @@ PIPELINE = [
     ("evaluate_clustered_round_robin",
      ("evaluate", "--transactions", T, "--run-dir", "train_clustered_round_robin")),
     ("sweep", ("evaluate", "--transactions", T, "--sweep", "--stations", S)),
+    ("dirty_ingest", ("ingest", "--transactions", DIRTY)),
+    ("dirty_train", ("train", "--transactions", DIRTY, *FEDERATED)),
     ("report", ("report", "central=train_central/traffic.csv",
                 "federated=train_federated/traffic.csv",
                 "clustered=train_clustered_federated/traffic.csv")),
@@ -86,6 +119,7 @@ def run_pipeline(src: Path, work: Path) -> list[str]:
         "OMP_NUM_THREADS": "1",
         "MKL_NUM_THREADS": "1",
     }
+    (work / DIRTY).write_text(dirty_corpus(), encoding="utf-8")
     stdout_lines = []
     for step, argv in PIPELINE:
         proc = subprocess.run(

@@ -417,19 +417,18 @@ def cmd_synth(args) -> int:
         args.n_stations, args.n_records, seed=cfg["seed"], noise_std=cfg["noise"],
     )
     monday = _date(2023, 1, 2)  # day_of_week 1 maps to this Monday
+    dates = [(monday + timedelta(days=d - 1)).isoformat() for d in range(8)]
+    times = [f"{h:02d}:00" for h in range(24)]
     _write_csv(
         out / "transactions.csv",
         ["station_id", "transaction_id", "date", "time", "energy_kwh"],
-        [
-            (
-                r.station_id,
-                r.transaction_id,
-                (monday + timedelta(days=r.day_of_week - 1)).isoformat(),
-                f"{r.hour:02d}:00",
-                repr(r.energy_kwh),
-            )
-            for r in records
-        ],
+        zip(
+            map(records.vocabulary.__getitem__, records.station.tolist()),
+            records.transaction_id.tolist(),
+            map(dates.__getitem__, records.day.tolist()),
+            map(times.__getitem__, records.hour.tolist()),
+            map(repr, records.energy_kwh.tolist()),
+        ),
     )
     _write_csv(
         out / "stations.csv",
@@ -546,7 +545,7 @@ def cmd_train(args) -> int:
     if not records:
         raise DegenerateDataError("no valid records to train on")
     train, test = split_train_test(records, ratio, config.seed)
-    vocab = sorted({r.station_id for r in records})
+    vocab = records.station_ids()
     include_txn = cfg["include_transaction_id"]
     clustering = cfg["clustering"]
     extra: dict = {
@@ -650,7 +649,7 @@ def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
         if not assignment_path.exists():
             raise UsageError(f"{run_dir} is clustered but has no assignment.csv")
         cluster_of = _read_assignment(assignment_path)
-        unknown = sorted({r.station_id for r in test} - set(cluster_of))
+        unknown = sorted(set(test.station_ids()) - set(cluster_of))
         if unknown:
             raise DegenerateDataError(
                 f"test stations missing from assignment: {', '.join(unknown)}"
@@ -678,10 +677,9 @@ def _baseline_rmse(train, test, include_txn: bool, knn_k: int):
     """(mean RMSE, knn RMSE) on raw kWh labels."""
     from .metrics import rmse as _rmse
 
-    actual = np.array([r.energy_kwh for r in test], dtype=np.float64)
-    train_y = np.array([r.energy_kwh for r in train], dtype=np.float64)
+    actual, train_y = test.energy_kwh, train.energy_kwh
     mean_pred = mean_baseline(train_y).predict(len(test))
-    vocab = sorted({r.station_id for r in train} | {r.station_id for r in test})
+    vocab = {*train.station_ids(), *test.station_ids()}
     schema = build_schema(train, include_txn, station_vocabulary=vocab)
     k = min(knn_k, len(train))
     knn_pred = knn_baseline(
@@ -700,7 +698,7 @@ def _sweep(args, cfg, records, out: Path) -> int:
         methods += ["central_clustered", "federated_clustered"]
     methods += ["knn", "mean"]
     table: dict[str, dict[float, float]] = {m: {} for m in methods}
-    vocab = sorted({r.station_id for r in records})
+    vocab = records.station_ids()
     for ratio in SWEEP_RATIOS:
         train, test = split_train_test(records, ratio, config.seed)
         for mode in (TrainMode.CENTRAL, TrainMode.FEDERATED):

@@ -10,6 +10,14 @@ Parsing is lenient per row and strict per file: a missing or wrong header
 is fatal, while malformed rows become (line_number, reason) reject entries
 and do not stop ingestion.
 
+Transactions travel as :class:`Transactions`, one numpy column per field:
+station (an index into a sorted tuple of station ids), transaction id,
+day, hour and energy.  Parsing, generation, splits, encoding and
+partitions work on whole columns.  Iterating Transactions, or indexing
+them by an int, yields :class:`TransactionRecord` rows; a list of records
+becomes Transactions through ``Transactions.of``, which every function
+here that takes records applies first.
+
 Features are one-hot station ⊕ one-hot day-of-week (Monday=1) ⊕ one-hot
 hour, optionally followed by the transaction id min-max scaled to [0, 1].
 Labels are z-scored with statistics taken from training records only.
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import date as _date
@@ -35,6 +44,8 @@ from .errors import (
 
 TRANSACTIONS_HEADER = ("station_id", "transaction_id", "date", "time", "energy_kwh")
 STATIONS_HEADER = ("station_id", "latitude", "longitude")
+_INT64 = np.iinfo(np.int64)
+_BLOCK_ROWS = 1024  # CSV rows parsed at a time
 
 
 @dataclass(frozen=True)
@@ -44,6 +55,94 @@ class TransactionRecord:
     day_of_week: int  # 1 = Monday .. 7 = Sunday
     hour: int  # 0..23
     energy_kwh: float
+
+
+@dataclass(frozen=True, eq=False)
+class Transactions:
+    """Transaction records as columns; row i is record i.
+
+    ``station`` indexes ``vocabulary``, a sorted tuple of station ids that
+    may name stations no row uses (a split keeps its parent's).
+    ``transaction_id`` is int64, or holds Python ints (dtype object) when
+    an id falls outside int64.  ``day`` (1 = Monday .. 7 = Sunday) and
+    ``hour`` are int64, ``energy_kwh`` is float64.  Columns are read-only.
+
+    Iterating, or indexing by an int, yields :class:`TransactionRecord`;
+    a slice, like :meth:`take`, gives Transactions.  Transactions are
+    equal when their records are.
+    """
+
+    vocabulary: tuple[str, ...]
+    station: np.ndarray
+    transaction_id: np.ndarray
+    day: np.ndarray
+    hour: np.ndarray
+    energy_kwh: np.ndarray
+
+    def __post_init__(self):
+        for column in self._columns():
+            column.setflags(write=False)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.station, self.transaction_id, self.day, self.hour, self.energy_kwh)
+
+    @staticmethod
+    def of(records: Transactions | Iterable[TransactionRecord]) -> Transactions:
+        """``records`` as Transactions; Transactions pass through as they are."""
+        if isinstance(records, Transactions):
+            return records
+        records = list(records)
+        return Transactions._from_lists(
+            [r.station_id for r in records],
+            [r.transaction_id for r in records],
+            [r.day_of_week for r in records],
+            [r.hour for r in records],
+            [r.energy_kwh for r in records],
+        )
+
+    @staticmethod
+    def _from_lists(station_ids, transaction_ids, days, hours, energies) -> Transactions:
+        vocabulary = tuple(sorted(set(station_ids)))
+        index = {sid: i for i, sid in enumerate(vocabulary)}
+        try:
+            ids = np.array(transaction_ids, dtype=np.int64)
+        except OverflowError:
+            ids = np.array(transaction_ids, dtype=object)
+        return Transactions(
+            vocabulary,
+            np.array([index[sid] for sid in station_ids], dtype=np.int64),
+            ids,
+            np.array(days, dtype=np.int64),
+            np.array(hours, dtype=np.int64),
+            np.array(energies, dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.station)
+
+    def __iter__(self):
+        return map(
+            TransactionRecord,
+            map(self.vocabulary.__getitem__, self.station.tolist()),
+            *(column.tolist() for column in self._columns()[1:]),
+        )
+
+    def __getitem__(self, i):
+        rows = self.take(np.array(range(len(self))[i], dtype=np.intp).reshape(-1))
+        return rows if isinstance(i, slice) else next(iter(rows))
+
+    def __eq__(self, other):
+        if not isinstance(other, Transactions):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def take(self, rows) -> Transactions:
+        """The records at ``rows`` (an integer array), in that order."""
+        return Transactions(self.vocabulary, *(column[rows] for column in self._columns()))
+
+    def station_ids(self) -> tuple[str, ...]:
+        """The sorted distinct station ids of the records."""
+        return tuple(self.vocabulary[i] for i in np.unique(self.station).tolist())
 
 
 @dataclass(frozen=True)
@@ -87,8 +186,10 @@ class EncodingSchema:
 
     @staticmethod
     def from_dict(d: dict) -> "EncodingSchema":
-        """The inverse of :meth:`to_dict`.  A missing key, or a value not of
-        the type ``to_dict`` writes, raises DataFormatError."""
+        """The inverse of :meth:`to_dict`.  A missing key, a value not of
+        the type ``to_dict`` writes, or values no built schema has (label
+        statistics that are not finite, a std that is not positive,
+        txn_min above txn_max) raise DataFormatError."""
         types = {  # exact types: a JSON true is not a number here
             "station_vocabulary": (list,),
             "include_transaction_id": (bool,),
@@ -106,11 +207,23 @@ class EncodingSchema:
             wrong.insert(0, "station_vocabulary")
         if wrong:
             raise DataFormatError(f"schema values of the wrong type: {', '.join(wrong)}")
+        try:
+            mean, std = float(d["label_mean"]), float(d["label_std"])
+        except OverflowError:  # an integer beyond float64
+            mean = std = math.inf
+        if not (math.isfinite(mean) and math.isfinite(std) and std > 0.0):
+            raise DataFormatError(
+                f"schema label statistics unusable: mean {mean!r}, std {std!r}"
+            )
+        if d["txn_min"] > d["txn_max"]:
+            raise DataFormatError(
+                f"schema txn_min {d['txn_min']} exceeds txn_max {d['txn_max']}"
+            )
         return EncodingSchema(
             station_vocabulary=tuple(vocab),
             include_transaction_id=d["include_transaction_id"],
-            label_mean=float(d["label_mean"]),
-            label_std=float(d["label_std"]),
+            label_mean=mean,
+            label_std=std,
             txn_min=d["txn_min"],
             txn_max=d["txn_max"],
         )
@@ -125,7 +238,7 @@ class PartitionStrategy(enum.Enum):
 class WorkerPartition:
     """One worker's slice of the training set.
 
-    ``record_indices`` index into the training record list and are kept in
+    ``record_indices`` index into the training records and are kept in
     ascending order.
     """
 
@@ -133,59 +246,49 @@ class WorkerPartition:
     record_indices: tuple[int, ...]
 
 
-def _parse_row(line_number: int, row: list[str]):
-    if len(row) != len(TRANSACTIONS_HEADER):
-        return None, RejectedRow(
-            line_number, f"expected {len(TRANSACTIONS_HEADER)} fields, got {len(row)}"
-        )
-    raw_station, raw_txn, raw_date, raw_time, raw_energy = (c.strip() for c in row)
-    if not raw_station:
-        return None, RejectedRow(line_number, "empty station_id")
-    try:
-        txn = int(raw_txn)
-    except ValueError:
-        return None, RejectedRow(line_number, f"transaction_id not an integer: {raw_txn!r}")
-    try:
-        day = _date.fromisoformat(raw_date).isoweekday()
-    except ValueError:
-        return None, RejectedRow(line_number, f"date not ISO-8601: {raw_date!r}")
+def _weekday(raw_date: str) -> int:
+    return _date.fromisoformat(raw_date).isoweekday()
+
+
+def _hour(raw_time: str) -> int:
+    """The hour of an HH:MM time; anything after a second colon is ignored."""
     parts = raw_time.split(":")
-    try:
-        if len(parts) < 2:
-            raise ValueError
-        hour, minute = int(parts[0]), int(parts[1])
-        if not (0 <= hour <= 23 and 0 <= minute <= 59):
-            raise ValueError
-    except ValueError:
-        return None, RejectedRow(line_number, f"time not HH:MM: {raw_time!r}")
-    try:
-        energy = float(raw_energy)
-    except ValueError:
-        return None, RejectedRow(line_number, f"energy not a number: {raw_energy!r}")
-    if not math.isfinite(energy):
-        return None, RejectedRow(line_number, f"energy not finite: {raw_energy!r}")
-    if energy < 0:
-        return None, RejectedRow(line_number, f"negative energy: {raw_energy!r}")
-    return (
-        TransactionRecord(
-            station_id=raw_station,
-            transaction_id=txn,
-            day_of_week=day,
-            hour=hour,
-            energy_kwh=energy,
-        ),
-        None,
-    )
+    if len(parts) < 2:
+        raise ValueError
+    hour, minute = int(parts[0]), int(parts[1])
+    if not (0 <= hour <= 23 and 0 <= minute <= 59):
+        raise ValueError
+    return hour
 
 
-def parse_transactions(
-    lines: Iterable[str],
-) -> tuple[list[TransactionRecord], list[RejectedRow]]:
+def _parsed(parse, raw: Sequence[str], memo: bool = False) -> list:
+    """``[parse(s.strip()) for s in raw]``, None where that raises ValueError.
+
+    With ``memo``, each distinct string is parsed once.  Without it, the
+    column is first parsed unstripped, which is exact for ``int`` and
+    ``float``: they accept a padded string only as they accept it stripped.
+    """
+
+    def safe(s):
+        try:
+            return parse(s.strip())
+        except ValueError:
+            return None
+
+    if memo:
+        return list(map({s: safe(s) for s in set(raw)}.__getitem__, raw))
+    try:
+        return list(map(parse, raw))
+    except ValueError:
+        return list(map(safe, raw))
+
+
+def parse_transactions(lines: Iterable[str]) -> tuple[Transactions, list[RejectedRow]]:
     """Parse a transactions CSV stream.
 
-    Returns records in file order plus a rejects report. A missing or
-    wrong header raises :class:`DataFormatError`; malformed rows are
-    rejected individually and never abort the parse.
+    Returns records in file order plus a rejects report in line order.  A
+    missing or wrong header raises :class:`DataFormatError`; malformed rows
+    are rejected individually and never abort the parse.
     """
     reader = csv.reader(lines)
     try:
@@ -197,17 +300,64 @@ def parse_transactions(
             f"bad transactions header: expected {','.join(TRANSACTIONS_HEADER)}, "
             f"got {','.join(header)}"
         )
-    records: list[TransactionRecord] = []
+    columns: list[list] = [[] for _ in TRANSACTIONS_HEADER]
     rejects: list[RejectedRow] = []
-    for line_number, row in enumerate(reader, start=2):
-        if not row:  # blank line
-            continue
-        record, reject = _parse_row(line_number, row)
-        if record is not None:
-            records.append(record)
+    numbered = enumerate(reader, start=2)
+    # a block at a time, so only one block's raw strings are held at once
+    while block := list(itertools.islice(numbered, _BLOCK_ROWS)):
+        for column, values in zip(columns, _parse_block(block, rejects)):
+            column += values
+    rejects.sort(key=lambda reject: reject.line_number)
+    return Transactions._from_lists(*columns), rejects
+
+
+def _parse_block(block: list[tuple[int, list[str]]], rejects: list[RejectedRow]):
+    """The valid rows of ``block``, (line number, fields) pairs, as five
+    columns (station id, id, day, hour, energy); appends the other rows'
+    rejects to ``rejects``."""
+    width = len(TRANSACTIONS_HEADER)
+    rows = []
+    for line_number, row in block:
+        if len(row) == width:
+            rows.append((line_number, row))
+        elif row:  # a blank line is skipped
+            rejects.append(
+                RejectedRow(line_number, f"expected {width} fields, got {len(row)}")
+            )
+    raw = [[row[j] for _, row in rows] for j in range(width)]
+    station = _parsed(str, raw[0], memo=True)
+    txn = _parsed(int, raw[1])
+    day = _parsed(_weekday, raw[2], memo=True)
+    hour = _parsed(_hour, raw[3], memo=True)
+    kwh = _parsed(float, raw[4])
+    energy = np.array(kwh, dtype=np.float64)  # nan where unparsed
+    ok = np.isfinite(energy) & (energy >= 0.0)
+    for column, missing in ((station, ""), (txn, None), (day, None), (hour, None)):
+        if missing in column:
+            ok &= np.array(column, dtype=object) != missing
+    for i in np.flatnonzero(~ok).tolist():
+        line_number, row = rows[i]
+        raw_txn, raw_date, raw_time, raw_energy = (c.strip() for c in row[1:])
+        if not station[i]:
+            reason = "empty station_id"
+        elif txn[i] is None:
+            reason = f"transaction_id not an integer: {raw_txn!r}"
+        elif day[i] is None:
+            reason = f"date not ISO-8601: {raw_date!r}"
+        elif hour[i] is None:
+            reason = f"time not HH:MM: {raw_time!r}"
+        elif kwh[i] is None:
+            reason = f"energy not a number: {raw_energy!r}"
+        elif not math.isfinite(kwh[i]):
+            reason = f"energy not finite: {raw_energy!r}"
         else:
-            rejects.append(reject)
-    return records, rejects
+            reason = f"negative energy: {raw_energy!r}"
+        rejects.append(RejectedRow(line_number, reason))
+    columns = (station, txn, day, hour, kwh)
+    if ok.all():
+        return columns
+    keep = np.flatnonzero(ok).tolist()
+    return ([column[i] for i in keep] for column in columns)
 
 
 def parse_stations(lines: Iterable[str]) -> list[StationInfo]:
@@ -250,9 +400,9 @@ def parse_stations(lines: Iterable[str]) -> list[StationInfo]:
 
 
 def build_schema(
-    records: Sequence[TransactionRecord],
+    records: Transactions | Iterable[TransactionRecord],
     include_transaction_id: bool = True,
-    station_vocabulary: Sequence[str] | None = None,
+    station_vocabulary: Iterable[str] | None = None,
 ) -> EncodingSchema:
     """Derive an encoding schema from training records.
 
@@ -261,19 +411,20 @@ def build_schema(
     ``station_vocabulary`` to widen it (e.g. to stations that only appear
     at evaluation time) — it must cover every station in ``records``.
     """
-    if not records:
+    records = Transactions.of(records)
+    if not len(records):
         raise DegenerateDataError("cannot build a schema from zero records")
-    seen = {r.station_id for r in records}
+    seen = records.station_ids()
     if station_vocabulary is None:
-        vocab = tuple(sorted(seen))
+        vocab = seen
     else:
         vocab = tuple(sorted(set(station_vocabulary)))
-        missing = seen - set(vocab)
+        missing = set(seen) - set(vocab)
         if missing:
             raise EncodingError(
                 f"vocabulary does not cover training stations: {sorted(missing)}"
             )
-    labels = np.array([r.energy_kwh for r in records], dtype=np.float64)
+    labels = records.energy_kwh
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(labels.mean())
         std = float(labels.std())  # population stddev
@@ -286,19 +437,18 @@ def build_schema(
         raise DegenerateDataError(
             "labels are single-valued; standardization is undefined"
         )
-    txns = [r.transaction_id for r in records]
     return EncodingSchema(
         station_vocabulary=vocab,
         include_transaction_id=include_transaction_id,
         label_mean=mean,
         label_std=std,
-        txn_min=min(txns),
-        txn_max=max(txns),
+        txn_min=int(records.transaction_id.min()),
+        txn_max=int(records.transaction_id.max()),
     )
 
 
 def feature_codes(
-    records: Sequence[TransactionRecord], schema: EncodingSchema
+    records: Transactions | Iterable[TransactionRecord], schema: EncodingSchema
 ) -> np.ndarray:
     """Records as integer codes, one (station index, day, hour, id offset)
     row each: what :func:`encode_features` writes, before one-hot expansion.
@@ -306,37 +456,43 @@ def feature_codes(
     The id offset is the transaction id clipped to [txn_min, txn_max],
     minus txn_min, so the encoded id column is exactly offset / span.  It
     is 0 when the schema leaves the id out.  The array is int64, or holds
-    Python ints (dtype object) when the id span does not fit in int64.
+    Python ints (dtype object) when a code does not fit in int64.
     """
+    records = Transactions.of(records)
     index = {sid: i for i, sid in enumerate(schema.station_vocabulary)}
-    low, high = schema.txn_min, schema.txn_max
-    rows = []
-    for r in records:
-        col = index.get(r.station_id)
-        if col is None:
+    lookup = np.array([index.get(sid, -1) for sid in records.vocabulary], dtype=np.int64)
+    station, day, hour = lookup[records.station], records.day, records.hour
+    bad = (station < 0) | (day < 1) | (day > 7) | (hour < 0) | (hour > 23)
+    if bad.any():
+        r = records[int(np.argmax(bad))]
+        if r.station_id not in index:
             raise EncodingError(f"station {r.station_id!r} not in schema vocabulary")
-        if not (1 <= r.day_of_week <= 7 and 0 <= r.hour <= 23):
-            raise EncodingError(
-                f"record out of range: day={r.day_of_week}, hour={r.hour}"
-            )
-        offset = 0
-        if schema.include_transaction_id:
-            offset = min(max(r.transaction_id, low), high) - low
-        rows.append((col, r.day_of_week, r.hour, offset))
+        raise EncodingError(f"record out of range: day={r.day_of_week}, hour={r.hour}")
+    low, high = schema.txn_min, schema.txn_max
+    ids = records.transaction_id
+    if not schema.include_transaction_id:
+        offset = np.zeros(len(records), dtype=np.int64)
+    elif ids.dtype != object and _INT64.min <= low <= high <= _INT64.max + min(low, 0):
+        # the bounds and the span high - low all fit in int64
+        offset = np.clip(ids, low, high) - low
+    else:  # Python ints, exact at any size
+        offset = [min(max(t, low), high) - low for t in ids.tolist()]
     try:
-        return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+        return np.column_stack((station, day, hour, np.array(offset, dtype=np.int64)))
     except OverflowError:
-        return np.array(rows, dtype=object).reshape(len(rows), 4)
+        rows = zip(station.tolist(), day.tolist(), hour.tolist(), offset)
+        return np.array(list(rows), dtype=object).reshape(len(records), 4)
 
 
 def encode_features(
-    records: Sequence[TransactionRecord], schema: EncodingSchema
+    records: Transactions | Iterable[TransactionRecord], schema: EncodingSchema
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode records as (X, standardized labels).
 
     Row layout: one-hot station | one-hot day (7) | one-hot hour (24)
     | scaled transaction id (when the schema includes it, clipped to [0,1]).
     """
+    records = Transactions.of(records)
     codes = feature_codes(records, schema)
     n_stations = len(schema.station_vocabulary)
     X = np.zeros((len(records), schema.width), dtype=np.float64)
@@ -347,18 +503,21 @@ def encode_features(
     X[rows, n_stations + 7 + hour] = 1.0
     span = schema.txn_max - schema.txn_min
     if schema.include_transaction_id and span:
-        # Python int division rounds the exact quotient once
-        X[:, -1] = [offset / span for offset in codes[:, 3].tolist()]
-    labels = np.array([r.energy_kwh for r in records], dtype=np.float64)
-    return X, (labels - schema.label_mean) / schema.label_std
+        if codes.dtype != object and span < 2**53:
+            # both exact in float64, so one correctly rounded division each
+            X[:, -1] = codes[:, 3] / float(span)
+        else:  # Python int division rounds the exact quotient once
+            X[:, -1] = [offset / span for offset in codes[:, 3].tolist()]
+    return X, (records.energy_kwh - schema.label_mean) / schema.label_std
 
 
 def split_train_test(
-    records: Sequence[TransactionRecord], ratio: float, seed: int
-) -> tuple[list[TransactionRecord], list[TransactionRecord]]:
+    records: Transactions | Iterable[TransactionRecord], ratio: float, seed: int
+) -> tuple[Transactions, Transactions]:
     """Seeded uniform shuffle, then prefix split with |train| = round(ratio·N)."""
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"train ratio must be in (0, 1), got {ratio}")
+    records = Transactions.of(records)
     n = len(records)
     n_train = int(math.floor(ratio * n + 0.5))  # round half up
     if n_train == 0 or n_train == n:
@@ -366,13 +525,11 @@ def split_train_test(
             f"ratio {ratio} over {n} records leaves an empty side"
         )
     order = np.random.default_rng(seed).permutation(n)
-    train = [records[i] for i in order[:n_train]]
-    test = [records[i] for i in order[n_train:]]
-    return train, test
+    return records.take(order[:n_train]), records.take(order[n_train:])
 
 
 def partition_workers(
-    records: Sequence[TransactionRecord],
+    records: Transactions | Iterable[TransactionRecord],
     workers: int,
     strategy: PartitionStrategy = PartitionStrategy.BY_STATION,
 ) -> list[WorkerPartition]:
@@ -382,31 +539,33 @@ def partition_workers(
     station's records live on exactly one worker.  RoundRobin sends record
     r to worker r mod J.  Indices within a worker stay ascending.
     """
+    records = Transactions.of(records)
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     if workers > len(records):
         raise DegenerateSplitError(
             f"{workers} workers cannot share {len(records)} records"
         )
-    buckets: list[list[int]] = [[] for _ in range(workers)]
     if strategy is PartitionStrategy.BY_STATION:
-        stations = sorted({r.station_id for r in records})
-        owner = {sid: k % workers for k, sid in enumerate(stations)}
-        for idx, r in enumerate(records):
-            buckets[owner[r.station_id]].append(idx)
+        present = np.unique(records.station)
+        owner = np.zeros(len(records.vocabulary), dtype=np.int64)
+        owner[present] = np.arange(len(present)) % workers
+        worker_of = owner[records.station]
     elif strategy is PartitionStrategy.ROUND_ROBIN:
-        for idx in range(len(records)):
-            buckets[idx % workers].append(idx)
+        worker_of = np.arange(len(records)) % workers
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown partition strategy: {strategy}")
-    empty = [j for j, b in enumerate(buckets) if not b]
+    counts = np.bincount(worker_of, minlength=workers)
+    empty = np.flatnonzero(counts == 0).tolist()
     if empty:
         raise DegenerateSplitError(
             f"partition leaves workers {empty} without records "
             f"(too many workers for this corpus/strategy)"
         )
+    # a stable sort keeps each worker's indices ascending
+    buckets = np.split(np.argsort(worker_of, kind="stable"), np.cumsum(counts)[:-1])
     return [
-        WorkerPartition(worker_id=j, record_indices=tuple(bucket))
+        WorkerPartition(worker_id=j, record_indices=tuple(bucket.tolist()))
         for j, bucket in enumerate(buckets)
     ]
 
@@ -439,18 +598,19 @@ def synth_generate(
     n_records: int,
     seed: int,
     noise_std: float = 0.8,
-) -> tuple[list[TransactionRecord], list[StationInfo], SynthMetadata]:
+) -> tuple[Transactions, list[StationInfo], SynthMetadata]:
     """Generate a desk-scale corpus with a known generating function.
 
     Stations sit in two spatial lobes; demand is a smooth per-station
     function of day and hour plus Gaussian noise, clamped at zero.  Same
-    seed in, identical corpus out.
+    seed in, identical corpus out.  A station's transaction ids count its
+    records from 1 in generation order.
     """
     if n_stations < 1 or n_records < 1:
         raise ValueError("n_stations and n_records must both be >= 1")
     rng = np.random.default_rng(seed)
     width = len(str(n_stations - 1))
-    ids = [f"S{i:0{width}d}" for i in range(n_stations)]
+    ids = [f"S{i:0{width}d}" for i in range(n_stations)]  # sorted: equal widths
 
     lobe = np.arange(n_stations) % 2
     lat = np.where(lobe == 0, 56.46, 56.49) + rng.normal(0.0, 0.004, n_stations)
@@ -472,23 +632,18 @@ def synth_generate(
         day_amplitude=tuple(float(v) for v in day_amp),
     )
 
-    station_idx = rng.integers(0, n_stations, n_records)
+    station = rng.integers(0, n_stations, n_records)
     days = rng.integers(1, 8, n_records)
     hours = rng.integers(0, 24, n_records)
     noise = rng.normal(0.0, noise_std, n_records)
-    counters = [0] * n_stations
-    records: list[TransactionRecord] = []
-    for i in range(n_records):
-        s = int(station_idx[i])
-        counters[s] += 1
-        energy = max(0.0, meta.signal(s, int(days[i]), int(hours[i])) + float(noise[i]))
-        records.append(
-            TransactionRecord(
-                station_id=ids[s],
-                transaction_id=counters[s],
-                day_of_week=int(days[i]),
-                hour=int(hours[i]),
-                energy_kwh=energy,
-            )
-        )
-    return records, stations, meta
+    counts = np.bincount(station, minlength=n_stations)
+    order = np.argsort(station, kind="stable")
+    txn = np.empty(n_records, dtype=np.int64)
+    txn[order] = np.arange(1, n_records + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    # SynthMetadata.signal's operations in its order, with math.sin/cos
+    angle = 2.0 * math.pi * hours / 24.0 + hour_phase[station]
+    sine = np.fromiter(map(math.sin, angle.tolist()), dtype=np.float64, count=n_records)
+    cosine = np.array([math.cos(2.0 * math.pi * d / 7.0) for d in range(8)])[days]
+    energy = base[station] + hour_amp[station] * sine + day_amp[station] * cosine + noise
+    energy = np.where(energy > 0.0, energy, 0.0)  # max(0.0, x), nan included
+    return Transactions(tuple(ids), station, txn, days, hours, energy), stations, meta

@@ -95,7 +95,9 @@ def network_from_bytes(blob: bytes) -> Network:
         biases.append(b.astype(np.float64))
     if offset != len(blob):
         raise DataFormatError(f"{len(blob) - offset} trailing bytes in model file")
-    for w, b in zip(weights, biases):
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise DataFormatError(f"non-finite parameters in layer {layer}")
         w.setflags(write=False)
         b.setflags(write=False)
     return Network(specs=tuple(specs), weights=tuple(weights), biases=tuple(biases))
@@ -106,4 +108,9 @@ def save_network(network: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    return network_from_bytes(Path(path).read_bytes())
+    """The network saved at ``path``; a malformed file raises
+    DataFormatError naming it."""
+    try:
+        return network_from_bytes(Path(path).read_bytes())
+    except DataFormatError as e:
+        raise DataFormatError(f"{e} ({path})") from None

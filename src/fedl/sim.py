@@ -50,6 +50,7 @@ from .data import (
     PartitionStrategy,
     StationInfo,
     TransactionRecord,
+    Transactions,
     WorkerPartition,
     build_schema,
     encode_features,
@@ -727,22 +728,31 @@ class ClusteredResult:
         return log
 
 
-def by_cluster(items: Iterable, cluster_of: Mapping[str, int], k: int) -> list[list]:
-    """``items`` (anything with a ``station_id``) split in one pass into
-    ``k`` lists by ``cluster_of[station_id]``, each list in input order."""
-    groups: list[list] = [[] for _ in range(k)]
-    for item in items:
-        groups[cluster_of[item.station_id]].append(item)
-    return groups
+def by_cluster(
+    records: Transactions | Iterable[TransactionRecord],
+    cluster_of: Mapping[str, int],
+    k: int,
+) -> list[Transactions]:
+    """``records`` split into ``k`` groups by ``cluster_of[station_id]``,
+    each group in input order."""
+    records = Transactions.of(records)
+    labels = [cluster_of.get(sid, -1) for sid in records.vocabulary]
+    label = np.array(labels, dtype=np.int64)[records.station]
+    if (label < 0).any():
+        raise KeyError(records[int(np.argmax(label < 0))].station_id)
+    # a stable sort keeps each group in input order
+    bounds = np.cumsum(np.bincount(label, minlength=k))[:-1]
+    return [records.take(rows) for rows in np.split(np.argsort(label, kind="stable"), bounds)]
 
 
 def score(
-    model: Network, schema: EncodingSchema, records: Sequence[TransactionRecord]
+    model: Network, schema: EncodingSchema,
+    records: Transactions | Iterable[TransactionRecord],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(actual kWh, predicted kWh) of ``model`` on ``records``."""
+    records = Transactions.of(records)
     X, _ = encode_features(records, schema)
-    predictions = predict(model, X, schema)
-    return np.array([r.energy_kwh for r in records], dtype=np.float64), predictions
+    return records.energy_kwh, predict(model, X, schema)
 
 
 def pooled_rmse(scored: Sequence[tuple[np.ndarray, np.ndarray]]) -> float | None:
@@ -755,8 +765,8 @@ def pooled_rmse(scored: Sequence[tuple[np.ndarray, np.ndarray]]) -> float | None
 
 
 def run_clustered(
-    train_records: Sequence[TransactionRecord],
-    test_records: Sequence[TransactionRecord],
+    train_records: Transactions | Iterable[TransactionRecord],
+    test_records: Transactions | Iterable[TransactionRecord],
     stations: Sequence[StationInfo],
     cluster_config: ClusterConfig,
     inner_mode: TrainMode,
@@ -773,10 +783,10 @@ def run_clustered(
     its distinct training stations under by_station, its training records
     under round_robin.
     """
+    train_records = Transactions.of(train_records)
+    test_records = Transactions.of(test_records)
     known = {s.station_id for s in stations}
-    referenced = {r.station_id for r in train_records} | {
-        r.station_id for r in test_records
-    }
+    referenced = {*train_records.station_ids(), *test_records.station_ids()}
     missing = sorted(referenced - known)
     if missing:
         raise DegenerateDataError(
@@ -786,19 +796,15 @@ def run_clustered(
     k = cluster_config.k
     cluster_of = {s.station_id: int(c) for s, c in zip(stations, assignment.labels)}
     routed = zip(
-        by_cluster(stations, cluster_of, k),
-        by_cluster(train_records, cluster_of, k),
-        by_cluster(test_records, cluster_of, k),
+        by_cluster(train_records, cluster_of, k), by_cluster(test_records, cluster_of, k)
     )
 
     results: list[ClusterRunResult] = []
     scored = []
-    for cluster_id, (members, train_k, test_k) in enumerate(routed):
+    for cluster_id, (train_k, test_k) in enumerate(routed):
         schema, reason = None, "has no training transactions"
         if train_k:
-            vocab = sorted(
-                {r.station_id for r in train_k} | {r.station_id for r in test_k}
-            )
+            vocab = {*train_k.station_ids(), *test_k.station_ids()}
             try:
                 schema = build_schema(
                     train_k, include_transaction_id, station_vocabulary=vocab
@@ -816,7 +822,7 @@ def run_clustered(
             X_train, y_train = encode_features(train_k, schema)
             if inner_mode is TrainMode.FEDERATED:
                 if config.partition is PartitionStrategy.BY_STATION:
-                    shards = len({r.station_id for r in train_k})
+                    shards = len(train_k.station_ids())
                 else:
                     shards = len(train_k)
                 parts = partition_workers(
@@ -834,7 +840,9 @@ def run_clustered(
         results.append(
             ClusterRunResult(
                 cluster_id=cluster_id,
-                station_ids=tuple(sorted(s.station_id for s in members)),
+                station_ids=tuple(
+                    sorted(sid for sid, c in cluster_of.items() if c == cluster_id)
+                ),
                 skipped=schema is None,
                 n_train=len(train_k),
                 n_test=len(test_k),

@@ -1,16 +1,20 @@
 """Shared test oracles: the float dropout hash and a fresh-allocating
 forward/backward, finite-difference gradients, brute-force constrained
-assignment and brute-force kNN.  These are deliberately independent of the
+assignment and brute-force kNN, and one-record-at-a-time parsing,
+generation and encoding.  These are deliberately independent of the
 library implementations they check."""
 
 from __future__ import annotations
 
+import csv
 import math
+from datetime import date
 from fractions import Fraction
 
 import numpy as np
 
-from fedl.errors import ShapeError
+from fedl.data import TRANSACTIONS_HEADER, RejectedRow, SynthMetadata, TransactionRecord
+from fedl.errors import EncodingError, ShapeError
 from fedl.nn import Activation, LayerTrace, Mode, Network, Tape, forward, sse_loss
 from fedl.rng import _GOLDEN, _MIX1, _MIX2, fold_seed
 
@@ -207,3 +211,126 @@ def knn_exact_neighbours(train, test, schema, k: int) -> np.ndarray:
         ]
         out.append(sorted(range(len(train)), key=lambda i: (dist[i], i))[:k])
     return np.array(out, dtype=np.intp).reshape(len(test), k)
+
+
+def _reference_row(line_number: int, row: list[str]):
+    if len(row) != len(TRANSACTIONS_HEADER):
+        return None, RejectedRow(
+            line_number, f"expected {len(TRANSACTIONS_HEADER)} fields, got {len(row)}"
+        )
+    raw_station, raw_txn, raw_date, raw_time, raw_energy = (c.strip() for c in row)
+    if not raw_station:
+        return None, RejectedRow(line_number, "empty station_id")
+    try:
+        txn = int(raw_txn)
+    except ValueError:
+        return None, RejectedRow(line_number, f"transaction_id not an integer: {raw_txn!r}")
+    try:
+        day = date.fromisoformat(raw_date).isoweekday()
+    except ValueError:
+        return None, RejectedRow(line_number, f"date not ISO-8601: {raw_date!r}")
+    parts = raw_time.split(":")
+    try:
+        if len(parts) < 2:
+            raise ValueError
+        hour, minute = int(parts[0]), int(parts[1])
+        if not (0 <= hour <= 23 and 0 <= minute <= 59):
+            raise ValueError
+    except ValueError:
+        return None, RejectedRow(line_number, f"time not HH:MM: {raw_time!r}")
+    try:
+        energy = float(raw_energy)
+    except ValueError:
+        return None, RejectedRow(line_number, f"energy not a number: {raw_energy!r}")
+    if not math.isfinite(energy):
+        return None, RejectedRow(line_number, f"energy not finite: {raw_energy!r}")
+    if energy < 0:
+        return None, RejectedRow(line_number, f"negative energy: {raw_energy!r}")
+    return TransactionRecord(raw_station, txn, day, hour, energy), None
+
+
+def reference_parse_transactions(lines):
+    """fedl.data.parse_transactions one row at a time: (records, rejects)
+    as lists, for a stream whose header is valid."""
+    reader = csv.reader(lines)
+    next(reader)
+    records, rejects = [], []
+    for line_number, row in enumerate(reader, start=2):
+        if not row:  # blank line
+            continue
+        record, reject = _reference_row(line_number, row)
+        if record is not None:
+            records.append(record)
+        else:
+            rejects.append(reject)
+    return records, rejects
+
+
+def reference_synth_records(n_stations: int, n_records: int, seed: int,
+                            noise_std: float = 0.8) -> list[TransactionRecord]:
+    """fedl.data.synth_generate's records, one record at a time."""
+    rng = np.random.default_rng(seed)
+    width = len(str(n_stations - 1))
+    ids = [f"S{i:0{width}d}" for i in range(n_stations)]
+    lobe = np.arange(n_stations) % 2
+    rng.normal(0.0, 0.004, n_stations)  # latitudes
+    rng.normal(0.0, 0.004, n_stations)  # longitudes
+    meta = SynthMetadata(
+        noise_std=noise_std,
+        base=tuple(float(v) for v in rng.uniform(4.0, 16.0, n_stations) + 4.0 * lobe),
+        hour_amplitude=tuple(float(v) for v in rng.uniform(0.5, 2.5, n_stations)),
+        hour_phase=tuple(float(v) for v in rng.uniform(0.0, 2.0 * math.pi, n_stations)),
+        day_amplitude=tuple(float(v) for v in rng.uniform(0.25, 1.25, n_stations)),
+    )
+    station_idx = rng.integers(0, n_stations, n_records)
+    days = rng.integers(1, 8, n_records)
+    hours = rng.integers(0, 24, n_records)
+    noise = rng.normal(0.0, noise_std, n_records)
+    counters = [0] * n_stations
+    records = []
+    for i in range(n_records):
+        s = int(station_idx[i])
+        counters[s] += 1
+        energy = max(0.0, meta.signal(s, int(days[i]), int(hours[i])) + float(noise[i]))
+        records.append(
+            TransactionRecord(ids[s], counters[s], int(days[i]), int(hours[i]), energy)
+        )
+    return records
+
+
+def reference_feature_codes(records, schema) -> np.ndarray:
+    """fedl.data.feature_codes one record at a time."""
+    index = {sid: i for i, sid in enumerate(schema.station_vocabulary)}
+    low, high = schema.txn_min, schema.txn_max
+    rows = []
+    for r in records:
+        col = index.get(r.station_id)
+        if col is None:
+            raise EncodingError(f"station {r.station_id!r} not in schema vocabulary")
+        if not (1 <= r.day_of_week <= 7 and 0 <= r.hour <= 23):
+            raise EncodingError(f"record out of range: day={r.day_of_week}, hour={r.hour}")
+        offset = 0
+        if schema.include_transaction_id:
+            offset = min(max(r.transaction_id, low), high) - low
+        rows.append((col, r.day_of_week, r.hour, offset))
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), 4)
+
+
+def reference_encode_features(records, schema):
+    """fedl.data.encode_features one record at a time: (X, labels)."""
+    records = list(records)
+    n_stations = len(schema.station_vocabulary)
+    X = np.zeros((len(records), schema.width), dtype=np.float64)
+    span = schema.txn_max - schema.txn_min
+    for row, (station, day, hour, offset) in enumerate(
+        reference_feature_codes(records, schema).tolist()
+    ):
+        X[row, station] = X[row, n_stations + day - 1] = 1.0
+        X[row, n_stations + 7 + hour] = 1.0
+        if schema.include_transaction_id and span:
+            X[row, -1] = offset / span
+    labels = np.array([r.energy_kwh for r in records], dtype=np.float64)
+    return X, (labels - schema.label_mean) / schema.label_std

@@ -2,9 +2,11 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -718,6 +720,18 @@ def _manifest_config(**values):
     return corrupt
 
 
+def _schema_values(**values):
+    def corrupt(text):
+        return json.dumps({**json.loads(text), **values})  # writes NaN, Infinity
+    return corrupt
+
+
+def _last_parameter_nan(text):
+    # the model file as latin-1 text, one character per byte; its last
+    # 8 bytes are the output layer's float64 bias
+    return text[:-8] + struct.pack("<d", math.nan).decode("latin-1")
+
+
 def _assignment_rows(*rows):
     return lambda text: "\n".join(["station_id,cluster_id", *rows]) + "\n"
 
@@ -734,6 +748,12 @@ def _assignment_rows(*rows):
     ("schema_cluster0.json", _vocabulary_of_numbers),
     ("schema_cluster0.json", lambda text: text.replace("false", "0").replace("true", "1")),
     ("schema_cluster0.json", lambda text: text[:-3]),
+    ("schema_cluster0.json", _schema_values(label_std=math.nan)),
+    ("schema_cluster0.json", _schema_values(label_mean=math.inf)),
+    ("schema_cluster0.json", _schema_values(label_std=0)),
+    ("schema_cluster0.json", _schema_values(label_std=-1.5)),
+    ("schema_cluster0.json", _schema_values(txn_min=10, txn_max=9)),
+    ("model_cluster0.fedl", _last_parameter_nan),
     ("manifest.json", lambda text: "[]"),
     ("manifest.json", lambda text: json.dumps({**json.loads(text), "config": []})),
     ("manifest.json", _manifest_config(ratio="abc")),
@@ -743,13 +763,17 @@ def _assignment_rows(*rows):
     "empty-assignment", "assignment-header", "one-field-row", "non-integer-cluster",
     "negative-cluster", "cluster-past-row-count", "duplicate-station",
     "schema-lacks-key", "schema-vocabulary-of-numbers", "schema-flag-not-bool",
-    "schema-not-json", "manifest-list", "manifest-config-list",
+    "schema-not-json", "schema-std-nan", "schema-mean-infinite", "schema-std-zero",
+    "schema-std-negative", "schema-id-range-inverted", "model-parameter-nan",
+    "manifest-list", "manifest-config-list",
     "manifest-ratio-string", "manifest-flag-string", "manifest-seed-float",
 ])
 def test_evaluate_corrupt_run_dir_file_exits_2(tmp_path, corpus_dir, clustered_run, name, corrupt):
     run = tmp_path / "run"
     shutil.copytree(clustered_run, run)
-    (run / name).write_text(corrupt((run / name).read_text()))
+    path = run / name
+    # latin-1 maps each byte to one character and back, so binary files pass too
+    path.write_bytes(corrupt(path.read_bytes().decode("latin-1")).encode("latin-1"))
     code, _, err = invoke(
         "evaluate", "--transactions", corpus_dir / "transactions.csv",
         "--run-dir", run, "--out", tmp_path / "eval",

@@ -69,7 +69,7 @@ def test_parse_rejects_carry_line_numbers():
 def test_parse_rejects_negative_energy_and_field_count():
     rows = ["CS1,1,2017-03-06,10:00,-2.0", "CS1,2,2017-03-06,10:00"]
     records, rejects = parse_transactions(make_csv(rows))
-    assert records == []
+    assert list(records) == []
     assert len(rejects) == 2
 
 
@@ -86,7 +86,7 @@ def test_parse_empty_stream_is_fatal():
 
 def test_parse_header_only_gives_no_records():
     records, rejects = parse_transactions(io.StringIO(HEADER))
-    assert records == [] and rejects == []
+    assert list(records) == [] and rejects == []
 
 
 def test_parse_skips_blank_lines():
@@ -271,7 +271,7 @@ def test_split_is_seed_deterministic_and_partitions_corpus():
     a_train, a_test = split_train_test(records, 0.7, seed=9)
     b_train, b_test = split_train_test(records, 0.7, seed=9)
     assert a_train == b_train and a_test == b_test
-    ids = sorted(r.transaction_id for r in a_train + a_test)
+    ids = sorted(r.transaction_id for r in [*a_train, *a_test])
     assert ids == sorted(r.transaction_id for r in records)
 
 

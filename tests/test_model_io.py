@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,19 @@ def test_trailing_garbage_rejected():
     blob = network_to_bytes(sample_net())
     with pytest.raises(DataFormatError):
         network_from_bytes(blob + b"\x00")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_parameters_rejected(value, tmp_path):
+    blob = network_to_bytes(sample_net())
+    for at in (len(blob) - 8, _HEADER.size + 3 * _LAYER.size):  # last bias, first weight
+        bad = blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+        with pytest.raises(DataFormatError, match="non-finite parameters"):
+            network_from_bytes(bad)
+    path = tmp_path / "model.fedl"
+    path.write_bytes(bad)
+    with pytest.raises(DataFormatError, match=r"non-finite parameters in layer 0 \(.*model\.fedl\)"):
+        load_network(path)
 
 
 def test_dropout_survives_roundtrip():

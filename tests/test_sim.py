@@ -707,8 +707,8 @@ def test_clustered_skips_cluster_with_single_valued_labels(mode):
 
     records, stations, _ = synth_generate(6, 300, seed=0)
     train, test = split_train_test(records, 0.8, seed=0)
-    train.append(TransactionRecord("S6", 1, 1, 10, 7.0))
-    test.append(TransactionRecord("S6", 2, 1, 11, 7.0))
+    train = [*train, TransactionRecord("S6", 1, 1, 10, 7.0)]
+    test = [*test, TransactionRecord("S6", 2, 1, 11, 7.0)]
     stations = [*stations, StationInfo("S6", 10.0, 10.0)]
     cc = ClusterConfig(k=2, theta_low=1, theta_high=6, seed=0)
     with pytest.warns(RuntimeWarning, match=r"cluster 1 cannot be trained \(labels"):
