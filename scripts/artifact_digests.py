@@ -6,7 +6,10 @@ Each line is ``sha256  path``: one per file the pipeline wrote, then one
 per command's standard output (``<step>.stdout``).  Besides the
 synthetic corpus, the pipeline ingests and trains on ``dirty.csv``, a
 fixed file with a row for every reason a row is rejected, so the rejects
-report and the rejecting parse path are digested too.  Two checkouts that
+report and the rejecting parse path are digested too.  A second,
+12,000-record corpus trains central and federated sites of several row
+blocks each, the last one partial, so block boundaries are digested
+as well.  Two checkouts that
 write the same bytes print the same lines, so comparing a change with
 its parent is one ``diff``:
 
@@ -38,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 T = "corpus/transactions.csv"
+T_BLOCKS = "corpus_blocks/transactions.csv"
 S = "corpus/stations.csv"
 DIRTY = "dirty.csv"
 
@@ -75,6 +79,12 @@ PIPELINE = [
     ("corpus", ("synth", "--stations", "8", "--records", "1500", "--seed", "3")),
     ("ingest", ("ingest", "--transactions", T)),
     ("cluster", ("cluster", "--stations", S)),
+    ("corpus_blocks", ("synth", "--stations", "8", "--records", "12000", "--seed", "5")),
+    # 9,600 training rows: a central site of 5 blocks, two federated of 3 each
+    ("train_central_blocks", ("train", "--transactions", T_BLOCKS, "--epochs", "3")),
+    ("train_federated_blocks",
+     ("train", "--transactions", T_BLOCKS, "--mode", "federated", "--workers", "2",
+      "--epochs", "3")),
     ("train_central", ("train", "--transactions", T)),
     ("train_federated", ("train", "--transactions", T, *FEDERATED)),
     ("train_federated_one_thread", ("train", "--transactions", T, *FEDERATED)),

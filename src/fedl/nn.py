@@ -345,7 +345,13 @@ def backward(
         if layer > 0:
             slot = 1 - slot
             d_out = workspace.take(("partial", slot), (n, spec.input_width))
-            np.matmul(d_pre, network.weights[layer], out=d_out)
+            if spec.output_width == 1:
+                # A k=1 GEMM gives each entry as 0 + a*b: the plain product,
+                # but with -0 turned to +0, which adding +0.0 does too.
+                np.multiply(d_pre, network.weights[layer], out=d_out)
+                np.add(d_out, 0.0, out=d_out)
+            else:
+                np.matmul(d_pre, network.weights[layer], out=d_out)
     return Gradient(weights=tuple(grad_w), biases=tuple(grad_b))
 
 

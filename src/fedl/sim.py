@@ -14,8 +14,8 @@ Three ways to fit the same network family:
 
 Determinism contract: given (config, seed) every run is bit-reproducible.
 A round is a list of independent tasks, one per (site, block of at most
-:data:`STEP_BLOCK_ROWS` consecutive rows), run on a :class:`StepPool` that
-lives for the whole run.  A site's gradient and loss are its blocks'
+:data:`STEP_BLOCK_ROWS` consecutive entries of the site's row ids), run on
+a :class:`StepPool` that lives for the whole run.  A site's gradient and loss are its blocks'
 results summed in block order, and sites are reduced in ascending worker-id
 order, so the output is the same bits for any thread count.  A site of one
 block gets exactly its whole-batch gradient, and with one worker the
@@ -235,23 +235,40 @@ def network_specs(input_width: int, config: TrainConfig) -> tuple[LayerSpec, ...
 
 @dataclass
 class WorkerState:
-    """A simulated training site: its slice of the data plus the model
-    replica it currently holds."""
+    """A simulated training site: the ids of its rows in the pooled data,
+    plus the model replica it currently holds.
+
+    ``X`` and ``y`` are the pooled arrays every site shares, not copies of
+    this site's rows; ``sample_ids`` are the global ids of the site's rows.
+    They select the rows the site trains on, and they drive its dropout
+    masks.
+    """
 
     worker_id: int
     X: np.ndarray
     y: np.ndarray
-    sample_ids: np.ndarray  # global row ids, drive the dropout masks
+    sample_ids: np.ndarray  # global row ids into X and y, in training order
     model: Network
     model_version: int = 0
 
     def __post_init__(self) -> None:
-        if self.X.shape[0] == 0:
-            raise DegenerateDataError(f"worker {self.worker_id} has no records")
-        if self.X.shape[0] != self.y.shape[0] or self.X.shape[0] != len(
-            self.sample_ids
-        ):
+        if self.X.shape[0] != self.y.shape[0]:
             raise ShapeError("worker dataset arrays disagree on row count")
+        ids = np.asarray(self.sample_ids)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ShapeError(
+                f"worker {self.worker_id} row ids must be a 1-d integer array, "
+                f"got {ids.dtype} of shape {ids.shape}"
+            )
+        if len(ids) == 0:
+            raise DegenerateDataError(f"worker {self.worker_id} has no records")
+        # the rows are gathered with np.take(mode="clip"), which would
+        # silently read the wrong row for an id outside the pooled data
+        if ids.min() < 0 or ids.max() >= self.X.shape[0]:
+            raise ShapeError(
+                f"worker {self.worker_id} row ids must lie in "
+                f"[0, {self.X.shape[0]}), got [{ids.min()}, {ids.max()}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -280,7 +297,8 @@ class ServerState:
 
 STEP_BLOCK_ROWS = 2048  # rows per training-step task (README "Threads")
 
-# a site's rows: (features, labels, global row ids that drive dropout masks)
+# a site: (pooled features, pooled labels, global ids of the site's rows,
+# which select its rows and drive its dropout masks)
 Site = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -386,10 +404,13 @@ def _site_gradients(
     """Each site's exact gradient and SSE loss at ``network``.
 
     Every (site, row block) is one task on ``pool`` (a pool for this call
-    only when None).  A site's gradient and loss are its blocks' results
-    summed in block order, so they do not depend on the pool's size.
+    only when None).  A task gathers its block's rows from the pooled
+    arrays into the thread's workspace.  A site's gradient and loss are its
+    blocks' results summed in block order, so they do not depend on the
+    pool's size.  The ids must lie in range (WorkerState checks them): the
+    gather clips, because a checked gather buffers its output.
     """
-    blocks = [_row_blocks(len(y)) for _, y, _ in sites]
+    blocks = [_row_blocks(len(ids)) for _, _, ids in sites]
     tasks = [
         (site, slice(start, start + STEP_BLOCK_ROWS))
         for site, starts in zip(sites, blocks)
@@ -398,12 +419,20 @@ def _site_gradients(
 
     def block_step(task, workspace: Workspace) -> tuple[Gradient, float]:
         (X, y, sample_ids), rows = task
+        ids = sample_ids[rows]
+        X_block = np.take(
+            X, ids, axis=0, mode="clip",
+            out=workspace.take(("rows",), (len(ids), X.shape[1]), X.dtype),
+        )
+        y_block = np.take(
+            y, ids, axis=0, mode="clip", out=workspace.take(("labels",), ids.shape, y.dtype)
+        )
         out, tape = forward(
-            network, X[rows], mode=Mode.TRAIN, seed=seed, sample_ids=sample_ids[rows],
+            network, X_block, mode=Mode.TRAIN, seed=seed, sample_ids=ids,
             workspace=workspace,
         )
-        loss = sse_loss(out[:, 0], y[rows])
-        return backward(network, tape, y[rows], workspace=workspace), loss
+        loss = sse_loss(out[:, 0], y_block)
+        return backward(network, tape, y_block, workspace=workspace), loss
 
     own = StepPool(len(tasks)) if pool is None else contextlib.nullcontext(pool)
     with own as runner:
@@ -653,21 +682,19 @@ def make_workers(
     partitions: Sequence[WorkerPartition],
     model: Network,
 ) -> list[WorkerState]:
-    """Materialize worker slices from partition indices."""
-    workers = []
-    for p in partitions:
-        idx = np.asarray(p.record_indices, dtype=np.int64)
-        workers.append(
-            WorkerState(
-                worker_id=p.worker_id,
-                X=X[idx],
-                y=y[idx],
-                sample_ids=idx,
-                model=model,
-                model_version=0,
-            )
+    """One worker per partition, holding its record indices as row ids into
+    the pooled ``X`` and ``y`` (no rows are copied)."""
+    return [
+        WorkerState(
+            worker_id=p.worker_id,
+            X=X,
+            y=y,
+            sample_ids=np.asarray(p.record_indices, dtype=np.int64),
+            model=model,
+            model_version=0,
         )
-    return workers
+        for p in partitions
+    ]
 
 
 def run_federated(

@@ -327,6 +327,31 @@ def test_workspace_steps_match_fresh_reference_bytes(net, sizes, seed):
             assert got.tobytes() == want.tobytes()
 
 
+def test_k1_product_plus_zero_matches_the_gemm_bytes():
+    # backward forms the (n,1)@(1,k) partial as a product plus +0.0: a k=1
+    # GEMM gives each entry as 0 + a*b, which differs from a*b only in
+    # turning -0 into +0
+    rng = np.random.default_rng(12)
+    pool = np.array([
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-200, -1e-200,
+        1e200, -1e200, 1.0, -1.5, np.inf, -np.inf,
+    ])
+    signed_zeros = 0
+    for _ in range(200):
+        n, k = int(rng.integers(1, 300)), int(rng.integers(1, 70))
+        a = np.where(rng.random((n, 1)) < 0.5, rng.choice(pool, (n, 1)),
+                     rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-300, 300, (n, 1)))
+        b = np.where(rng.random((1, k)) < 0.5, rng.choice(pool, (1, k)),
+                     rng.normal(size=(1, k)) * 10.0 ** rng.integers(-300, 300, (1, k)))
+        with np.errstate(all="ignore"):
+            gemm = a @ b
+            product = np.multiply(a, b)
+            signed_zeros += int(np.signbit(product[product == 0]).sum())
+            np.add(product, 0.0, out=product)
+        assert product.tobytes() == gemm.tobytes()
+    assert signed_zeros > 0  # the +0.0 is needed
+
+
 # --------------------------------------------------------------- adam
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import params_fingerprint
 from fedl.data import (
     PartitionStrategy,
+    WorkerPartition,
     build_schema,
     encode_features,
     partition_workers,
@@ -163,6 +165,20 @@ def test_worker_state_rejects_empty_or_ragged():
         WorkerState(0, np.ones((2, 3)), np.ones(3), np.arange(2), net)
 
 
+def test_worker_state_rejects_ids_outside_the_pooled_rows():
+    net = init_network(network_specs(3, TrainConfig(hidden_layers=(4,))), 0)
+    X, y = np.ones((5, 3)), np.ones(5)
+    WorkerState(0, X, y, np.array([0, 4]), net)  # the first and the last row
+    for ids in (np.array([2, -1]), np.array([0, 5])):
+        with pytest.raises(ShapeError, match=r"\[0, 5\)"):
+            WorkerState(0, X, y, ids, net)
+    for ids in (np.array([0.0, 1.0]), np.array([True, False]), np.array([[0, 1]])):
+        with pytest.raises(ShapeError, match="1-d integer"):
+            WorkerState(0, X, y, ids, net)
+    with pytest.raises(DegenerateDataError):
+        WorkerState(0, X, y, np.zeros(0, dtype=np.int64), net)
+
+
 def test_make_workers_slices_by_partition():
     X, y = toy_problem(10, 4)
     records = synth_generate(3, 10, seed=1)[0]
@@ -170,8 +186,10 @@ def test_make_workers_slices_by_partition():
     net = init_network(network_specs(4, TrainConfig(hidden_layers=(4,))), 0)
     workers = make_workers(X, y, parts, net)
     assert [w.worker_id for w in workers] == [0, 1]
-    assert np.array_equal(workers[0].X, X[::2])
-    assert np.array_equal(workers[1].y, y[1::2])
+    # every worker holds the pooled arrays and selects its rows by id
+    assert all(w.X is X and w.y is y for w in workers)
+    assert np.array_equal(workers[0].X[workers[0].sample_ids], X[::2])
+    assert np.array_equal(workers[1].y[workers[1].sample_ids], y[1::2])
     assert np.array_equal(workers[0].sample_ids, np.arange(0, 10, 2))
 
 
@@ -206,8 +224,8 @@ def test_disjoint_worker_gradients_sum_to_full_batch():
     cfg = TrainConfig(hidden_layers=(8,), dropout=0.15, seed=1)
     net = init_network(network_specs(6, cfg), cfg.seed)
     idx_a, idx_b = np.arange(0, 30, 2), np.arange(1, 30, 2)
-    wa = WorkerState(0, X[idx_a], y[idx_a], idx_a, net)
-    wb = WorkerState(1, X[idx_b], y[idx_b], idx_b, net)
+    wa = WorkerState(0, X, y, idx_a, net)
+    wb = WorkerState(1, X, y, idx_b, net)
     ga, la = local_epoch(wa, net, seed=7)
     gb, lb = local_epoch(wb, net, seed=7)
     gf, lf = full_batch_gradient(net, X, y, seed=7)
@@ -264,7 +282,7 @@ def make_federation(n=20, width=4, workers=2, seed=0, **cfg_kw):
     adam = init_adam(net, step_size=cfg.step_size)
     server = ServerState(network=net, adam=adam)
     splits = np.array_split(np.arange(n), workers)
-    states = [WorkerState(i, X[s], y[s], s, net) for i, s in enumerate(splits)]
+    states = [WorkerState(i, X, y, s, net) for i, s in enumerate(splits)]
     return server, states, X, y, cfg
 
 
@@ -522,6 +540,48 @@ def test_blocked_worker_gradients_sum_to_full_batch(multi_block_corpus):
             full = getattr(g_full, part)[layer]
             summed = sum(getattr(g, part)[layer] for g, _ in results)
             assert np.max(np.abs(summed - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_federated_run_copies_no_worker_rows():
+    # workers hold row ids into the pooled X, so a run allocates its
+    # row blocks and parameters, never a second copy of the data
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40_000, 32))
+    y = rng.normal(size=40_000)
+    assert X.nbytes >= 8 * 2**20
+    parts = [WorkerPartition(j, tuple(range(j, 40_000, 2))) for j in range(2)]
+    cfg = TrainConfig(epochs=2, tolerance=0.0, hidden_layers=(8,), workers=2, seed=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        run_federated(X, y, parts, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < X.nbytes / 2
+
+
+def test_round_runs_one_forward_per_row_block(monkeypatch):
+    import fedl.sim
+
+    sizes = (1, STEP_BLOCK_ROWS, STEP_BLOCK_ROWS + 1, 5000)
+    X, y = toy_problem(sum(sizes), 3, seed=2)
+    net = init_network(network_specs(3, TrainConfig(hidden_layers=(4,))), 0)
+    server = ServerState(network=net, adam=init_adam(net))
+    ids = np.random.default_rng(0).permutation(len(y))
+    bounds = np.cumsum(sizes)[:-1]
+    workers = [WorkerState(j, X, y, s, net) for j, s in enumerate(np.split(ids, bounds))]
+    calls = []
+
+    def counting_forward(network, X_block, *args, **kwargs):
+        calls.append(len(X_block))
+        return forward(network, X_block, *args, **kwargs)
+
+    monkeypatch.setattr(fedl.sim, "forward", counting_forward)
+    run_round(server, workers, seed=0)
+    assert len(calls) == sum(-(-rows // STEP_BLOCK_ROWS) for rows in sizes) == 7
+    assert sorted(calls) == sorted([1, 2048, 2048, 1, 2048, 2048, 904])
 
 
 @pytest.mark.parametrize("env, threads", [
