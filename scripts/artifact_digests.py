@@ -9,7 +9,9 @@ fixed file with a row for every reason a row is rejected, so the rejects
 report and the rejecting parse path are digested too.  A second,
 12,000-record corpus trains central and federated sites of several row
 blocks each, the last one partial, so block boundaries are digested
-as well.  Two checkouts that
+as well; one of its federated runs has hidden widths 32,64,16 and no
+dropout, so backward keeps every partial it forms in its scratch
+arrays instead of over the tape's dead buffers.  Two checkouts that
 write the same bytes print the same lines, so comparing a change with
 its parent is one ``diff``:
 
@@ -85,6 +87,9 @@ PIPELINE = [
     ("train_federated_blocks",
      ("train", "--transactions", T_BLOCKS, "--mode", "federated", "--workers", "2",
       "--epochs", "3")),
+    ("train_federated_widths",
+     ("train", "--transactions", T_BLOCKS, "--mode", "federated", "--workers", "2",
+      "--epochs", "3", "--hidden", "32,64,16", "--dropout", "0")),
     ("train_central", ("train", "--transactions", T)),
     ("train_federated", ("train", "--transactions", T, *FEDERATED)),
     ("train_federated_one_thread", ("train", "--transactions", T, *FEDERATED)),

@@ -234,16 +234,32 @@ class PartitionStrategy(enum.Enum):
     ROUND_ROBIN = "round_robin"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkerPartition:
     """One worker's slice of the training set.
 
     ``record_indices`` index into the training records and are kept in
-    ascending order.
+    ascending order, as a read-only int64 copy of the given indices.
+    Partitions compare equal when their worker ids and indices are; they
+    are not hashable.
     """
 
     worker_id: int
-    record_indices: tuple[int, ...]
+    record_indices: np.ndarray
+
+    def __post_init__(self) -> None:
+        ids = np.array(self.record_indices, dtype=np.int64)
+        ids.setflags(write=False)
+        object.__setattr__(self, "record_indices", ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WorkerPartition):
+            return NotImplemented
+        return self.worker_id == other.worker_id and np.array_equal(
+            self.record_indices, other.record_indices
+        )
+
+    __hash__ = None
 
 
 def _weekday(raw_date: str) -> int:
@@ -565,7 +581,7 @@ def partition_workers(
     # a stable sort keeps each worker's indices ascending
     buckets = np.split(np.argsort(worker_of, kind="stable"), np.cumsum(counts)[:-1])
     return [
-        WorkerPartition(worker_id=j, record_indices=tuple(bucket.tolist()))
+        WorkerPartition(worker_id=j, record_indices=bucket)
         for j, bucket in enumerate(buckets)
     ]
 

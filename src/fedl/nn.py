@@ -7,8 +7,11 @@ Design points:
   shared across threads and repeated calls are bit-identical;
 * the batch-sized intermediates of a training step live in a caller-owned
   :class:`Workspace` and are overwritten in place: tapes are views valid
-  until the workspace's next step.  A call given no workspace makes its
-  own, so results never depend on whether one was passed;
+  until the workspace's next step or until :func:`backward` consumes them
+  (it writes its partials over the tape's buffers once they are dead, and
+  a consumed tape cannot be differentiated again).  A call given no
+  workspace makes its own, so results never depend on whether one was
+  passed;
 * the training loss is the plain sum of squared errors over the batch
   (no averaging), and gradients are its exact reverse-mode derivatives;
 * dropout is the inverted variant: in training mode a fraction ``f`` of a
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -169,16 +172,18 @@ class LayerTrace:
     mask: np.ndarray | None  # boolean keep-mask, None when no dropout applied
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Tape:
     """Intermediate values of one forward pass, consumed by backward().
 
     Its arrays are views into the forward pass's workspace, valid until that
-    workspace's next step.
+    workspace's next step or until backward() consumes the tape, which
+    overwrites them and sets ``consumed``.
     """
 
     traces: tuple[LayerTrace, ...]
     output: np.ndarray
+    consumed: bool = field(default=False, init=False)
 
 
 def init_network(specs, seed: int) -> Network:
@@ -258,7 +263,7 @@ def forward(
     ``sample_ids`` are the rows' global identities, used only to derive
     dropout masks; they default to 0..n-1.  Inference ignores them.  The
     predictions and the tape are views into ``workspace`` (a fresh one when
-    None), valid until its next step.
+    None), valid until its next step or until backward() consumes the tape.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -296,9 +301,17 @@ def backward(
 ) -> Gradient:
     """Exact reverse-mode gradient of sse_loss(tape.output, targets).
 
-    The batch-sized partials are written into ``workspace`` (a fresh one
-    when None), never into the arrays of ``tape``; the gradient is fresh.
+    Consumes ``tape``: each batch-sized partial is written over a tape
+    buffer that is already dead, and a second call on the same tape raises
+    ValueError.  A layer's tanh factor ``1 - a*a`` is formed in its own
+    ``activated`` buffer.  The partial with respect to layer l's inputs
+    goes into (a) those inputs when they are a dropout output, (b) else
+    layer l's ``activated`` buffer when it has their width, (c) else
+    ``workspace`` (a fresh one when None), as does the output partial.
+    The gradient is fresh.
     """
+    if tape.consumed:
+        raise ValueError("backward already consumed this tape")
     if len(tape.traces) != len(network.specs):
         raise ShapeError("tape depth does not match network depth")
     for layer, trace in enumerate(tape.traces):
@@ -316,14 +329,15 @@ def backward(
         raise ShapeError(f"target shape {t.shape} != output shape {y.shape}")
     if workspace is None:
         workspace = Workspace()
+    tape.consumed = True
 
-    # Partials alternate between two slots per width, so a GEMM never
-    # writes into its own operand.
+    # A workspace partial is keyed by its width, and (c) is taken only when
+    # a layer's input and output widths differ, so a GEMM never writes into
+    # its own operand.
     n = y.shape[0]
-    slot = 0
     grad_w: list[np.ndarray | None] = [None] * len(network.specs)
     grad_b: list[np.ndarray | None] = [None] * len(network.specs)
-    d_out = workspace.take(("partial", slot), y.shape)
+    d_out = workspace.take(("partial",), y.shape)
     np.subtract(y, t, out=d_out)
     np.multiply(2.0, d_out, out=d_out)  # dL/d(layer output) for the last layer
     for layer in range(len(network.specs) - 1, -1, -1):
@@ -333,18 +347,20 @@ def backward(
             np.multiply(d_out, trace.mask, out=d_out)
             np.divide(d_out, 1.0 - spec.dropout, out=d_out)
         if spec.activation is Activation.TANH:
-            slot = 1 - slot
-            d_pre = workspace.take(("partial", slot), d_out.shape)
-            np.multiply(trace.activated, trace.activated, out=d_pre)
-            np.subtract(1.0, d_pre, out=d_pre)
-            np.multiply(d_out, d_pre, out=d_pre)
-        else:
-            d_pre = d_out
+            factor = trace.activated
+            np.multiply(factor, factor, out=factor)
+            np.subtract(1.0, factor, out=factor)
+            np.multiply(d_out, factor, out=d_out)
+        d_pre = d_out
         grad_w[layer] = _frozen(d_pre.T @ trace.inputs)
         grad_b[layer] = _frozen(d_pre.sum(axis=0))
         if layer > 0:
-            slot = 1 - slot
-            d_out = workspace.take(("partial", slot), (n, spec.input_width))
+            if tape.traces[layer - 1].mask is not None:
+                d_out = trace.inputs  # (a): dead once grad_w[layer] is formed
+            elif spec.output_width == spec.input_width:
+                d_out = trace.activated  # (b): no longer read
+            else:
+                d_out = workspace.take(("partial",), (n, spec.input_width))  # (c)
             if spec.output_width == 1:
                 # A k=1 GEMM gives each entry as 0 + a*b: the plain product,
                 # but with -0 turned to +0, which adding +0.0 does too.

@@ -689,7 +689,7 @@ def make_workers(
             worker_id=p.worker_id,
             X=X,
             y=y,
-            sample_ids=np.asarray(p.record_indices, dtype=np.int64),
+            sample_ids=p.record_indices,
             model=model,
             model_version=0,
         )

@@ -59,9 +59,10 @@ def reference_forward(network: Network, X, mode: Mode = Mode.INFER, seed: int = 
     return out, Tape(traces=tuple(traces), output=out)
 
 
-def reference_backward(network: Network, tape: Tape, targets):
+def reference_backward(network: Network, tape: Tape, targets, pre_partials=None):
     """Reverse pass of reference_forward's tape on fresh arrays.  Returns
-    (weight grads, bias grads) as lists."""
+    (weight grads, bias grads) as lists; a dict given as ``pre_partials``
+    receives each layer's partial with respect to its pre-activation."""
     y = tape.output
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != y.shape:
@@ -80,6 +81,8 @@ def reference_backward(network: Network, tape: Tape, targets):
             d_pre = d_out * (1.0 - trace.activated * trace.activated)
         else:
             d_pre = d_out
+        if pre_partials is not None:
+            pre_partials[layer] = d_pre
         grad_w[layer] = d_pre.T @ trace.inputs
         grad_b[layer] = d_pre.sum(axis=0)
         if layer > 0:

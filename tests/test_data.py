@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fedl.data import (
     PartitionStrategy,
+    WorkerPartition,
     build_schema,
     encode_features,
     feature_codes,
@@ -336,6 +337,30 @@ def test_partition_is_a_disjoint_cover(n_records, workers, strategy):
     assert sorted(seen) == list(range(n_records))
     for p in parts:
         assert list(p.record_indices) == sorted(p.record_indices)
+
+
+def test_partition_holds_read_only_int64_indices():
+    records = synth_generate(3, 12, seed=4)[0]
+    for p in partition_workers(records, 2, PartitionStrategy.ROUND_ROBIN):
+        assert p.record_indices.dtype == np.int64 and p.record_indices.ndim == 1
+        assert not p.record_indices.flags.writeable
+    given_ids = np.array([1, 4, 7])
+    part = WorkerPartition(0, given_ids)
+    given_ids[0] = 99  # the partition copied the caller's writable array
+    assert part.record_indices.tolist() == [1, 4, 7]
+
+
+def test_partition_equality_compares_indices_and_is_unhashable():
+    a = WorkerPartition(0, (1, 4, 7))
+    assert a == WorkerPartition(0, np.array([1, 4, 7]))
+    assert a != WorkerPartition(0, (1, 4))
+    assert a != WorkerPartition(0, (1, 4, 8))
+    assert a != WorkerPartition(1, (1, 4, 7))
+    assert partition_workers(synth_generate(3, 12, seed=4)[0], 2) == partition_workers(
+        synth_generate(3, 12, seed=4)[0], 2
+    )
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_partition_more_workers_than_records_rejected():

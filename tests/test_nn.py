@@ -284,6 +284,86 @@ def test_backward_rejects_foreign_tape():
         backward(net_b, tape, np.ones(2))
 
 
+def test_backward_consumes_its_tape():
+    # backward writes its partials over the tape's dead buffers, so a second
+    # call on the same tape would differentiate overwritten values: it raises
+    rng = np.random.default_rng(6)
+    net = tiny_net([3, 4, 4, 1], seed=2, dropout_last=0.3)
+    X = rng.normal(size=(7, 3))
+    y = rng.normal(size=7)
+    _, tape = forward(net, X, Mode.TRAIN, seed=3)
+    assert not tape.consumed
+    g = backward(net, tape, y)
+    assert tape.consumed
+    with pytest.raises(ValueError, match="consumed"):
+        backward(net, tape, y)
+    _, ref_tape = reference_forward(net, X, Mode.TRAIN, 3)
+    ref_w, ref_b = reference_backward(net, ref_tape, y)
+    for got, want in zip((*g.weights, *g.biases), (*ref_w, *ref_b)):
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _buffer_stacks(draw):
+    # widths from a small set, so that a layer's input and output widths are
+    # sometimes equal (branch b) and sometimes not (branch c)
+    depth = draw(st.integers(2, 5))
+    widths = draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=depth, max_size=depth))
+    widths.append(1)
+    specs = [
+        LayerSpec(
+            a, b,
+            draw(st.sampled_from(list(Activation))),
+            dropout=draw(st.sampled_from([0.0, 0.3])),
+        )
+        for a, b in zip(widths, widths[1:])
+    ]
+    return init_network(specs, draw(st.integers(0, 2**32 - 1)))
+
+
+def test_backward_buffer_rule_matches_reference_bytes():
+    # The partial with respect to layer l's inputs goes (a) over those inputs
+    # when they are a dropout output, (b) else over layer l's activations
+    # when they have the inputs' width, (c) else into a workspace array of
+    # that width.  Either tape buffer then ends holding layer l-1's
+    # pre-activation partial; only (c) and the output partial add arrays.
+    taken = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_buffer_stacks(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def check(net, n, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, net.input_width))
+        y = rng.normal(size=n)
+        workspace = Workspace()
+        _, tape = forward(net, X, Mode.TRAIN, seed, workspace=workspace)
+        _, ref_tape = reference_forward(net, X, Mode.TRAIN, seed)
+        branch, buffer = {}, {}
+        for layer in range(1, len(net.specs)):
+            spec, trace = net.specs[layer], tape.traces[layer]
+            if tape.traces[layer - 1].mask is not None:
+                branch[layer], buffer[layer] = "a", trace.inputs
+            elif spec.output_width == spec.input_width:
+                branch[layer], buffer[layer] = "b", trace.activated
+            else:
+                branch[layer] = "c"
+        g = backward(net, tape, y, workspace=workspace)
+        pre = {}
+        ref_w, ref_b = reference_backward(net, ref_tape, y, pre_partials=pre)
+        for got, want in zip((*g.weights, *g.biases), (*ref_w, *ref_b)):
+            assert got.tobytes() == want.tobytes()
+        for layer, array in buffer.items():
+            assert array.tobytes() == pre[layer - 1].tobytes()
+        partial_widths = {key[1] for key in workspace._arrays if key[0] == ("partial",)}
+        assert partial_widths == {(net.output_width,)} | {
+            (net.specs[layer].input_width,) for layer, b in branch.items() if b == "c"
+        }
+        taken.update(branch.values())
+
+    check()
+    assert taken == {"a", "b", "c"}
+
+
 @st.composite
 def _layer_stacks(draw):
     widths = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4))
