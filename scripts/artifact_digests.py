@@ -11,7 +11,9 @@ report and the rejecting parse path are digested too.  A second,
 blocks each, the last one partial, so block boundaries are digested
 as well; one of its federated runs has hidden widths 32,64,16 and no
 dropout, so backward keeps every partial it forms in its scratch
-arrays instead of over the tape's dead buffers.  Two checkouts that
+arrays instead of over the tape's dead buffers.  Its central run is
+also evaluated on its 2,400 test rows, one full inference block and
+one partial, so blocked prediction is digested too.  Two checkouts that
 write the same bytes print the same lines, so comparing a change with
 its parent is one ``diff``:
 
@@ -99,6 +101,9 @@ PIPELINE = [
     ("train_clustered_round_robin",
      ("train", "--transactions", T, *CLUSTERED, *FEDERATED, "--partition", "round_robin")),
     ("evaluate_central", ("evaluate", "--transactions", T, "--run-dir", "train_central")),
+    # 2,400 test rows: one full prediction block and one partial
+    ("evaluate_central_blocks",
+     ("evaluate", "--transactions", T_BLOCKS, "--run-dir", "train_central_blocks")),
     ("evaluate_clustered",
      ("evaluate", "--transactions", T, "--run-dir", "train_clustered_federated")),
     ("evaluate_clustered_round_robin",

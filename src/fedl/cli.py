@@ -668,7 +668,14 @@ def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
     scored = []
     for suffix, records in groups:
         schema = _read_schema(run_dir / f"schema{suffix}.json")
-        model = load_network(run_dir / f"model{suffix}.fedl")
+        model_path = run_dir / f"model{suffix}.fedl"
+        model = load_network(model_path)
+        if (model.input_width, model.output_width) != (schema.width, 1):
+            raise DataFormatError(
+                f"{model_path} maps {model.input_width} inputs to "
+                f"{model.output_width} outputs, but its schema encodes "
+                f"{schema.width} features into 1 label"
+            )
         scored.append(score(model, schema, records))
     return name, pooled_rmse(scored), total_bytes, uncovered
 

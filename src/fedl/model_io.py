@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, ShapeError
 from .nn import Activation, LayerSpec, Network
 
 MAGIC = b"FEDL"
@@ -100,7 +100,10 @@ def network_from_bytes(blob: bytes) -> Network:
             raise DataFormatError(f"non-finite parameters in layer {layer}")
         w.setflags(write=False)
         b.setflags(write=False)
-    return Network(specs=tuple(specs), weights=tuple(weights), biases=tuple(biases))
+    try:
+        return Network(specs=tuple(specs), weights=tuple(weights), biases=tuple(biases))
+    except ShapeError as e:  # no layers, or widths that do not chain
+        raise DataFormatError(f"bad layer stack: {e}") from None
 
 
 def save_network(network: Network, path) -> None:

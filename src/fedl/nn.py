@@ -19,7 +19,11 @@ Design points:
   inference applies no mask and no scaling.  Masks are counter-based
   (:func:`fedl.rng.keep_mask`): the mask row of a sample depends only on the
   seed, the layer and the sample's global id, so any sub-batch sees the
-  same masks it would inside the full batch.
+  same masks it would inside the full batch;
+* training steps and inference both work in row blocks of at most
+  :data:`STEP_BLOCK_ROWS` rows: :func:`predict` runs its input through
+  one workspace block by block, so its scratch holds one block's
+  activations whatever the input's size.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ import numpy as np
 
 from .errors import ShapeError
 from .rng import MASK_BLOCK_ROWS, keep_mask
+
+# rows per training-step task and per inference block (README "Threads")
+STEP_BLOCK_ROWS = 2048
 
 
 class Activation(enum.Enum):
@@ -108,6 +115,13 @@ class Network:
     def __post_init__(self) -> None:
         if not (len(self.specs) == len(self.weights) == len(self.biases)):
             raise ShapeError("specs, weights and biases must have equal length")
+        if not self.specs:
+            raise ShapeError("a network needs at least one layer")
+        for prev, nxt in zip(self.specs, self.specs[1:]):
+            if prev.output_width != nxt.input_width:
+                raise ShapeError(
+                    f"layer chain mismatch: {prev.output_width} -> {nxt.input_width}"
+                )
         for spec, w, b in zip(self.specs, self.weights, self.biases):
             if w.shape != (spec.output_width, spec.input_width):
                 raise ShapeError(
@@ -191,13 +205,6 @@ def init_network(specs, seed: int) -> Network:
     and zero biases.  Same specs + seed => bit-identical parameters.
     """
     specs = tuple(specs)
-    if not specs:
-        raise ShapeError("a network needs at least one layer")
-    for prev, nxt in zip(specs, specs[1:]):
-        if prev.output_width != nxt.input_width:
-            raise ShapeError(
-                f"layer chain mismatch: {prev.output_width} -> {nxt.input_width}"
-            )
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -425,7 +432,24 @@ def predict(network: Network, X, schema) -> np.ndarray:
 
     ``schema`` is anything exposing ``label_mean``/``label_std`` (the
     encoding schema the network was trained against).  Dropout is inactive;
-    standardized outputs are mapped back to kWh.
+    standardized outputs are mapped back to kWh.  The rows go through
+    :func:`forward` in blocks of at most :data:`STEP_BLOCK_ROWS`, all in one
+    workspace, and each block's predictions are written into its slice of
+    the result, so the scratch holds one block's activations however many
+    rows there are.  The bits are those of one pass over all the rows.
     """
-    out, _ = forward(network, X, mode=Mode.INFER)
-    return out[:, 0] * schema.label_std + schema.label_mean
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != network.input_width:
+        raise ShapeError(
+            f"predict expects rows of width {network.input_width}, "
+            f"got array of shape {X.shape}"
+        )
+    result = np.empty(X.shape[0])
+    workspace = Workspace()
+    for start in range(0, X.shape[0], STEP_BLOCK_ROWS):
+        rows = slice(start, start + STEP_BLOCK_ROWS)
+        out, _ = forward(network, X[rows], mode=Mode.INFER, workspace=workspace)
+        block = result[rows]
+        np.multiply(out[:, 0], schema.label_std, out=block)
+        np.add(block, schema.label_mean, out=block)
+    return result

@@ -63,6 +63,7 @@ from .errors import (
 )
 from .metrics import rmse
 from .nn import (
+    STEP_BLOCK_ROWS,
     Activation,
     AdamState,
     Gradient,
@@ -207,6 +208,11 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
         if not (0 < self.step_size < math.inf):
             raise ValueError("step_size must be positive and finite")
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not (0 < self.epsilon < math.inf):
+            raise ValueError("epsilon must be positive and finite")
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden layer widths must be >= 1")
 
@@ -294,8 +300,6 @@ class ServerState:
     version: int = 0
     traffic: TrafficLog = field(default_factory=TrafficLog)
 
-
-STEP_BLOCK_ROWS = 2048  # rows per training-step task (README "Threads")
 
 # a site: (pooled features, pooled labels, global ids of the site's rows,
 # which select its rows and drive its dropout masks)

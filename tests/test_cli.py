@@ -21,6 +21,7 @@ import fedl
 from fedl.nn import Gradient
 from fedl.cli import DEFAULTS, _read_traffic, _resolve, _write_traffic, build_parser, main
 from fedl.data import parse_stations, parse_transactions, synth_generate
+from fedl.model_io import load_network
 from fedl.sim import Direction, Payload, TrafficEntry, TrafficLog
 
 
@@ -619,6 +620,42 @@ def test_evaluate_corrupt_model_exits_2(tmp_path, corpus_dir, trained_run):
     )
     assert code == 2
     assert "data error: bad layer 0" in err
+
+
+def _model_blob(*layers):
+    """A version-1 model container of identity layers with zero parameters,
+    one (input width, output width) pair per layer, chained or not."""
+    blob = struct.pack("<4sII", b"FEDL", 1, len(layers))
+    for in_w, out_w in layers:
+        blob += struct.pack("<IIBBd", in_w, out_w, 0, 0, 0.0)
+    for in_w, out_w in layers:
+        blob += bytes(8 * (out_w * in_w + out_w))
+    return blob
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda width: ((), "at least one layer"),
+    lambda width: (((width, 8), (5, 1)), "chain mismatch: 8 -> 5"),
+    lambda width: (((width + 1, 8), (8, 1)), f"maps {width + 1} inputs to 1 outputs"),
+    lambda width: (((width, 8), (8, 2)), f"maps {width} inputs to 2 outputs"),
+], ids=["no-layers", "widths-do-not-chain", "input-width-not-schema", "two-outputs"])
+def test_evaluate_model_that_does_not_fit_its_schema_exits_2(
+    tmp_path, corpus_dir, trained_run, corrupt
+):
+    # unchecked, a model with no layers scores the first encoded feature
+    # column and exits 0, and the others exit 3 with a numerical error
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    layers, message = corrupt(load_network(run / "model.fedl").input_width)
+    (run / "model.fedl").write_bytes(_model_blob(*layers))
+    code, _, err = invoke(
+        "evaluate", "--transactions", corpus_dir / "transactions.csv",
+        "--run-dir", run, "--out", tmp_path / "eval",
+    )
+    assert code == 2, err
+    (line,) = err.splitlines()
+    assert line.startswith("fedl: data error:") and "model.fedl" in line
+    assert message in line
 
 
 @pytest.mark.parametrize("flag", ["--include-transaction-id", "--no-include-transaction-id"])

@@ -122,6 +122,26 @@ def test_out_of_range_layer_fields_rejected(in_w, out_w, dropout):
         network_from_bytes(bytes(blob))
 
 
+def test_empty_layer_stack_rejected():
+    with pytest.raises(DataFormatError, match="at least one layer"):
+        network_from_bytes(_HEADER.pack(b"FEDL", 1, 0))
+
+
+def test_layer_widths_that_do_not_chain_rejected():
+    # 5->8, 8->8, 8->1 with the middle layer rewritten as 8->5, and a
+    # parameter block sized for the layers as written
+    blob = network_to_bytes(sample_net())
+    second = _HEADER.size + _LAYER.size
+    n_params = (8 * 5 + 8) + (5 * 8 + 5) + (1 * 8 + 1)
+    table = (
+        blob[:second]
+        + _LAYER.pack(8, 5, 1, 1, 0.15)
+        + blob[second + _LAYER.size : _HEADER.size + 3 * _LAYER.size]
+    )
+    with pytest.raises(DataFormatError, match="chain mismatch: 5 -> 8"):
+        network_from_bytes(table + bytes(8 * n_params))
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     st.lists(st.integers(1, 4), min_size=2, max_size=4),

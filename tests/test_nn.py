@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,23 @@ def test_init_paper_scale_shapes():
 def test_init_rejects_chain_mismatch():
     with pytest.raises(ShapeError):
         init_network([LayerSpec(3, 4), LayerSpec(5, 1)], seed=0)
+
+
+def test_network_rejects_an_empty_stack():
+    with pytest.raises(ShapeError, match="at least one layer"):
+        Network(specs=(), weights=(), biases=())
+    with pytest.raises(ShapeError, match="at least one layer"):
+        init_network([], seed=0)
+
+
+def test_network_rejects_widths_that_do_not_chain():
+    specs = (LayerSpec(3, 4), LayerSpec(5, 1))
+    with pytest.raises(ShapeError, match="chain mismatch: 4 -> 5"):
+        Network(
+            specs=specs,
+            weights=(np.zeros((4, 3)), np.zeros((1, 5))),
+            biases=(np.zeros(4), np.zeros(1)),
+        )
 
 
 def test_layer_spec_rejects_bad_dropout():
@@ -533,3 +551,38 @@ def test_predict_ignores_dropout():
     infer, _ = forward(net, X, mode=Mode.INFER)
     assert np.array_equal(a, b)
     assert np.array_equal(a, infer[:, 0])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2047, 2048, 2049, 4097])
+def test_predict_in_blocks_matches_one_reference_pass_bytes(rows):
+    # blocks of STEP_BLOCK_ROWS rows, one full and one partial at 2049 and
+    # 4097, give the bits of one inference pass over every row
+    net = tiny_net([90, 64, 64, 1], seed=3, dropout_last=0.15)
+    X = np.random.default_rng(rows).normal(size=(rows, 90))
+    schema = _Schema(mean=7.25, std=3.5)
+    ref_out, _ = reference_forward(net, X, Mode.INFER)
+    expected = ref_out[:, 0] * schema.label_std + schema.label_mean
+    got = predict(net, X, schema)
+    assert got.shape == (rows,)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_predict_rejects_rows_of_the_wrong_width_even_when_empty():
+    net = tiny_net([3, 4, 1])
+    for rows in (0, 5):
+        with pytest.raises(ShapeError, match="width 3"):
+            predict(net, np.zeros((rows, 4)), _Schema(0.0, 1.0))
+
+
+def test_predict_scratch_holds_one_block():
+    # one pass over all 10,000 rows would hold two 10,000x64 activations,
+    # 10.0 MiB; a block's are 2048x64 each
+    net = tiny_net([90, 64, 64, 1], seed=1, dropout_last=0.15)
+    X = np.random.default_rng(0).normal(size=(10_000, 90))
+    tracemalloc.start()
+    try:
+        predict(net, X, _Schema(0.0, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20

@@ -111,6 +111,23 @@ def test_train_config_validation():
             TrainConfig(step_size=step_size)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+    ("beta2", 1.5), ("beta2", 1.0), ("beta2", float("nan")),
+    ("epsilon", float("nan")), ("epsilon", 0.0), ("epsilon", -1e-8),
+    ("epsilon", float("inf")),
+])
+def test_train_config_rejects_bad_adam_settings(field, value):
+    # beta1=1 divides by zero at the first Adam step, beta2=1.5 takes the
+    # square root of a negative number, and epsilon=nan trains a NaN model
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_adam_settings_at_their_bounds():
+    TrainConfig(beta1=0.0, beta2=0.0, epsilon=5e-324)
+
+
 def test_network_specs_layout():
     cfg = TrainConfig(hidden_layers=(64, 64), dropout=0.15)
     specs = network_specs(90, cfg)
