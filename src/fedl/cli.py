@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: ingest, cluster, train, evaluate, report, synth.  Every
-command accepts ``--config`` (flat JSON; explicit flags win), ``--seed``
-and ``--out``.  Outputs are deterministic: same inputs, flags and seed
-give byte-identical files — no timestamps, no machine identifiers.
+command accepts ``--out``; each takes the config-backed flags that
+:data:`OPTIONS` lists for it, and a command with any takes ``--config``
+(flat JSON; explicit flags win).  Outputs are deterministic: same
+inputs, flags and seed give byte-identical files — no timestamps, no
+machine identifiers.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical or
 infeasibility error.
@@ -68,7 +70,7 @@ _BOOL = {"action": argparse.BooleanOptionalAction}
 # argparse keywords of its flag).  The flag is ``--`` plus the key with
 # dashes; a value resolves as flag > config file > default.
 OPTIONS = {
-    "seed": (0, ("ingest", "synth", "report", *_CLUSTERING),
+    "seed": (0, ("synth", *_CLUSTERING),
              {"type": int, "help": "base RNG seed"}),
     "ratio": (0.8, _TRAINING, {"type": float, "help": "training fraction"}),
     "mode": ("central", ("train",), {"choices": ["central", "federated"]}),
@@ -109,12 +111,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p, command: str) -> None:
-    """Declare ``command``'s config-backed flags, ``--config`` and ``--out``."""
-    for key, (_, commands, kwargs) in OPTIONS.items():
-        if command in commands:
-            p.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
-    p.add_argument("--config", type=Path, default=None,
-                   help="flat JSON config file; explicit flags override it")
+    """Declare ``command``'s config-backed flags, ``--config`` when it has
+    any, and ``--out``."""
+    keys = [key for key, (_, commands, _) in OPTIONS.items() if command in commands]
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), default=None, **OPTIONS[key][2])
+    if keys:
+        p.add_argument("--config", type=Path, default=None,
+                       help="flat JSON config file; explicit flags override it")
     p.add_argument("--out", type=Path, default=None,
                    help="output directory (default: fedl_out)")
 
@@ -246,13 +250,16 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 
 def _cluster_config(cfg: dict) -> ClusterConfig:
-    return ClusterConfig(
-        k=cfg["clusters"],
-        theta_low=cfg["theta_low"],
-        theta_high=cfg["theta_high"],
-        max_iterations=cfg["max_iterations"],
-        seed=cfg["seed"],
-    )
+    try:
+        return ClusterConfig(
+            k=cfg["clusters"],
+            theta_low=cfg["theta_low"],
+            theta_high=cfg["theta_high"],
+            max_iterations=cfg["max_iterations"],
+            seed=cfg["seed"],
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _check_ratio(ratio: float) -> float:
@@ -483,11 +490,12 @@ def cmd_ingest(args) -> int:
 
 def cmd_cluster(args) -> int:
     cfg = _resolve(args, "cluster")
+    cluster_config = _cluster_config(cfg)
     out = _out_dir(args)
     stations = _read_stations(args.stations)
     if not stations:
         raise DegenerateDataError("stations file holds no stations")
-    assignment = constrained_kmeans(stations, _cluster_config(cfg))
+    assignment = constrained_kmeans(stations, cluster_config)
     _write_assignment(out, stations, assignment.labels)
     _write_json(
         out / "cluster_summary.json",
@@ -700,6 +708,7 @@ def _sweep(args, cfg, records, out: Path) -> int:
     config = _train_config(cfg)
     include_txn = cfg["include_transaction_id"]
     stations = _read_stations(args.stations) if args.stations is not None else None
+    cluster_config = _cluster_config(cfg) if stations is not None else None
     methods = ["central", "federated"]
     if stations is not None:
         methods += ["central_clustered", "federated_clustered"]
@@ -713,7 +722,7 @@ def _sweep(args, cfg, records, out: Path) -> int:
             table[mode.value][ratio] = pooled_rmse([score(model, schema, test)])
             if stations is not None:
                 result = run_clustered(
-                    train, test, stations, _cluster_config(cfg), mode, config,
+                    train, test, stations, cluster_config, mode, config,
                     include_transaction_id=include_txn,
                 )
                 table[_pipeline_name(mode.value, True)][ratio] = result.pooled_rmse_kwh
@@ -746,16 +755,18 @@ def cmd_evaluate(args) -> int:
             f"--run-dir scores the run with the encoding its manifest records; "
             f"it takes no --{flag}"
         )
+    if args.sweep and args.ratio is not None:
+        raise UsageError(
+            f"--sweep trains at ratios {'/'.join(map(str, SWEEP_RATIOS))}; "
+            "it takes no --ratio"
+        )
+    if args.sweep and args.run_dir is not None:
+        raise UsageError("--sweep trains and scores its own models; it takes no --run-dir")
     out = _out_dir(args)
     records, _rejects = _read_transactions(args.transactions)
     if not records:
         raise DegenerateDataError("no valid records to evaluate on")
     if args.sweep:
-        if args.ratio is not None:
-            raise UsageError(
-                "--sweep trains at ratios "
-                f"{'/'.join(map(str, SWEEP_RATIOS))}; it takes no --ratio"
-            )
         return _sweep(args, cfg, records, out)
 
     # inherit split parameters from the run being scored unless overridden

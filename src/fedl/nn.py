@@ -40,6 +40,11 @@ from .rng import MASK_BLOCK_ROWS, keep_mask
 # rows per training-step task and per inference block (README "Threads")
 STEP_BLOCK_ROWS = 2048
 
+# Adam's fixed decay rates and denominator guard (the paper never varies them)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 class Activation(enum.Enum):
     TANH = "tanh"
@@ -164,7 +169,9 @@ class Gradient:
 
 @dataclass(frozen=True)
 class AdamState:
-    """Adam accumulators plus hyper-parameters; ``steps`` counts updates.
+    """Adam accumulators, the step size, and ``steps``, the updates applied
+    so far.  The decay rates and epsilon are the module's ``ADAM_*``
+    constants.
 
     Each moment holds one array per parameter array, in the order
     ``(*weights, *biases)``.
@@ -173,9 +180,6 @@ class AdamState:
     eta: tuple[np.ndarray, ...]  # first-moment running average
     delta: tuple[np.ndarray, ...]  # second-moment running average
     step_size: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     steps: int = 0
 
 
@@ -378,20 +382,11 @@ def backward(
     return Gradient(weights=tuple(grad_w), biases=tuple(grad_b))
 
 
-def init_adam(
-    network: Network,
-    step_size: float = 0.01,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def init_adam(network: Network, step_size: float = 0.01) -> AdamState:
     zeros = tuple(
         _frozen(np.zeros_like(p)) for p in (*network.weights, *network.biases)
     )
-    return AdamState(
-        eta=zeros, delta=zeros, step_size=step_size, beta1=beta1, beta2=beta2,
-        epsilon=epsilon,
-    )
+    return AdamState(eta=zeros, delta=zeros, step_size=step_size)
 
 
 def adam_step(
@@ -399,14 +394,15 @@ def adam_step(
 ) -> tuple[AdamState, Network]:
     """One Adam update.  Pure: returns a new (state, network) pair.
 
-    Running averages use fixed decay rates; the bias correction is folded
-    into the per-step effective step size
-    ``step_size * sqrt(1 - beta2^t) / (1 - beta1^t)``.
+    Running averages decay at :data:`ADAM_BETA1` and :data:`ADAM_BETA2`;
+    the bias correction is folded into the per-step effective step size
+    ``step_size * sqrt(1 - beta2^t) / (1 - beta1^t)``, and
+    :data:`ADAM_EPSILON` guards the denominator.
     """
     if not gradient.matches(network):
         raise ShapeError("gradient shapes do not match network shapes")
     t = state.steps + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     lr_t = state.step_size * math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
 
     eta, delta, params = [], [], []
@@ -418,7 +414,7 @@ def adam_step(
         delta1 = b2 * v + (1.0 - b2) * grad * grad
         eta.append(_frozen(eta1))
         delta.append(_frozen(delta1))
-        params.append(_frozen(param - lr_t * eta1 / (np.sqrt(delta1) + state.epsilon)))
+        params.append(_frozen(param - lr_t * eta1 / (np.sqrt(delta1) + ADAM_EPSILON)))
 
     n = len(network.specs)
     new_network = Network(

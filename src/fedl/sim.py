@@ -141,17 +141,8 @@ class TrafficLog:
     def entries(self) -> tuple[TrafficEntry, ...]:
         return tuple(self._entries)
 
-    def total_bytes(
-        self,
-        direction: Direction | None = None,
-        payload: Payload | None = None,
-    ) -> int:
-        return sum(
-            e.n_bytes
-            for e in self._entries
-            if (direction is None or e.direction is direction)
-            and (payload is None or e.payload is payload)
-        )
+    def total_bytes(self) -> int:
+        return sum(e.n_bytes for e in self._entries)
 
     def to_rows(self) -> list[tuple[int, str, str, int]]:
         return [
@@ -182,9 +173,6 @@ class TrainConfig:
     tolerance: float = 1e-6  # relative loss change considered "no movement"
     patience: int = 5  # consecutive quiet epochs required to stop
     step_size: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     hidden_layers: tuple[int, ...] = (64, 64)
     dropout: float = 0.15
     workers: int = 4
@@ -208,11 +196,6 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
         if not (0 < self.step_size < math.inf):
             raise ValueError("step_size must be positive and finite")
-        for name in ("beta1", "beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not (0 < self.epsilon < math.inf):
-            raise ValueError("epsilon must be positive and finite")
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden layer widths must be >= 1")
 
@@ -295,9 +278,12 @@ class RoundReport:
 
 @dataclass
 class ServerState:
+    """The global model, its optimiser and the run's traffic.  The model's
+    version is ``adam.steps``: each round or central step advances it by
+    one Adam update."""
+
     network: Network
     adam: AdamState
-    version: int = 0
     traffic: TrafficLog = field(default_factory=TrafficLog)
 
 
@@ -521,11 +507,12 @@ def run_round(
     worker's gradient for the current version is in hand, so staleness is
     0 by construction (and asserted in the report).
     """
+    version = server.adam.steps
     for w in workers:
-        if w.model_version != server.version:
+        if w.model_version != version:
             raise StalenessError(
                 f"worker {w.worker_id} holds model version {w.model_version}, "
-                f"server is at {server.version}"
+                f"server is at {version}"
             )
         _check_width(w, server.network)
     order = sorted(workers, key=lambda w: w.worker_id)
@@ -535,30 +522,28 @@ def run_round(
     results = _site_gradients(
         server.network, [(w.X, w.y, w.sample_ids) for w in order], seed, pool
     )
-    _check_gradients(results, server.version, [w.worker_id for w in order])
+    _check_gradients(results, version, [w.worker_id for w in order])
     grads = [g for g, _ in results]
     losses = tuple(loss for _, loss in results)
-    staleness = max(server.version - w.model_version for w in workers)
+    staleness = max(version - w.model_version for w in workers)
 
     aggregated = aggregate_gradients(grads)
     server.adam, server.network = adam_step(server.adam, server.network, aggregated)
-    epoch = server.version
-    server.version += 1
     for w in workers:
         w.model = server.network
-        w.model_version = server.version
+        w.model_version = server.adam.steps
 
     per_message = message_bytes(server.network.parameter_count)
     for _ in order:
         server.traffic.append(
-            TrafficEntry(epoch, Direction.UP, Payload.GRADIENT, per_message)
+            TrafficEntry(version, Direction.UP, Payload.GRADIENT, per_message)
         )
     for _ in order:
         server.traffic.append(
-            TrafficEntry(epoch, Direction.DOWN, Payload.MODEL, per_message)
+            TrafficEntry(version, Direction.DOWN, Payload.MODEL, per_message)
         )
     return RoundReport(
-        epoch=epoch,
+        epoch=version,
         global_loss=float(sum(losses)),
         worker_losses=losses,
         staleness=staleness,
@@ -605,13 +590,7 @@ def _train(
     only report of a diverging run.
     """
     network = init_network(network_specs(input_width, config), config.seed)
-    adam = init_adam(
-        network,
-        step_size=config.step_size,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
+    adam = init_adam(network, step_size=config.step_size)
     reports: list[RoundReport] = []
     histories: defaultdict[int, list[float]] = defaultdict(list)
     with StepPool(sum(len(_row_blocks(rows)) for rows in site_rows)) as pool:
@@ -659,13 +638,13 @@ def run_centralized(
     sites = [(X, y, np.arange(X.shape[0], dtype=np.int64))]
 
     def step(server: ServerState, seed: int, pool: StepPool) -> RoundReport:
+        epoch = server.adam.steps
         results = _site_gradients(server.network, sites, seed, pool)
-        _check_gradients(results, server.version, [None])
+        _check_gradients(results, epoch, [None])
         ((grad, loss),) = results
         server.adam, server.network = adam_step(server.adam, server.network, grad)
-        server.version += 1
         return RoundReport(
-            epoch=server.version - 1,
+            epoch=epoch,
             global_loss=loss,
             worker_losses=(),
             staleness=0,
@@ -809,10 +788,11 @@ def run_clustered(
     Transactions follow their station's cluster.  A cluster without
     training transactions, or whose training labels admit no schema
     (single-valued, say), is skipped with a warning; its test records are
-    counted as uncovered and excluded from the pooled RMSE.  A federated
-    cluster trains on J_k = min(J, shards its partition can fill) workers:
-    its distinct training stations under by_station, its training records
-    under round_robin.
+    counted as uncovered and excluded from the pooled RMSE.  When every
+    cluster is skipped, DegenerateDataError names each one's reason.  A
+    federated cluster trains on J_k = min(J, shards its partition can fill)
+    workers: its distinct training stations under by_station, its training
+    records under round_robin.
     """
     train_records = Transactions.of(train_records)
     test_records = Transactions.of(test_records)
@@ -832,6 +812,7 @@ def run_clustered(
 
     results: list[ClusterRunResult] = []
     scored = []
+    skips = []
     for cluster_id, (train_k, test_k) in enumerate(routed):
         schema, reason = None, "has no training transactions"
         if train_k:
@@ -844,11 +825,7 @@ def run_clustered(
                 reason = f"cannot be trained ({e})"
         model, reports, traffic, sites, cluster_rmse = None, (), None, 0, None
         if schema is None:
-            warnings.warn(
-                f"cluster {cluster_id} {reason}; skipping its model",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            skips.append(f"cluster {cluster_id} {reason}")
         else:
             X_train, y_train = encode_features(train_k, schema)
             if inner_mode is TrainMode.FEDERATED:
@@ -885,6 +862,10 @@ def run_clustered(
                 workers=sites,
             )
         )
+    if len(skips) == k:
+        raise DegenerateDataError(f"no cluster can be trained: {'; '.join(skips)}")
+    for skip in skips:
+        warnings.warn(f"{skip}; skipping its model", RuntimeWarning, stacklevel=2)
     return ClusteredResult(
         assignment=assignment,
         clusters=tuple(results),

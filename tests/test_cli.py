@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,12 @@ from hypothesis import strategies as st
 
 import fedl
 from fedl.nn import Gradient
-from fedl.cli import DEFAULTS, _read_traffic, _resolve, _write_traffic, build_parser, main
+from fedl.cli import (
+    DEFAULTS, OPTIONS, _read_traffic, _resolve, _write_traffic, build_parser, main,
+)
 from fedl.data import parse_stations, parse_transactions, synth_generate
 from fedl.model_io import load_network
-from fedl.sim import Direction, Payload, TrafficEntry, TrafficLog
+from fedl.sim import Direction, Payload, TrafficEntry, TrafficLog, TrainConfig
 
 
 def invoke(*argv):
@@ -223,6 +226,23 @@ def test_cluster_infeasible_windows_exit_3(tmp_path, corpus_dir):
     assert "numerical error" in err
 
 
+def test_zero_clusters_is_a_usage_error(tmp_path, corpus_dir):
+    # rejected like --max-iterations 0, before any file is written
+    data = ("--transactions", corpus_dir / "transactions.csv")
+    stations = ("--stations", corpus_dir / "stations.csv")
+    for name, argv in {
+        "cluster": ("cluster", *stations),
+        "train": ("train", *data, *stations, "--clustering", "--epochs", 2),
+        "sweep": ("evaluate", *data, *stations, "--sweep", "--epochs", 2),
+    }.items():
+        out = tmp_path / name
+        for bad in (("--clusters", 0), ("--max-iterations", 0)):
+            code, _, err = invoke(*argv, *bad, "--out", out)
+            assert code == 1, (name, bad, err)
+            assert err.startswith("fedl: error: "), err
+            assert not out.exists() or not any(out.iterdir()), name
+
+
 # --------------------------------------------------------------- train
 
 
@@ -405,6 +425,28 @@ def test_sweep_skips_a_cluster_with_single_valued_labels(tmp_path):
     # the smaller training splits leave S6 no training records at all
     reasons = [SKIPPED.fullmatch(line)[1] for line in err.splitlines()]
     assert reasons == [SINGLE_VALUED, "has no training transactions"], err
+
+
+def test_clustered_run_that_trains_no_cluster_exits_2(tmp_path):
+    stations = tmp_path / "stations.csv"
+    stations.write_text("station_id,latitude,longitude\nA,56.0,-3.0\nB,57.0,-2.0\n")
+    transactions = tmp_path / "transactions.csv"
+    transactions.write_text("station_id,transaction_id,date,time,energy_kwh\n" + "".join(
+        f"{'AB'[i % 2]},{i},2023-01-02,10:00,5.0\n" for i in range(1, 9)
+    ))
+    data = ("--transactions", transactions, "--hidden", "4", "--epochs", 2)
+    code, _, err = invoke("train", *data, "--out", tmp_path / "plain")
+    assert code == 2, err
+    out = tmp_path / "clustered"
+    code, stdout, err = invoke(
+        "train", *data, "--stations", stations, "--clustering", "--clusters", 2,
+        "--out", out,
+    )
+    assert code == 2, err
+    assert stdout == ""
+    assert err.count("cannot be trained (labels are single-valued") == 2, err
+    assert err.startswith("fedl: data error: no cluster can be trained: cluster 0 "), err
+    assert not any(out.iterdir())
 
 
 def test_train_bad_ratio_exits_1(tmp_path, corpus_dir):
@@ -970,8 +1012,15 @@ def test_each_command_resolves_exactly_its_flags():
     for command, argv in required.items():
         args = parser.parse_args([command, *argv])
         flags = set(vars(args)) & set(DEFAULTS)
+        # a command with no config-backed flag takes no --config either
+        assert ("config" in vars(args)) == bool(flags), command
+        if not flags:
+            continue
         assert flags == set(_resolve(args, command)), command
-        assert "seed" in flags
+        # only the commands that draw random numbers take a seed
+        assert ("seed" in flags) == (
+            command in ("synth", "cluster", "train", "evaluate")
+        ), command
         # evaluate's sweep trains both modes and a run dir carries its own
         assert ("mode" in flags) == (command == "train"), command
 
@@ -996,6 +1045,17 @@ def test_evaluate_rejects_mode_and_sweep_ratio(tmp_path, corpus_dir):
     assert "ratio" not in manifest["config"]
 
 
+def test_evaluate_sweep_rejects_a_run_dir(tmp_path, corpus_dir):
+    out = tmp_path / "s"
+    code, _, err = invoke(
+        "evaluate", "--transactions", corpus_dir / "transactions.csv", "--sweep",
+        "--run-dir", tmp_path / "nonexistent", "--out", out,
+    )
+    assert code == 1
+    assert "takes no --run-dir" in err
+    assert not out.exists()
+
+
 # The checkout's `src` directory, which holds the imported `fedl` package.
 SRC = Path(fedl.__file__).resolve().parents[1]
 
@@ -1014,6 +1074,26 @@ def _run_launcher(module, attr, *argv, env=()):
         [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, timeout=60, env=env, cwd=SRC.parent,
     )
+
+
+def test_readme_configuration_table_lists_each_commands_keys():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Command | Keys |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented: dict[str, set] = {}
+    for row in table.splitlines():
+        commands, keys = row.strip("|").split("|")
+        for command in re.findall(r"`(\w+)`", commands):
+            documented.setdefault(command, set()).update(re.findall(r"\w+", keys))
+    declared: dict[str, set] = {}
+    for key, (_, commands, _) in OPTIONS.items():
+        for command in commands:
+            declared.setdefault(command, set()).add(key)
+    assert documented == declared
+
+
+def test_every_training_knob_is_a_cli_option():
+    # hidden_layers is the `hidden` option, parsed from its comma list
+    assert {f.name for f in fields(TrainConfig)} - {"hidden_layers"} <= set(OPTIONS)
 
 
 def test_console_script_is_installed():

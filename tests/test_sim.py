@@ -82,9 +82,12 @@ def test_traffic_log_filters_and_roundtrips():
     log.append(TrafficEntry(0, Direction.DOWN, Payload.MODEL, 20))
     log.append(TrafficEntry(1, Direction.UP, Payload.DATASET, 300))
     assert log.total_bytes() == 330
-    assert log.total_bytes(direction=Direction.UP) == 310
-    assert log.total_bytes(payload=Payload.MODEL) == 20
-    assert log.total_bytes(Direction.UP, Payload.GRADIENT) == 10
+    assert sum(e.n_bytes for e in log.entries if e.direction is Direction.UP) == 310
+    assert [e.n_bytes for e in log.entries if e.payload is Payload.MODEL] == [20]
+    assert [
+        e.n_bytes for e in log.entries
+        if (e.direction, e.payload) == (Direction.UP, Payload.GRADIENT)
+    ] == [10]
     clone = TrafficLog.from_rows(log.to_rows())
     assert clone.entries == log.entries
 
@@ -109,23 +112,6 @@ def test_train_config_validation():
     for step_size in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             TrainConfig(step_size=step_size)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
-    ("beta2", 1.5), ("beta2", 1.0), ("beta2", float("nan")),
-    ("epsilon", float("nan")), ("epsilon", 0.0), ("epsilon", -1e-8),
-    ("epsilon", float("inf")),
-])
-def test_train_config_rejects_bad_adam_settings(field, value):
-    # beta1=1 divides by zero at the first Adam step, beta2=1.5 takes the
-    # square root of a negative number, and epsilon=nan trains a NaN model
-    with pytest.raises(ValueError, match=field):
-        TrainConfig(**{field: value})
-
-
-def test_train_config_accepts_adam_settings_at_their_bounds():
-    TrainConfig(beta1=0.0, beta2=0.0, epsilon=5e-324)
 
 
 def test_network_specs_layout():
@@ -335,14 +321,14 @@ def test_run_round_is_synchronous_and_accounts_traffic():
     per = message_bytes(server.network.parameter_count)
     assert report.bytes_up == 3 * per
     assert report.bytes_down == 3 * per
-    assert server.version == 1
+    assert server.adam.steps == 1
     for w in workers:
         assert w.model_version == 1
         assert w.model is server.network
-    ups = server.traffic.total_bytes(Direction.UP, Payload.GRADIENT)
-    downs = server.traffic.total_bytes(Direction.DOWN, Payload.MODEL)
-    assert ups == 3 * per and downs == 3 * per
-    assert server.traffic.total_bytes(payload=Payload.DATASET) == 0
+    # J gradients up, then J models down, all stamped with the round's epoch
+    assert server.traffic.to_rows() == (
+        [(0, "up", "gradient", per)] * 3 + [(0, "down", "model", per)] * 3
+    )
 
 
 def test_run_round_reports_sum_of_worker_losses():
@@ -496,7 +482,7 @@ def test_federated_traffic_never_contains_records():
     cfg = TrainConfig(epochs=4, tolerance=0.0, hidden_layers=(4,), workers=3, seed=0)
     parts = partition_workers(records, 3, PartitionStrategy.ROUND_ROBIN)
     net, reports, traffic = run_federated(X, y, parts, cfg)
-    assert traffic.total_bytes(payload=Payload.DATASET) == 0
+    assert all(e.payload is not Payload.DATASET for e in traffic.entries)
     per = message_bytes(net.parameter_count)
     assert traffic.total_bytes() == 4 * 3 * per * 2
     # byte volume is set by the model and the round count, not by |data|
@@ -771,7 +757,7 @@ def test_clustered_federated_inner_mode(small_corpus):
     )
     assert all(not c.skipped for c in result.clusters)
     combined = result.combined_traffic()
-    assert combined.total_bytes(payload=Payload.DATASET) == 0
+    assert all(e.payload is not Payload.DATASET for e in combined.entries)
     assert combined.total_bytes() == sum(
         c.traffic.total_bytes() for c in result.clusters
     )
