@@ -9,9 +9,11 @@ fixed file with a row for every reason a row is rejected, so the rejects
 report and the rejecting parse path are digested too.  A second,
 12,000-record corpus trains central and federated sites of several row
 blocks each, the last one partial, so block boundaries are digested
-as well; one of its federated runs has hidden widths 32,64,16 and no
-dropout, so backward keeps every partial it forms in its scratch
-arrays instead of over the tape's dead buffers.  Its central run is
+as well.  Its one-worker federated run reads the same five blocks as
+its central run, and must write the same ``model.fedl``.  One of its
+federated runs has hidden widths 32,64,16 and no dropout, so backward
+keeps every partial it forms in its scratch arrays instead of over the
+tape's dead buffers.  Its central run is
 also evaluated on its 2,400 test rows, one full inference block and
 one partial, so blocked prediction is digested too.  Two checkouts that
 write the same bytes print the same lines, so comparing a change with
@@ -88,6 +90,10 @@ PIPELINE = [
     ("train_central_blocks", ("train", "--transactions", T_BLOCKS, "--epochs", "3")),
     ("train_federated_blocks",
      ("train", "--transactions", T_BLOCKS, "--mode", "federated", "--workers", "2",
+      "--epochs", "3")),
+    # one worker holds every row, so its model.fedl is train_central_blocks'
+    ("train_federated_one_worker_blocks",
+     ("train", "--transactions", T_BLOCKS, "--mode", "federated", "--workers", "1",
       "--epochs", "3")),
     ("train_federated_widths",
      ("train", "--transactions", T_BLOCKS, "--mode", "federated", "--workers", "2",

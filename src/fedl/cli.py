@@ -548,6 +548,7 @@ def cmd_train(args) -> int:
     cfg = _resolve(args, "train")
     ratio = _check_ratio(cfg["ratio"])
     config = _train_config(cfg)
+    cluster_config = _cluster_config(cfg)  # checked even when it goes unused
     out = _out_dir(args)
     records, rejects = _read_transactions(args.transactions)
     if not records:
@@ -570,7 +571,7 @@ def cmd_train(args) -> int:
             raise UsageError("--clustering requires --stations <csv>")
         stations = _read_stations(args.stations)
         result = run_clustered(
-            train, test, stations, _cluster_config(cfg), config.mode, config,
+            train, test, stations, cluster_config, config.mode, config,
             include_transaction_id=include_txn,
         )
         _write_assignment(out, stations, result.assignment.labels)
@@ -704,11 +705,10 @@ def _baseline_rmse(train, test, include_txn: bool, knn_k: int):
     return _rmse(actual, mean_pred), _rmse(actual, knn_pred)
 
 
-def _sweep(args, cfg, records, out: Path) -> int:
+def _sweep(args, cfg, cluster_config: ClusterConfig, records, out: Path) -> int:
     config = _train_config(cfg)
     include_txn = cfg["include_transaction_id"]
     stations = _read_stations(args.stations) if args.stations is not None else None
-    cluster_config = _cluster_config(cfg) if stations is not None else None
     methods = ["central", "federated"]
     if stations is not None:
         methods += ["central_clustered", "federated_clustered"]
@@ -748,6 +748,7 @@ def _sweep(args, cfg, records, out: Path) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve(args, "evaluate")
+    cluster_config = _cluster_config(cfg)  # checked even when it goes unused
     if args.run_dir is not None and args.include_transaction_id is not None:
         flag = "include-transaction-id" if args.include_transaction_id else (
             "no-include-transaction-id")
@@ -767,7 +768,7 @@ def cmd_evaluate(args) -> int:
     if not records:
         raise DegenerateDataError("no valid records to evaluate on")
     if args.sweep:
-        return _sweep(args, cfg, records, out)
+        return _sweep(args, cfg, cluster_config, records, out)
 
     # inherit split parameters from the run being scored unless overridden
     run_manifest: dict = {}

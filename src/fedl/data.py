@@ -141,8 +141,10 @@ class Transactions:
         return Transactions(self.vocabulary, *(column[rows] for column in self._columns()))
 
     def station_ids(self) -> tuple[str, ...]:
-        """The sorted distinct station ids of the records."""
-        return tuple(self.vocabulary[i] for i in np.unique(self.station).tolist())
+        """The sorted distinct station ids of the records (by a bincount:
+        np.unique's first call imports numpy.ma, a start-up cost)."""
+        present = np.flatnonzero(np.bincount(self.station, minlength=len(self.vocabulary)))
+        return tuple(self.vocabulary[i] for i in present.tolist())
 
 
 @dataclass(frozen=True)
@@ -563,7 +565,9 @@ def partition_workers(
             f"{workers} workers cannot share {len(records)} records"
         )
     if strategy is PartitionStrategy.BY_STATION:
-        present = np.unique(records.station)
+        present = np.flatnonzero(
+            np.bincount(records.station, minlength=len(records.vocabulary))
+        )
         owner = np.zeros(len(records.vocabulary), dtype=np.int64)
         owner[present] = np.arange(len(present)) % workers
         worker_of = owner[records.station]

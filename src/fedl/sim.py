@@ -224,8 +224,7 @@ def network_specs(input_width: int, config: TrainConfig) -> tuple[LayerSpec, ...
 
 @dataclass
 class WorkerState:
-    """A simulated training site: the ids of its rows in the pooled data,
-    plus the model replica it currently holds.
+    """A simulated training site: the ids of its rows in the pooled data.
 
     ``X`` and ``y`` are the pooled arrays every site shares, not copies of
     this site's rows; ``sample_ids`` are the global ids of the site's rows.
@@ -237,7 +236,6 @@ class WorkerState:
     X: np.ndarray
     y: np.ndarray
     sample_ids: np.ndarray  # global row ids into X and y, in training order
-    model: Network
     model_version: int = 0
 
     def __post_init__(self) -> None:
@@ -285,11 +283,6 @@ class ServerState:
     network: Network
     adam: AdamState
     traffic: TrafficLog = field(default_factory=TrafficLog)
-
-
-# a site: (pooled features, pooled labels, global ids of the site's rows,
-# which select its rows and drive its dropout masks)
-Site = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def step_threads() -> int:
@@ -389,34 +382,49 @@ def _summed(grads: Sequence[Gradient]) -> tuple[list[np.ndarray], list[np.ndarra
 
 
 def _site_gradients(
-    network: Network, sites: Sequence[Site], seed: int, pool: StepPool | None = None
+    network: Network, X: np.ndarray, y: np.ndarray, sites: Sequence[np.ndarray],
+    seed: int, pool: StepPool | None = None,
 ) -> list[tuple[Gradient, float]]:
-    """Each site's exact gradient and SSE loss at ``network``.
+    """Each site's exact gradient and SSE loss at ``network``.  A site is
+    the global ids of its rows in the pooled ``X`` and ``y``.
 
     Every (site, row block) is one task on ``pool`` (a pool for this call
-    only when None).  A task gathers its block's rows from the pooled
-    arrays into the thread's workspace.  A site's gradient and loss are its
-    blocks' results summed in block order, so they do not depend on the
-    pool's size.  The ids must lie in range (WorkerState checks them): the
-    gather clips, because a checked gather buffers its output.
+    only when None).  A site whose ids are one ascending range, such as the
+    central site, reads its blocks as slices of ``X`` and ``y`` (when ``X``
+    is C-contiguous, so a slice is laid out as a gathered block is); any
+    other site gathers its block's rows into the thread's workspace.  A
+    site's gradient and loss are its blocks' results summed in block order,
+    so they do not depend on the pool's size.  The ids must lie in range
+    (WorkerState checks them): the gather clips, because a checked gather
+    buffers its output.
     """
-    blocks = [_row_blocks(len(ids)) for _, _, ids in sites]
+    blocks = [_row_blocks(len(ids)) for ids in sites]
+    # each site's first id when it reads slices, else None (the span test is O(1))
+    firsts = [
+        int(ids[0]) if X.flags.c_contiguous and ids[-1] - ids[0] == len(ids) - 1
+        and (np.diff(ids) == 1).all() else None
+        for ids in sites
+    ]
     tasks = [
-        (site, slice(start, start + STEP_BLOCK_ROWS))
-        for site, starts in zip(sites, blocks)
+        (ids, first, start)
+        for ids, first, starts in zip(sites, firsts, blocks)
         for start in starts
     ]
 
     def block_step(task, workspace: Workspace) -> tuple[Gradient, float]:
-        (X, y, sample_ids), rows = task
-        ids = sample_ids[rows]
-        X_block = np.take(
-            X, ids, axis=0, mode="clip",
-            out=workspace.take(("rows",), (len(ids), X.shape[1]), X.dtype),
-        )
-        y_block = np.take(
-            y, ids, axis=0, mode="clip", out=workspace.take(("labels",), ids.shape, y.dtype)
-        )
+        sample_ids, first, start = task
+        ids = sample_ids[start : start + STEP_BLOCK_ROWS]
+        if first is not None:
+            rows = slice(first + start, first + start + len(ids))
+            X_block, y_block = X[rows], y[rows]
+        else:
+            X_block = np.take(
+                X, ids, axis=0, mode="clip",
+                out=workspace.take(("rows",), (len(ids), X.shape[1]), X.dtype),
+            )
+            y_block = np.take(
+                y, ids, mode="clip", out=workspace.take(("labels",), ids.shape, y.dtype)
+            )
         out, tape = forward(
             network, X_block, mode=Mode.TRAIN, seed=seed, sample_ids=ids,
             workspace=workspace,
@@ -436,14 +444,6 @@ def _site_gradients(
         sum_w, sum_b = _summed(grads)
         sums.append((Gradient(weights=tuple(sum_w), biases=tuple(sum_b)), loss))
     return sums
-
-
-def _check_width(worker: WorkerState, network: Network) -> None:
-    if worker.X.shape[1] != network.input_width:
-        raise ShapeError(
-            f"worker {worker.worker_id} data width {worker.X.shape[1]} does not "
-            f"match model input width {network.input_width}"
-        )
 
 
 def _check_gradients(
@@ -468,9 +468,12 @@ def local_epoch(
     """One full-batch pass on the worker's slice against the given global
     model, in row blocks summed in block order, as a round computes it.
     Returns (exact gradient, local loss); mutates nothing else."""
-    _check_width(worker, global_model)
-    sites = [(worker.X, worker.y, worker.sample_ids)]
-    return _site_gradients(global_model, sites, seed)[0]
+    if worker.X.shape[1] != global_model.input_width:
+        raise ShapeError(
+            f"worker {worker.worker_id} data width {worker.X.shape[1]} does not "
+            f"match model input width {global_model.input_width}"
+        )
+    return _site_gradients(global_model, worker.X, worker.y, [worker.sample_ids], seed)[0]
 
 
 def aggregate_gradients(grads: Sequence[Gradient]) -> Gradient:
@@ -505,7 +508,8 @@ def run_round(
 
     The barrier is structural — aggregation happens only after every
     worker's gradient for the current version is in hand, so staleness is
-    0 by construction (and asserted in the report).
+    0 by construction (and asserted in the report).  The workers must share
+    one pooled ``X`` and ``y``; :func:`forward` rejects a wrong width.
     """
     version = server.adam.steps
     for w in workers:
@@ -514,13 +518,14 @@ def run_round(
                 f"worker {w.worker_id} holds model version {w.model_version}, "
                 f"server is at {version}"
             )
-        _check_width(w, server.network)
     order = sorted(workers, key=lambda w: w.worker_id)
     if len({w.worker_id for w in order}) != len(order):
         raise ValueError("worker ids must be unique")
+    if not order or any(w.X is not order[0].X or w.y is not order[0].y for w in order):
+        raise ValueError("a round needs workers that share one pooled X and y")
 
     results = _site_gradients(
-        server.network, [(w.X, w.y, w.sample_ids) for w in order], seed, pool
+        server.network, order[0].X, order[0].y, [w.sample_ids for w in order], seed, pool
     )
     _check_gradients(results, version, [w.worker_id for w in order])
     grads = [g for g, _ in results]
@@ -530,7 +535,6 @@ def run_round(
     aggregated = aggregate_gradients(grads)
     server.adam, server.network = adam_step(server.adam, server.network, aggregated)
     for w in workers:
-        w.model = server.network
         w.model_version = server.adam.steps
 
     per_message = message_bytes(server.network.parameter_count)
@@ -635,11 +639,11 @@ def run_centralized(
         raise DegenerateDataError("centralized training needs a nonempty 2-d X")
     if y.shape != (X.shape[0],):
         raise ShapeError(f"labels shape {y.shape} does not match {X.shape[0]} rows")
-    sites = [(X, y, np.arange(X.shape[0], dtype=np.int64))]
+    sites = [np.arange(X.shape[0], dtype=np.int64)]
 
     def step(server: ServerState, seed: int, pool: StepPool) -> RoundReport:
         epoch = server.adam.steps
-        results = _site_gradients(server.network, sites, seed, pool)
+        results = _site_gradients(server.network, X, y, sites, seed, pool)
         _check_gradients(results, epoch, [None])
         ((grad, loss),) = results
         server.adam, server.network = adam_step(server.adam, server.network, grad)
@@ -666,18 +670,11 @@ def make_workers(
     model: Network,
 ) -> list[WorkerState]:
     """One worker per partition, holding its record indices as row ids into
-    the pooled ``X`` and ``y`` (no rows are copied)."""
-    return [
-        WorkerState(
-            worker_id=p.worker_id,
-            X=X,
-            y=y,
-            sample_ids=p.record_indices,
-            model=model,
-            model_version=0,
-        )
-        for p in partitions
-    ]
+    the pooled ``X`` and ``y`` (no rows are copied); ``X`` must have
+    ``model``'s input width."""
+    if X.shape[1] != model.input_width:
+        raise ShapeError(f"data width {X.shape[1]} != model input width {model.input_width}")
+    return [WorkerState(p.worker_id, X, y, p.record_indices) for p in partitions]
 
 
 def run_federated(
@@ -696,15 +693,12 @@ def run_federated(
     y = np.asarray(y, dtype=np.float64)
     if not partitions:
         raise DegenerateDataError("need at least one worker partition")
-    workers: list[WorkerState] = []
+    workers = [WorkerState(p.worker_id, X, y, p.record_indices) for p in partitions]
 
     def step(server: ServerState, seed: int, pool: StepPool) -> RoundReport:
-        if not workers:  # the sites start from the network _train initialised
-            workers.extend(make_workers(X, y, partitions, server.network))
         return run_round(server, workers, seed, pool)
 
-    site_rows = [len(p.record_indices) for p in partitions]
-    return _train(X.shape[1], config, on_epoch, step, site_rows)
+    return _train(X.shape[1], config, on_epoch, step, [len(w.sample_ids) for w in workers])
 
 
 @dataclass(frozen=True)

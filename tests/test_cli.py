@@ -227,13 +227,17 @@ def test_cluster_infeasible_windows_exit_3(tmp_path, corpus_dir):
 
 
 def test_zero_clusters_is_a_usage_error(tmp_path, corpus_dir):
-    # rejected like --max-iterations 0, before any file is written
+    # rejected like --max-iterations 0, before any file is written, also by
+    # a command that would not cluster
     data = ("--transactions", corpus_dir / "transactions.csv")
     stations = ("--stations", corpus_dir / "stations.csv")
     for name, argv in {
         "cluster": ("cluster", *stations),
         "train": ("train", *data, *stations, "--clustering", "--epochs", 2),
         "sweep": ("evaluate", *data, *stations, "--sweep", "--epochs", 2),
+        "train_unclustered": ("train", *data, "--epochs", 2),
+        "sweep_unclustered": ("evaluate", *data, "--sweep", "--epochs", 2),
+        "evaluate": ("evaluate", *data),
     }.items():
         out = tmp_path / name
         for bad in (("--clusters", 0), ("--max-iterations", 0)):
@@ -1074,6 +1078,24 @@ def _run_launcher(module, attr, *argv, env=()):
         [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, timeout=60, env=env, cwd=SRC.parent,
     )
+
+
+def test_ingest_leaves_numpy_ma_unimported(tmp_path, corpus_dir):
+    # np.unique's first call imports numpy.ma, which every command would pay
+    # for at start-up
+    code = (
+        "import sys; from fedl.cli import main; code = main(); "
+        "print('numpy.ma' in sys.modules); sys.exit(code)"
+    )
+    pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "ingest", "--transactions",
+         str(corpus_dir / "transactions.csv"), "--out", str(tmp_path / "ingest")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_readme_configuration_table_lists_each_commands_keys():

@@ -162,25 +162,23 @@ def test_convergence_relative_not_absolute():
 
 
 def test_worker_state_rejects_empty_or_ragged():
-    net = init_network(network_specs(3, TrainConfig(hidden_layers=(4,))), 0)
     with pytest.raises(DegenerateDataError):
-        WorkerState(0, np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int), net)
+        WorkerState(0, np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int))
     with pytest.raises(ShapeError):
-        WorkerState(0, np.ones((2, 3)), np.ones(3), np.arange(2), net)
+        WorkerState(0, np.ones((2, 3)), np.ones(3), np.arange(2))
 
 
 def test_worker_state_rejects_ids_outside_the_pooled_rows():
-    net = init_network(network_specs(3, TrainConfig(hidden_layers=(4,))), 0)
     X, y = np.ones((5, 3)), np.ones(5)
-    WorkerState(0, X, y, np.array([0, 4]), net)  # the first and the last row
+    WorkerState(0, X, y, np.array([0, 4]))  # the first and the last row
     for ids in (np.array([2, -1]), np.array([0, 5])):
         with pytest.raises(ShapeError, match=r"\[0, 5\)"):
-            WorkerState(0, X, y, ids, net)
+            WorkerState(0, X, y, ids)
     for ids in (np.array([0.0, 1.0]), np.array([True, False]), np.array([[0, 1]])):
         with pytest.raises(ShapeError, match="1-d integer"):
-            WorkerState(0, X, y, ids, net)
+            WorkerState(0, X, y, ids)
     with pytest.raises(DegenerateDataError):
-        WorkerState(0, X, y, np.zeros(0, dtype=np.int64), net)
+        WorkerState(0, X, y, np.zeros(0, dtype=np.int64))
 
 
 def test_make_workers_slices_by_partition():
@@ -197,6 +195,14 @@ def test_make_workers_slices_by_partition():
     assert np.array_equal(workers[0].sample_ids, np.arange(0, 10, 2))
 
 
+def test_make_workers_rejects_a_model_of_another_width():
+    X, y = toy_problem(10, 4)
+    parts = partition_workers(synth_generate(3, 10, seed=1)[0], 2, PartitionStrategy.ROUND_ROBIN)
+    net = init_network(network_specs(5, TrainConfig(hidden_layers=(4,))), 0)
+    with pytest.raises(ShapeError, match="width 4"):
+        make_workers(X, y, parts, net)
+
+
 def test_make_workers_holds_the_partition_indices_uncopied():
     X, y = toy_problem(10, 4)
     parts = partition_workers(synth_generate(3, 10, seed=1)[0], 2, PartitionStrategy.ROUND_ROBIN)
@@ -207,25 +213,46 @@ def test_make_workers_holds_the_partition_indices_uncopied():
 
 def test_step_scratch_holds_no_dead_partials():
     # One 2048-row block of 90 features through hidden 64-64 (dropout on the
-    # second) leaves in its thread's workspace: the gathered rows 1.41 MiB,
-    # the two activations and the dropout output 1 MiB each, the mask hash
-    # scratch 0.5 MiB, the mask 0.13 MiB and some n x 1 arrays.  Backward's
-    # n x 64 partials reuse dead tape buffers, so they add nothing.
+    # second) leaves in its thread's workspace: the two activations and the
+    # dropout output 1 MiB each, the mask hash scratch 0.5 MiB, the mask
+    # 0.13 MiB and some n x 1 arrays.  Backward's n x 64 partials reuse dead
+    # tape buffers, so they add nothing.  A site of the identity range reads
+    # its rows as a slice of X; any other site gathers them, 1.41 MiB more.
     rng = np.random.default_rng(3)
     X = rng.normal(size=(STEP_BLOCK_ROWS, 90))
     y = rng.normal(size=STEP_BLOCK_ROWS)
     net = init_network(network_specs(90, TrainConfig(hidden_layers=(64, 64))), 0)
-    with StepPool(1) as pool:
-        _site_gradients(net, [(X, y, np.arange(STEP_BLOCK_ROWS))], 7, pool)
-        (workspace,) = pool._workspaces
-    assert sum(a.nbytes for a in workspace._arrays.values()) <= 5.2 * 2**20
+    for ids, limit in ((np.arange(STEP_BLOCK_ROWS), 3.7), (rng.permutation(STEP_BLOCK_ROWS), 5.2)):
+        with StepPool(1) as pool:
+            _site_gradients(net, X, y, [ids], 7, pool)
+            (workspace,) = pool._workspaces
+        assert sum(a.nbytes for a in workspace._arrays.values()) <= limit * 2**20
+
+
+@pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 4097])
+def test_slices_train_to_the_same_bits_as_gathered_rows(rows):
+    # X's rows at ids 2i of a pool whose odd rows are junk: one site reads
+    # X by slices, the other gathers the same rows in the same order (with
+    # no dropout, so the masks' keys, the ids, play no part)
+    X, y = toy_problem(rows, 7, seed=rows)
+    pooled_X, pooled_y = np.full((2 * rows, 7), 1e6), np.full(2 * rows, -1e6)
+    pooled_X[::2], pooled_y[::2] = X, y
+    net = init_network(network_specs(7, TrainConfig(hidden_layers=(16, 8), dropout=0.0)), 1)
+    ((g_slices, loss_slices),) = _site_gradients(net, X, y, [np.arange(rows)], 3)
+    ((g_gathered, loss_gathered),) = _site_gradients(
+        net, pooled_X, pooled_y, [2 * np.arange(rows)], 3
+    )
+    assert np.array_equal(loss_slices, loss_gathered)
+    for a, b in zip((*g_slices.weights, *g_slices.biases),
+                    (*g_gathered.weights, *g_gathered.biases)):
+        assert np.array_equal(a, b)
 
 
 def test_local_epoch_single_worker_matches_full_batch_bitwise():
     X, y = toy_problem(20, 5, seed=3)
     cfg = TrainConfig(hidden_layers=(8,), dropout=0.2, seed=4)
     net = init_network(network_specs(5, cfg), cfg.seed)
-    worker = WorkerState(0, X, y, np.arange(20), net)
+    worker = WorkerState(0, X, y, np.arange(20))
     g_local, loss_local = local_epoch(worker, net, seed=99)
     g_full, loss_full = full_batch_gradient(net, X, y, seed=99)
     assert loss_local == loss_full
@@ -238,9 +265,8 @@ def test_local_epoch_single_worker_matches_full_batch_bitwise():
 def test_local_epoch_rejects_width_mismatch():
     X, y = toy_problem(6, 3)
     cfg = TrainConfig(hidden_layers=(4,))
-    net3 = init_network(network_specs(3, cfg), 0)
     net5 = init_network(network_specs(5, cfg), 0)
-    worker = WorkerState(0, X, y, np.arange(6), net3)
+    worker = WorkerState(0, X, y, np.arange(6))
     with pytest.raises(ShapeError):
         local_epoch(worker, net5, seed=0)
 
@@ -252,8 +278,8 @@ def test_disjoint_worker_gradients_sum_to_full_batch():
     cfg = TrainConfig(hidden_layers=(8,), dropout=0.15, seed=1)
     net = init_network(network_specs(6, cfg), cfg.seed)
     idx_a, idx_b = np.arange(0, 30, 2), np.arange(1, 30, 2)
-    wa = WorkerState(0, X, y, idx_a, net)
-    wb = WorkerState(1, X, y, idx_b, net)
+    wa = WorkerState(0, X, y, idx_a)
+    wb = WorkerState(1, X, y, idx_b)
     ga, la = local_epoch(wa, net, seed=7)
     gb, lb = local_epoch(wb, net, seed=7)
     gf, lf = full_batch_gradient(net, X, y, seed=7)
@@ -310,7 +336,7 @@ def make_federation(n=20, width=4, workers=2, seed=0, **cfg_kw):
     adam = init_adam(net, step_size=cfg.step_size)
     server = ServerState(network=net, adam=adam)
     splits = np.array_split(np.arange(n), workers)
-    states = [WorkerState(i, X, y, s, net) for i, s in enumerate(splits)]
+    states = [WorkerState(i, X, y, s) for i, s in enumerate(splits)]
     return server, states, X, y, cfg
 
 
@@ -324,11 +350,27 @@ def test_run_round_is_synchronous_and_accounts_traffic():
     assert server.adam.steps == 1
     for w in workers:
         assert w.model_version == 1
-        assert w.model is server.network
     # J gradients up, then J models down, all stamped with the round's epoch
     assert server.traffic.to_rows() == (
         [(0, "up", "gradient", per)] * 3 + [(0, "down", "model", per)] * 3
     )
+
+
+def test_run_round_needs_workers_that_share_the_pooled_arrays():
+    server, workers, X, y, _ = make_federation(workers=2)
+    with pytest.raises(ValueError, match="needs workers"):
+        run_round(server, [], seed=0)
+    workers[1] = WorkerState(1, X.copy(), y, workers[1].sample_ids)
+    with pytest.raises(ValueError, match="share one pooled X and y"):
+        run_round(server, workers, seed=0)
+    assert server.adam.steps == 0 and not server.traffic.entries
+
+
+def test_run_round_leaves_a_width_mismatch_to_forward():
+    server, _, X, y, _ = make_federation(workers=2)
+    workers = [WorkerState(0, X[:, :3].copy(), y, np.arange(len(y)))]
+    with pytest.raises(ShapeError, match="input width 4"):
+        run_round(server, workers, seed=0)
 
 
 def test_run_round_reports_sum_of_worker_losses():
@@ -599,7 +641,7 @@ def test_round_runs_one_forward_per_row_block(monkeypatch):
     server = ServerState(network=net, adam=init_adam(net))
     ids = np.random.default_rng(0).permutation(len(y))
     bounds = np.cumsum(sizes)[:-1]
-    workers = [WorkerState(j, X, y, s, net) for j, s in enumerate(np.split(ids, bounds))]
+    workers = [WorkerState(j, X, y, s) for j, s in enumerate(np.split(ids, bounds))]
     calls = []
 
     def counting_forward(network, X_block, *args, **kwargs):

@@ -204,3 +204,11 @@ def test_transactions_round_trip_records():
         t.energy_kwh[0] = 1.0  # columns are read-only
     empty = Transactions.of([])
     assert len(empty) == 0 and list(empty) == [] and empty.station_ids() == ()
+
+
+@pytest.mark.parametrize("rows", [1, 5, 40])
+def test_station_ids_of_a_subset_are_its_sorted_distinct_ids(rows):
+    records, _, _ = synth_generate(9, 300, seed=4)
+    subset = records.take(np.random.default_rng(rows).permutation(len(records))[:rows])
+    assert subset.vocabulary == records.vocabulary
+    assert subset.station_ids() == tuple(sorted({r.station_id for r in subset}))
