@@ -264,6 +264,17 @@ def _as_points(stations) -> np.ndarray:
     return np.asarray(stations, dtype=np.float64)
 
 
+def _distinct_rows(points: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array in ascending lexicographic order,
+    as ``np.unique(points, axis=0)`` gives them (its first call imports
+    numpy.ma, a start-up cost).  Of rows that differ only in the sign of a
+    zero, the first in a stable sort is kept."""
+    ordered = points[np.lexsort(points.T[::-1])]
+    keep = np.ones(ordered.shape[0], dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=keep[1:])
+    return ordered[keep]
+
+
 def constrained_kmeans(
     stations,
     config: ClusterConfig,
@@ -278,14 +289,14 @@ def constrained_kmeans(
     with ``converged=False``.
     """
     points = _as_points(stations)
-    if points.ndim != 2 or points.shape[0] == 0:
+    if points.ndim != 2 or 0 in points.shape:
         raise DegenerateDataError("need a nonempty 2-d coordinate array")
     n = points.shape[0]
     if n < config.k:
         raise InfeasibilityError(f"{n} points cannot fill {config.k} clusters")
     config.windows(n)  # validate feasibility up front
 
-    distinct = np.unique(points, axis=0)
+    distinct = _distinct_rows(points)
     if distinct.shape[0] < config.k:
         raise DegenerateDataError(
             f"only {distinct.shape[0]} distinct coordinates for {config.k} clusters"

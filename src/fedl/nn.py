@@ -19,7 +19,9 @@ Design points:
   inference applies no mask and no scaling.  Masks are counter-based
   (:func:`fedl.rng.keep_mask`): the mask row of a sample depends only on the
   seed, the layer and the sample's global id, so any sub-batch sees the
-  same masks it would inside the full batch;
+  same masks it would inside the full batch.  The hash runs in the layer's
+  own activation and dropout-output buffers before the affine map fills
+  them, so a workspace holds no hash scratch;
 * training steps and inference both work in row blocks of at most
   :data:`STEP_BLOCK_ROWS` rows: :func:`predict` runs its input through
   one workspace block by block, so its scratch holds one block's
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ShapeError
-from .rng import MASK_BLOCK_ROWS, keep_mask
+from .rng import keep_mask
 
 # rows per training-step task and per inference block (README "Threads")
 STEP_BLOCK_ROWS = 2048
@@ -231,7 +233,12 @@ def _apply_layer(
 ) -> tuple[LayerTrace, np.ndarray]:
     """Run one layer: affine map, activation, then dropout if the layer
     carries one and ``mode`` is TRAIN.  Returns (trace, output), both
-    written into ``workspace``."""
+    written into ``workspace``.
+
+    A dropout layer hashes its keep-mask first, using its still-empty
+    ``activated`` and ``dropped`` buffers (viewed as uint64) as the hash's
+    scratch; the affine map and the dropout product then overwrite them,
+    so the layer needs no scratch of its own for the hash."""
     spec = network.specs[layer]
     if X.ndim != 2 or X.shape[1] != spec.input_width:
         raise ShapeError(
@@ -240,23 +247,23 @@ def _apply_layer(
         )
     shape = (X.shape[0], spec.output_width)
     act = workspace.take(("activated", layer), shape)
-    np.matmul(X, network.weights[layer].T, out=act)
-    np.add(act, network.biases[layer], out=act)
-    if spec.activation is Activation.TANH:
-        np.tanh(act, out=act)
     mask = None
-    out = act
     if spec.dropout > 0.0 and mode is Mode.TRAIN:
+        dropped = workspace.take(("dropped", layer), shape)
         mask = keep_mask(
             seed, layer, sample_ids, spec.output_width, spec.dropout,
             # bool: an eighth of a float64 mask's memory, the same products
             out=workspace.take(("mask", layer), shape, np.bool_),
-            scratch=workspace.take(
-                ("hash",), (2, MASK_BLOCK_ROWS, spec.output_width), np.uint64
-            ),
+            scratch=(act.view(np.uint64), dropped.view(np.uint64)),
         )
+    np.matmul(X, network.weights[layer].T, out=act)
+    np.add(act, network.biases[layer], out=act)
+    if spec.activation is Activation.TANH:
+        np.tanh(act, out=act)
+    out = act
+    if mask is not None:
         # multiply, then divide: scaling by 1/(1-f) instead would change bits
-        out = np.multiply(act, mask, out=workspace.take(("dropped", layer), shape))
+        out = np.multiply(act, mask, out=dropped)
         np.divide(out, 1.0 - spec.dropout, out=out)
     return LayerTrace(inputs=X, activated=act, mask=mask), out
 

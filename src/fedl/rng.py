@@ -17,8 +17,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
-# Rows hashed per pass of keep_mask: its two uint64 scratch blocks of
-# MASK_BLOCK_ROWS x n_cols stay in L2 cache at the network's widths.
+# Rows hashed per pass of keep_mask: the leading MASK_BLOCK_ROWS x n_cols
+# rows of its two uint64 scratch arrays stay in L2 cache at the network's
+# widths.  A dropout layer lends it its own activation and dropout-output
+# buffers, before the affine map fills them.
 MASK_BLOCK_ROWS = 512
 
 
@@ -51,7 +53,7 @@ def keep_mask(
     n_cols: int,
     p: float,
     out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | np.ndarray | None = None,
 ) -> np.ndarray:
     """Dropout keep-mask: 1.0 where the hash uniform at (row, column) is
     ``>= p``, else 0.0, as a float64 array of shape ``(len(row_ids), n_cols)``.
@@ -65,23 +67,27 @@ def keep_mask(
     ``ceil(p * 2^53) << 11``, since a 53-bit integer is exact in float64.
 
     ``out`` receives the mask when given; a bool ``out`` gets True/False.
-    ``scratch``, a uint64 array of shape ``(2, MASK_BLOCK_ROWS, n_cols)``,
-    holds the hashes of one block of rows at a time; without it the call
-    allocates its own.
+    ``scratch`` is a pair of 2-d uint64 arrays of ``n_cols`` columns, each
+    with at least ``min(len(row_ids), MASK_BLOCK_ROWS)`` rows (a
+    ``(2, MASK_BLOCK_ROWS, n_cols)`` array unpacks as one).  They hold
+    the hashes of one block of rows at a time, and any values in them are
+    overwritten, so float64 buffers viewed as uint64 serve as well; without
+    it the call allocates its own.
     """
     ids = np.asarray(row_ids)
     n = ids.shape[0]
     if out is None:
         out = np.empty((n, n_cols), dtype=np.float64)
     if scratch is None:
-        scratch = np.empty((2, MASK_BLOCK_ROWS, n_cols), dtype=np.uint64)
+        scratch = np.empty((2, min(n, MASK_BLOCK_ROWS), n_cols), dtype=np.uint64)
+    hashes, shifts = scratch
     base = np.uint64(fold_seed(seed, tag))
     cols = np.arange(n_cols, dtype=np.uint64) * np.uint64(_GOLDEN)
     threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
     for start in range(0, n, MASK_BLOCK_ROWS):
         stop = min(start + MASK_BLOCK_ROWS, n)
-        x = scratch[0, : stop - start]
-        shifted = scratch[1, : stop - start]
+        x = hashes[: stop - start]
+        shifted = shifts[: stop - start]
         rows = ids[start:stop].astype(np.uint64) * np.uint64(_MIX1) + base
         np.add(rows[:, None], cols, out=x)
         for shift, multiplier in ((30, _MIX1), (27, _MIX2)):

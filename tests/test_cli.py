@@ -1082,20 +1082,27 @@ def _run_launcher(module, attr, *argv, env=()):
 
 def test_ingest_leaves_numpy_ma_unimported(tmp_path, corpus_dir):
     # np.unique's first call imports numpy.ma, which every command would pay
-    # for at start-up
+    # for at start-up; the clustering commands take distinct rows without it
     code = (
         "import sys; from fedl.cli import main; code = main(); "
         "print('numpy.ma' in sys.modules); sys.exit(code)"
     )
     pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    proc = subprocess.run(
-        [sys.executable, "-c", code, "ingest", "--transactions",
-         str(corpus_dir / "transactions.csv"), "--out", str(tmp_path / "ingest")],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    data = ("--transactions", str(corpus_dir / "transactions.csv"))
+    stations = ("--stations", str(corpus_dir / "stations.csv"))
+    for name, argv in {
+        "ingest": ("ingest", *data),
+        "cluster": ("cluster", *stations, "--clusters", "2"),
+        "train": ("train", *data, *stations, "--clustering", "--clusters", "2",
+                  "--epochs", "2"),
+    }.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out", str(tmp_path / name)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert proc.stdout.splitlines()[-1] == "False", name
 
 
 def test_readme_configuration_table_lists_each_commands_keys():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fedl.clustering import (
     ClusterConfig,
+    _distinct_rows,
     _exact_integer_costs,
     assign_clusters,
     constrained_kmeans,
@@ -391,6 +392,30 @@ def test_kmeans_needs_enough_distinct_points():
         constrained_kmeans(points, ClusterConfig(k=2, seed=0))
     with pytest.raises(InfeasibilityError):
         constrained_kmeans(np.zeros((1, 2)), ClusterConfig(k=2, seed=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_distinct_rows_match_np_unique(data):
+    # a small integer grid makes duplicate rows common
+    n = data.draw(st.integers(1, 60), label="n")
+    width = data.draw(st.integers(1, 3), label="width")
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=n * width, max_size=n * width))
+    points = np.array(values, dtype=np.float64).reshape(n, width)
+    assert np.array_equal(_distinct_rows(points), np.unique(points, axis=0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_non_finite_points(bad):
+    points = np.random.default_rng(4).normal(size=(6, 2))
+    points[[1, 3], 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(DegenerateDataError):
+        constrained_kmeans(points, ClusterConfig(k=2, seed=0))
+
+
+def test_kmeans_rejects_points_without_coordinates():
+    with pytest.raises(DegenerateDataError):
+        constrained_kmeans(np.empty((4, 0)), ClusterConfig(k=2, seed=0))
 
 
 def test_labels_match_membership_matrix():

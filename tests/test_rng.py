@@ -79,6 +79,20 @@ def test_keep_mask_writes_into_out_and_scratch_it_is_given():
     assert np.array_equal(out, keep_mask(9, 4, ids, 4, 0.3))
 
 
+@pytest.mark.parametrize("n_cols", [1, 64])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+def test_keep_mask_hashes_in_float_buffers_viewed_as_uint64(n, n_cols):
+    # a dropout layer lends keep_mask its n-row float64 activation and
+    # output buffers, which hold stale values from an earlier step
+    ids = np.arange(n, dtype=np.int64) * 5 + 2
+    fills = np.array([np.nan, -1.5])
+    scratch = [np.full((n, n_cols), fill).view(np.uint64) for fill in fills]
+    mask = keep_mask(6, 1, ids, n_cols, 0.15, scratch=scratch)
+    assert np.array_equal(mask, keep_mask(6, 1, ids, n_cols, 0.15))
+    for buffer, fill in zip(scratch, fills.view(np.uint64)):
+        assert (buffer[0] != fill).any()  # the hash ran in the buffer
+
+
 def test_keep_mask_rows_do_not_depend_on_the_batch():
     ids = np.arange(3 * B, dtype=np.int64)
     full = keep_mask(1, 1, ids, 8, 0.15)

@@ -214,19 +214,26 @@ def test_make_workers_holds_the_partition_indices_uncopied():
 def test_step_scratch_holds_no_dead_partials():
     # One 2048-row block of 90 features through hidden 64-64 (dropout on the
     # second) leaves in its thread's workspace: the two activations and the
-    # dropout output 1 MiB each, the mask hash scratch 0.5 MiB, the mask
-    # 0.13 MiB and some n x 1 arrays.  Backward's n x 64 partials reuse dead
+    # dropout output 1 MiB each, the bool mask 0.125 MiB and two n x 1
+    # arrays of 16 KiB, 3.15625 MiB in all.  The mask's hash runs in the
+    # dropout layer's activation and output buffers before they are filled,
+    # so no hash scratch is kept, and backward's n x 64 partials reuse dead
     # tape buffers, so they add nothing.  A site of the identity range reads
-    # its rows as a slice of X; any other site gathers them, 1.41 MiB more.
+    # its rows as a slice of X; any other site gathers its rows and labels
+    # into 1.421875 MiB more, 4.578125 MiB in all.
     rng = np.random.default_rng(3)
     X = rng.normal(size=(STEP_BLOCK_ROWS, 90))
     y = rng.normal(size=STEP_BLOCK_ROWS)
     net = init_network(network_specs(90, TrainConfig(hidden_layers=(64, 64))), 0)
-    for ids, limit in ((np.arange(STEP_BLOCK_ROWS), 3.7), (rng.permutation(STEP_BLOCK_ROWS), 5.2)):
+    for ids, limit in (
+        (np.arange(STEP_BLOCK_ROWS), 3.15625),
+        (rng.permutation(STEP_BLOCK_ROWS), 4.578125),
+    ):
         with StepPool(1) as pool:
             _site_gradients(net, X, y, [ids], 7, pool)
             (workspace,) = pool._workspaces
         assert sum(a.nbytes for a in workspace._arrays.values()) <= limit * 2**20
+        assert all(name != ("hash",) for name, _, _ in workspace._arrays)
 
 
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 4097])
