@@ -10,12 +10,12 @@ report and the rejecting parse path are digested too.  A second,
 12,000-record corpus trains central and federated sites of several row
 blocks each, the last one partial, so block boundaries are digested
 as well.  Its one-worker federated run reads the same five blocks as
-its central run, and must write the same ``model.fedl``.  One of its
-federated runs has hidden widths 32,64,16 and no dropout, so backward
-keeps every partial it forms in its scratch arrays instead of over the
-tape's dead buffers.  Its central run is
-also evaluated on its 2,400 test rows, one full inference block and
-one partial, so blocked prediction is digested too.  Two checkouts that
+its central run, and must write the same ``model.fedl``; the script
+checks it.  One of its federated runs has hidden widths 32,64,16 and no
+dropout, so backward keeps every partial it forms in its scratch arrays
+instead of over the tape's dead buffers.  Its central run is also
+evaluated on its 2,400 test rows, one full inference block and one
+partial, so blocked prediction is digested too.  Two checkouts that
 write the same bytes print the same lines, so comparing a change with
 its parent is one ``diff``:
 
@@ -29,7 +29,9 @@ relative paths, one interpreter each, with BLAS held to one thread, so
 training steps run on as many threads as the process has cores.
 ``train_federated_one_thread`` repeats ``train_federated`` pinned to one
 core, where that BLAS thread is then the core count and the steps run on
-one thread; its files must digest the same as ``train_federated``'s.
+one thread; its files and its output must digest the same as
+``train_federated``'s.  When a file differs from the one it must equal,
+the script prints every line and then exits 1, naming the first such file.
 (Raising the BLAS thread count instead would change the GEMMs' bits.)
 Where the platform cannot pin a process, that step runs unpinned.  The
 directory is deleted afterwards unless ``--keep`` names one to use
@@ -123,6 +125,31 @@ PIPELINE = [
 ]
 
 
+# (step, step) whose files and standard output must digest the same
+SAME_STEPS = [("train_federated_one_thread", "train_federated")]
+# (file, file) that must digest the same
+SAME_FILES = [
+    ("train_federated_one_worker_blocks/model.fedl", "train_central_blocks/model.fedl"),
+]
+
+
+def first_difference(lines: list[str]) -> str | None:
+    """The first pair of files among those that must digest the same that
+    do not, as a message; None when every pair matches."""
+    digests = {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+    pairs = list(SAME_FILES)
+    for a, b in SAME_STEPS:
+        pairs.append((f"{a}.stdout", f"{b}.stdout"))
+        for path in sorted(digests):  # a file either step lacks differs too
+            for mine, other in ((a, b), (b, a)):
+                if path.startswith(mine + "/"):
+                    pairs.append((path, other + path[len(mine):]))
+    for a, b in pairs:
+        if digests.get(a) != digests.get(b):
+            return f"{a} does not digest as {b}"
+    return None
+
+
 def _pin_to_one_core() -> None:
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -183,6 +210,10 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="fedl_digests_") as tmp:
             lines = run_pipeline(src, Path(tmp))
     print("\n".join(lines))
+    difference = first_difference(lines)
+    if difference is not None:
+        print(f"artifact_digests: {difference}", file=sys.stderr)
+        return 1
     return 0
 
 

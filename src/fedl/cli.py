@@ -705,8 +705,9 @@ def _baseline_rmse(train, test, include_txn: bool, knn_k: int):
     return _rmse(actual, mean_pred), _rmse(actual, knn_pred)
 
 
-def _sweep(args, cfg, cluster_config: ClusterConfig, records, out: Path) -> int:
-    config = _train_config(cfg)
+def _sweep(
+    args, cfg, config: TrainConfig, cluster_config: ClusterConfig, records, out: Path
+) -> int:
     include_txn = cfg["include_transaction_id"]
     stations = _read_stations(args.stations) if args.stations is not None else None
     methods = ["central", "federated"]
@@ -748,7 +749,10 @@ def _sweep(args, cfg, cluster_config: ClusterConfig, records, out: Path) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve(args, "evaluate")
-    cluster_config = _cluster_config(cfg)  # checked even when it goes unused
+    # checked even when they go unused
+    config, cluster_config = _train_config(cfg), _cluster_config(cfg)
+    if cfg["knn_k"] < 1:
+        raise UsageError(f"--knn-k must be >= 1, got {cfg['knn_k']}")
     if args.run_dir is not None and args.include_transaction_id is not None:
         flag = "include-transaction-id" if args.include_transaction_id else (
             "no-include-transaction-id")
@@ -768,7 +772,7 @@ def cmd_evaluate(args) -> int:
     if not records:
         raise DegenerateDataError("no valid records to evaluate on")
     if args.sweep:
-        return _sweep(args, cfg, cluster_config, records, out)
+        return _sweep(args, cfg, config, cluster_config, records, out)
 
     # inherit split parameters from the run being scored unless overridden
     run_manifest: dict = {}

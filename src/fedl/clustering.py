@@ -58,6 +58,13 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise InfeasibilityError(f"cluster count must be >= 1, got {self.k}")
+        # one bound for every cluster is checked here; sequences in windows()
+        low, high = self.theta_low, self.theta_high
+        for name, bound in (("theta_low", low), ("theta_high", high)):
+            if isinstance(bound, int) and bound < 0:
+                raise InfeasibilityError(f"{name} must be >= 0, got {bound}")
+        if isinstance(low, int) and isinstance(high, int) and low > high:
+            raise InfeasibilityError(f"theta_low {low} exceeds theta_high {high}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

@@ -15,11 +15,12 @@ Three ways to fit the same network family:
 Determinism contract: given (config, seed) every run is bit-reproducible.
 A round is a list of independent tasks, one per (site, block of at most
 :data:`STEP_BLOCK_ROWS` consecutive entries of the site's row ids), run on
-a :class:`StepPool` that lives for the whole run.  A site's gradient and loss are its blocks'
-results summed in block order, and sites are reduced in ascending worker-id
-order, so the output is the same bits for any thread count.  A site of one
-block gets exactly its whole-batch gradient, and with one worker the
-federated trajectory is bit-identical to the centralized one.
+the calling thread and on helper threads that last for the process, each
+thread with one workspace of its own.  A site's gradient and loss are its
+blocks' results summed in block order, and sites are reduced in ascending
+worker-id order, so the output is the same bits for any thread count.  A
+site of one block gets exactly its whole-batch gradient, and with one
+worker the federated trajectory is bit-identical to the centralized one.
 
 Traffic sizing is fixed and documented: a gradient or model message costs
 ``parameter_count * 8 + 64`` bytes (payload plus header); one encoded
@@ -28,7 +29,6 @@ record costs ``width * 8 + 8`` bytes (features plus label).
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import enum
 import itertools
@@ -285,6 +285,13 @@ class ServerState:
     traffic: TrafficLog = field(default_factory=TrafficLog)
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def step_threads() -> int:
     """Threads a training run may give its steps: the usable cores divided
     by the threads each BLAS call already takes, and at least 1.
@@ -294,10 +301,7 @@ def step_threads() -> int:
     integer.  With none set, BLAS is taken to use every core, so the steps
     get one thread and never compete with BLAS for the cores.
     """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
+    cores = _usable_cores()
     blas = cores
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         try:
@@ -310,60 +314,50 @@ def step_threads() -> int:
     return max(1, cores // blas)
 
 
-class StepPool:
-    """Runs the tasks of a training step on ``min(tasks, step_threads())``
-    threads: the calling thread and helper threads that live until
-    :meth:`close`.  Each thread has its own :class:`fedl.nn.Workspace`, kept
-    from one step to the next.  Use it as a context manager, or close it."""
+# Each thread's scratch arrays, kept from one step and one training to the next.
+_scratch = threading.local()
 
-    def __init__(self, tasks: int) -> None:
-        self._workspaces = [Workspace() for _ in range(min(tasks, step_threads()))]
-        self._helpers = ThreadPoolExecutor(
-            max(1, len(self._workspaces) - 1), thread_name_prefix="fedl-step"
-        )
-
-    def __enter__(self) -> "StepPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        self._helpers.shutdown()
-
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """``[fn(item, workspace) for item in items]``.  Each thread takes
-        the next item not yet taken until none is left, and calls ``fn``
-        with its own workspace; helpers run in a copy of the caller's
-        context, so they keep its numpy error state."""
-        results = [None] * len(items)
-        taken = itertools.count()
-        lock = threading.Lock()
-
-        def drain(workspace: Workspace) -> None:
-            while True:
-                with lock:
-                    i = next(taken)
-                if i >= len(items):
-                    return
-                results[i] = fn(items[i], workspace)
-
-        helpers = [
-            self._helpers.submit(contextvars.copy_context().run, drain, workspace)
-            for workspace in self._workspaces[1:]
-        ]
-        try:
-            drain(self._workspaces[0])
-        finally:
-            futures.wait(helpers)
-        for helper in helpers:
-            helper.result()
-        return results
+# Step helper threads, started on first use and kept for the process.  The
+# cap matters: a submit that comes before a finished helper marks itself
+# idle starts one more thread, and each thread keeps its workspace.
+_helpers = ThreadPoolExecutor(max(1, _usable_cores() - 1), thread_name_prefix="fedl-step")
 
 
-def _row_blocks(rows: int) -> range:
-    """First rows of a site's blocks of at most STEP_BLOCK_ROWS rows."""
-    return range(0, rows, STEP_BLOCK_ROWS)
+def _workspace() -> Workspace:
+    """The calling thread's workspace, made on its first call."""
+    if not hasattr(_scratch, "workspace"):
+        _scratch.workspace = Workspace()
+    return _scratch.workspace
+
+
+def _map_steps(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]`` on ``min(len(items), step_threads())``
+    threads: the caller and helpers.  Each thread takes the next item not
+    yet taken until none is left; helpers run in a copy of the caller's
+    context, so they keep its numpy error state."""
+    results = [None] * len(items)
+    taken = itertools.count()
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = next(taken)
+            if i >= len(items):
+                return
+            results[i] = fn(items[i])
+
+    helpers = [
+        _helpers.submit(contextvars.copy_context().run, drain)
+        for _ in range(min(len(items), step_threads()) - 1)
+    ]
+    try:
+        drain()
+    finally:
+        futures.wait(helpers)
+    for helper in helpers:
+        helper.result()
+    return results
 
 
 def _summed(grads: Sequence[Gradient]) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -383,22 +377,23 @@ def _summed(grads: Sequence[Gradient]) -> tuple[list[np.ndarray], list[np.ndarra
 
 def _site_gradients(
     network: Network, X: np.ndarray, y: np.ndarray, sites: Sequence[np.ndarray],
-    seed: int, pool: StepPool | None = None,
+    seed: int,
 ) -> list[tuple[Gradient, float]]:
     """Each site's exact gradient and SSE loss at ``network``.  A site is
     the global ids of its rows in the pooled ``X`` and ``y``.
 
-    Every (site, row block) is one task on ``pool`` (a pool for this call
-    only when None).  A site whose ids are one ascending range, such as the
-    central site, reads its blocks as slices of ``X`` and ``y`` (when ``X``
-    is C-contiguous, so a slice is laid out as a gathered block is); any
-    other site gathers its block's rows into the thread's workspace.  A
-    site's gradient and loss are its blocks' results summed in block order,
-    so they do not depend on the pool's size.  The ids must lie in range
+    Every (site, row block) is one task of :func:`_map_steps`.  A site whose
+    ids are one ascending range, such as the central site, reads its blocks
+    as slices of ``X`` and ``y`` (when ``X`` is C-contiguous, so a slice is
+    laid out as a gathered block is); any other site gathers its block's
+    rows into the thread's workspace, in one flat buffer that serves every
+    width.  A site's gradient and loss are its blocks' results summed in
+    block order, so they do not depend on the thread count.  The ids must lie in range
     (WorkerState checks them): the gather clips, because a checked gather
     buffers its output.
     """
-    blocks = [_row_blocks(len(ids)) for ids in sites]
+    # each site's block starts: blocks of at most STEP_BLOCK_ROWS ids
+    blocks = [range(0, len(ids), STEP_BLOCK_ROWS) for ids in sites]
     # each site's first id when it reads slices, else None (the span test is O(1))
     firsts = [
         int(ids[0]) if X.flags.c_contiguous and ids[-1] - ids[0] == len(ids) - 1
@@ -411,16 +406,17 @@ def _site_gradients(
         for start in starts
     ]
 
-    def block_step(task, workspace: Workspace) -> tuple[Gradient, float]:
+    def block_step(task) -> tuple[Gradient, float]:
         sample_ids, first, start = task
         ids = sample_ids[start : start + STEP_BLOCK_ROWS]
+        workspace = _workspace()
         if first is not None:
             rows = slice(first + start, first + start + len(ids))
             X_block, y_block = X[rows], y[rows]
         else:
+            flat = workspace.take(("rows",), (len(ids) * X.shape[1],), X.dtype)
             X_block = np.take(
-                X, ids, axis=0, mode="clip",
-                out=workspace.take(("rows",), (len(ids), X.shape[1]), X.dtype),
+                X, ids, axis=0, mode="clip", out=flat.reshape(len(ids), X.shape[1])
             )
             y_block = np.take(
                 y, ids, mode="clip", out=workspace.take(("labels",), ids.shape, y.dtype)
@@ -432,9 +428,7 @@ def _site_gradients(
         loss = sse_loss(out[:, 0], y_block)
         return backward(network, tape, y_block, workspace=workspace), loss
 
-    own = StepPool(len(tasks)) if pool is None else contextlib.nullcontext(pool)
-    with own as runner:
-        results = iter(runner.map(block_step, tasks))
+    results = iter(_map_steps(block_step, tasks))
     sums = []
     for starts in blocks:
         grads, losses = zip(*itertools.islice(results, len(starts)))
@@ -500,11 +494,10 @@ def run_round(
     server: ServerState,
     workers: Sequence[WorkerState],
     seed: int,
-    pool: StepPool | None = None,
 ) -> RoundReport:
     """One synchronous round: J local gradients against the same model
-    version (their row blocks run on ``pool``, a pool for this round only
-    when None), mean-aggregate, one Adam step, broadcast.
+    version (their row blocks split among the step threads),
+    mean-aggregate, one Adam step, broadcast.
 
     The barrier is structural — aggregation happens only after every
     worker's gradient for the current version is in hand, so staleness is
@@ -525,7 +518,7 @@ def run_round(
         raise ValueError("a round needs workers that share one pooled X and y")
 
     results = _site_gradients(
-        server.network, order[0].X, order[0].y, [w.sample_ids for w in order], seed, pool
+        server.network, order[0].X, order[0].y, [w.sample_ids for w in order], seed
     )
     _check_gradients(results, version, [w.worker_id for w in order])
     grads = [g for g, _ in results]
@@ -572,7 +565,7 @@ def convergence_check(
 
 
 EpochCallback = Callable[[int, Network], None]
-EpochStep = Callable[[ServerState, int, StepPool], RoundReport]
+EpochStep = Callable[[ServerState, int], RoundReport]
 
 
 def _train(
@@ -580,14 +573,12 @@ def _train(
     config: TrainConfig,
     on_epoch: EpochCallback | None,
     step: EpochStep,
-    site_rows: Sequence[int],
 ) -> tuple[Network, list[RoundReport], TrafficLog]:
     """The loop every pipeline shares.
 
-    Initialises the network and Adam from ``config``, and one StepPool for
-    the row blocks of sites of ``site_rows`` rows, then runs
-    ``step(server, epoch_seed, pool)`` once per epoch until every site's
-    loss settles (per convergence_check) or the epoch budget runs out.  The
+    Initialises the network and Adam from ``config``, then runs
+    ``step(server, epoch_seed)`` once per epoch until every site's loss
+    settles (per convergence_check) or the epoch budget runs out.  The
     sites are the report's workers, or the one central site when it has
     none.  A non-finite loss raises FloatingPointError naming the epoch;
     the step runs with numpy's overflow warnings off, so that error is the
@@ -597,27 +588,26 @@ def _train(
     adam = init_adam(network, step_size=config.step_size)
     reports: list[RoundReport] = []
     histories: defaultdict[int, list[float]] = defaultdict(list)
-    with StepPool(sum(len(_row_blocks(rows)) for rows in site_rows)) as pool:
-        server = ServerState(network=network, adam=adam)
-        for epoch in range(config.epochs):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                report = step(server, fold_seed(config.seed, epoch), pool)
-            reports.append(report)
-            losses = report.worker_losses or (report.global_loss,)
-            if not np.isfinite(losses).all():
-                raise FloatingPointError(
-                    f"training loss became non-finite at epoch {epoch}: "
-                    f"{report.global_loss!r}"
-                )
-            for site, loss in enumerate(losses):
-                histories[site].append(loss)
-            if on_epoch is not None:
-                on_epoch(epoch, server.network)
-            if all(
-                convergence_check(history, config.tolerance, config.patience)
-                for history in histories.values()
-            ):
-                break
+    server = ServerState(network=network, adam=adam)
+    for epoch in range(config.epochs):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = step(server, fold_seed(config.seed, epoch))
+        reports.append(report)
+        losses = report.worker_losses or (report.global_loss,)
+        if not np.isfinite(losses).all():
+            raise FloatingPointError(
+                f"training loss became non-finite at epoch {epoch}: "
+                f"{report.global_loss!r}"
+            )
+        for site, loss in enumerate(losses):
+            histories[site].append(loss)
+        if on_epoch is not None:
+            on_epoch(epoch, server.network)
+        if all(
+            convergence_check(history, config.tolerance, config.patience)
+            for history in histories.values()
+        ):
+            break
     return server.network, reports, server.traffic
 
 
@@ -641,9 +631,9 @@ def run_centralized(
         raise ShapeError(f"labels shape {y.shape} does not match {X.shape[0]} rows")
     sites = [np.arange(X.shape[0], dtype=np.int64)]
 
-    def step(server: ServerState, seed: int, pool: StepPool) -> RoundReport:
+    def step(server: ServerState, seed: int) -> RoundReport:
         epoch = server.adam.steps
-        results = _site_gradients(server.network, X, y, sites, seed, pool)
+        results = _site_gradients(server.network, X, y, sites, seed)
         _check_gradients(results, epoch, [None])
         ((grad, loss),) = results
         server.adam, server.network = adam_step(server.adam, server.network, grad)
@@ -656,7 +646,7 @@ def run_centralized(
             bytes_down=0,
         )
 
-    network, reports, _ = _train(X.shape[1], config, on_epoch, step, [X.shape[0]])
+    network, reports, _ = _train(X.shape[1], config, on_epoch, step)
     upload = TrafficEntry(
         0, Direction.UP, Payload.DATASET, dataset_bytes(X.shape[0], X.shape[1])
     )
@@ -695,10 +685,10 @@ def run_federated(
         raise DegenerateDataError("need at least one worker partition")
     workers = [WorkerState(p.worker_id, X, y, p.record_indices) for p in partitions]
 
-    def step(server: ServerState, seed: int, pool: StepPool) -> RoundReport:
-        return run_round(server, workers, seed, pool)
+    def step(server: ServerState, seed: int) -> RoundReport:
+        return run_round(server, workers, seed)
 
-    return _train(X.shape[1], config, on_epoch, step, [len(w.sample_ids) for w in workers])
+    return _train(X.shape[1], config, on_epoch, step)
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,8 @@ def test_cluster_infeasible_windows_exit_3(tmp_path, corpus_dir):
 
 def test_zero_clusters_is_a_usage_error(tmp_path, corpus_dir):
     # rejected like --max-iterations 0, before any file is written, also by
-    # a command that would not cluster
+    # a command that would not cluster or train, in every command that
+    # declares the flag
     data = ("--transactions", corpus_dir / "transactions.csv")
     stations = ("--stations", corpus_dir / "stations.csv")
     for name, argv in {
@@ -240,10 +241,16 @@ def test_zero_clusters_is_a_usage_error(tmp_path, corpus_dir):
         "evaluate": ("evaluate", *data),
     }.items():
         out = tmp_path / name
-        for bad in (("--clusters", 0), ("--max-iterations", 0)):
+        for bad in (
+            ("--clusters", 0), ("--max-iterations", 0), ("--epochs", 0),
+            ("--theta-low", -1), ("--theta-low", 5, "--theta-high", 2), ("--knn-k", 0),
+        ):
+            if argv[0] not in OPTIONS[bad[0][2:].replace("-", "_")][1]:
+                continue  # a flag this command does not declare
             code, _, err = invoke(*argv, *bad, "--out", out)
             assert code == 1, (name, bad, err)
             assert err.startswith("fedl: error: "), err
+            assert bad[0] != "--knn-k" or "--knn-k" in err, err  # not the kNN's own error
             assert not out.exists() or not any(out.iterdir()), name
 
 

@@ -60,6 +60,14 @@ def test_config_validation():
         ClusterConfig(k=0)
     with pytest.raises(ValueError):
         ClusterConfig(k=2, max_iterations=0)
+    # one bound for every cluster is checked at construction
+    for low, high in ((-1, None), (None, -1), (3, 2)):
+        with pytest.raises(InfeasibilityError):
+            ClusterConfig(k=2, theta_low=low, theta_high=high)
+    # per-cluster sequences are checked against the instance by windows()
+    crossed = ClusterConfig(k=2, theta_low=(3, 0), theta_high=(2, 5))
+    with pytest.raises(InfeasibilityError, match="cluster 0"):
+        crossed.windows(5)
 
 
 # --------------------------------------------------------------- assignment

@@ -24,13 +24,15 @@ from fedl.sim import (
     Payload,
     RoundReport,
     ServerState,
-    StepPool,
     TrafficEntry,
     TrafficLog,
     TrainConfig,
     TrainMode,
     WorkerState,
+    _map_steps,
     _site_gradients,
+    _usable_cores,
+    _workspace,
     aggregate_gradients,
     convergence_check,
     dataset_bytes,
@@ -220,7 +222,8 @@ def test_step_scratch_holds_no_dead_partials():
     # so no hash scratch is kept, and backward's n x 64 partials reuse dead
     # tape buffers, so they add nothing.  A site of the identity range reads
     # its rows as a slice of X; any other site gathers its rows and labels
-    # into 1.421875 MiB more, 4.578125 MiB in all.
+    # into 1.421875 MiB more, 4.578125 MiB in all.  Each step runs on a new
+    # thread, whose workspace no earlier step has grown.
     rng = np.random.default_rng(3)
     X = rng.normal(size=(STEP_BLOCK_ROWS, 90))
     y = rng.normal(size=STEP_BLOCK_ROWS)
@@ -229,11 +232,35 @@ def test_step_scratch_holds_no_dead_partials():
         (np.arange(STEP_BLOCK_ROWS), 3.15625),
         (rng.permutation(STEP_BLOCK_ROWS), 4.578125),
     ):
-        with StepPool(1) as pool:
-            _site_gradients(net, X, y, [ids], 7, pool)
-            (workspace,) = pool._workspaces
+        workspace = _on_a_new_thread(lambda: _site_gradients(net, X, y, [ids], 7))
         assert sum(a.nbytes for a in workspace._arrays.values()) <= limit * 2**20
         assert all(name != ("hash",) for name, _, _ in workspace._arrays)
+
+    # a thread's workspace outlives a training, so a process that trains
+    # inputs of several widths gathers them all into one flat buffer
+    def steps():
+        for width in (90, 7):
+            X = rng.normal(size=(300, width))
+            net = init_network(network_specs(width, TrainConfig(hidden_layers=(8,))), 0)
+            _site_gradients(net, X, rng.normal(size=300), [rng.permutation(300)], 7)
+
+    workspace = _on_a_new_thread(steps)
+    assert [name for name, _, _ in workspace._arrays].count(("rows",)) == 1
+
+
+def _on_a_new_thread(fn):
+    """Run ``fn`` on a new thread; return that thread's workspace."""
+    out = []
+
+    def body():
+        fn()
+        out.append(_workspace())
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join()
+    (workspace,) = out
+    return workspace
 
 
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 4097])
@@ -691,21 +718,41 @@ def test_step_threads_counts_cores_without_an_affinity_call(monkeypatch):
     assert step_threads() == 4
 
 
-def test_step_pool_threads_keep_the_callers_error_state(monkeypatch):
+def test_step_threads_keep_the_callers_error_state(monkeypatch):
     import fedl.sim
 
     monkeypatch.setattr(fedl.sim, "step_threads", lambda: 2)
     barrier = threading.Barrier(2, timeout=10)
 
-    def task(item, workspace):
+    def task(item):
         barrier.wait()  # so each of the two threads takes one item
-        return np.geterr()["over"], threading.get_ident(), id(workspace)
+        return np.geterr()["over"], threading.get_ident(), id(_workspace())
 
-    with StepPool(2) as pool, np.errstate(over="ignore"):
-        results = pool.map(task, ["a", "b"])
+    with np.errstate(over="ignore"):
+        results = _map_steps(task, ["a", "b"])
     assert [over for over, _, _ in results] == ["ignore", "ignore"]
     assert len({thread for _, thread, _ in results}) == 2
     assert len({workspace for _, _, workspace in results}) == 2
+
+
+def test_repeated_trainings_reuse_the_step_threads_and_workspaces(monkeypatch):
+    import fedl.sim
+
+    monkeypatch.setattr(fedl.sim, "step_threads", lambda: 2)
+    X, y = toy_problem(40, 5, seed=6)
+    parts = [WorkerPartition(j, tuple(range(j, 40, 2))) for j in range(2)]
+    cfg = TrainConfig(epochs=3, tolerance=0.0, hidden_layers=(8,), workers=2, seed=1)
+
+    def helpers():
+        return {t for t in threading.enumerate() if t.name.startswith("fedl-step")}
+
+    workspace = _workspace()
+    run_federated(X, y, parts, cfg)
+    started = helpers()
+    run_federated(X, y, parts, cfg)
+    assert helpers() == started
+    assert 1 <= len(started) <= max(1, _usable_cores() - 1)
+    assert _workspace() is workspace
 
 
 def _backward_poisoned_at_5_rows(network, tape, targets, workspace=None):
