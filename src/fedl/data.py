@@ -20,7 +20,10 @@ here that takes records applies first.
 
 Features are one-hot station ⊕ one-hot day-of-week (Monday=1) ⊕ one-hot
 hour, optionally followed by the transaction id min-max scaled to [0, 1].
-Labels are z-scored with statistics taken from training records only.
+:func:`encode_features` keeps them as :class:`EncodedFeatures`, each
+row's one-hot columns and scaled id, which expands to dense rows a block
+at a time.  Labels are z-scored with statistics taken from training
+records only.
 """
 
 from __future__ import annotations
@@ -465,18 +468,10 @@ def build_schema(
     )
 
 
-def feature_codes(
-    records: Transactions | Iterable[TransactionRecord], schema: EncodingSchema
-) -> np.ndarray:
-    """Records as integer codes, one (station index, day, hour, id offset)
-    row each: what :func:`encode_features` writes, before one-hot expansion.
-
-    The id offset is the transaction id clipped to [txn_min, txn_max],
-    minus txn_min, so the encoded id column is exactly offset / span.  It
-    is 0 when the schema leaves the id out.  The array is int64, or holds
-    Python ints (dtype object) when a code does not fit in int64.
-    """
-    records = Transactions.of(records)
+def _code_columns(records: Transactions, schema: EncodingSchema) -> tuple:
+    """The four columns of :func:`feature_codes`: station index, day and
+    hour (int64), and the id offsets, int64 or, when one does not fit, a
+    list of Python ints."""
     index = {sid: i for i, sid in enumerate(schema.station_vocabulary)}
     lookup = np.array([index.get(sid, -1) for sid in records.vocabulary], dtype=np.int64)
     station, day, hour = lookup[records.station], records.day, records.hour
@@ -495,37 +490,130 @@ def feature_codes(
         offset = np.clip(ids, low, high) - low
     else:  # Python ints, exact at any size
         offset = [min(max(t, low), high) - low for t in ids.tolist()]
-    try:
-        return np.column_stack((station, day, hour, np.array(offset, dtype=np.int64)))
-    except OverflowError:
-        rows = zip(station.tolist(), day.tolist(), hour.tolist(), offset)
-        return np.array(list(rows), dtype=object).reshape(len(records), 4)
+        try:
+            offset = np.array(offset, dtype=np.int64)
+        except OverflowError:
+            pass
+    return station, day, hour, offset
+
+
+def feature_codes(
+    records: Transactions | Iterable[TransactionRecord], schema: EncodingSchema
+) -> np.ndarray:
+    """Records as integer codes, one (station index, day, hour, id offset)
+    row each: what :func:`encode_features` writes, before one-hot expansion.
+
+    The id offset is the transaction id clipped to [txn_min, txn_max],
+    minus txn_min, so the encoded id column is exactly offset / span.  It
+    is 0 when the schema leaves the id out.  The array is int64, or holds
+    Python ints (dtype object) when a code does not fit in int64.
+    """
+    records = Transactions.of(records)
+    columns = _code_columns(records, schema)
+    if isinstance(columns[3], np.ndarray):
+        return np.column_stack(columns)
+    rows = zip(*(column.tolist() for column in columns[:3]), columns[3])
+    return np.array(list(rows), dtype=object).reshape(len(records), 4)
+
+
+class EncodedFeatures:
+    """The feature matrix of :func:`encode_features`, held as each row's
+    three one-hot columns (int32) and its scaled transaction id, 20 bytes
+    a row instead of ``width`` float64s.  Read-only.
+
+    ``np.asarray(X)`` builds the dense float64 matrix; ``X[key]`` is
+    ``np.asarray(X)[key]`` built from the selected rows only; training and
+    scoring expand one row block at a time with :meth:`rows_into`.
+    """
+
+    __slots__ = ("_hot", "_scaled", "shape")
+    ndim = 2
+
+    def __init__(self, hot: np.ndarray, scaled: np.ndarray | None, width: int) -> None:
+        """``hot`` is (n, 3): the columns of each row's ones; ``scaled`` the
+        last column's values, or None when that column is all zeros or
+        absent."""
+        for column in (hot, scaled):
+            if column is not None:
+                column.setflags(write=False)
+        self._hot, self._scaled = hot, scaled
+        self.shape = (len(hot), width)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def rows_into(self, rows, out: np.ndarray) -> np.ndarray:
+        """Write the dense rows ``rows`` (a slice or an integer array) into
+        ``out``, a C-contiguous float64 array of their shape, and return it."""
+        if not out.flags.c_contiguous:
+            raise ValueError("EncodedFeatures expands rows into C-contiguous arrays only")
+
+        def select(column):  # take gathers faster than fancy indexing
+            return column[rows] if isinstance(rows, slice) else column.take(rows, axis=0)
+
+        scaled = None if self._scaled is None else select(self._scaled)
+        return self._fill(select(self._hot), scaled, out)
+
+    def _fill(self, hot: np.ndarray, scaled: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+        """Write the dense rows of ``hot`` and ``scaled`` into the
+        C-contiguous ``out``."""
+        out.fill(0.0)
+        # the flat positions of each row's ones
+        out.reshape(-1)[hot + np.arange(0, out.size, self.shape[1])[:, None]] = 1.0
+        if scaled is not None:
+            out[:, -1] = scaled
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("EncodedFeatures has no dense array to return uncopied")
+        dense = self.rows_into(slice(None), np.empty(self.shape))
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, rest = (key[0], key[1:]) if isinstance(key, tuple) and key else (key, ())
+        if rows is None or rows is Ellipsis or (
+            isinstance(rows, np.ndarray) and rows.dtype == bool and rows.ndim != 1
+        ):
+            return np.asarray(self)[key]
+        hot = self._hot[rows]  # numpy checks the key
+        scaled = None if self._scaled is None else self._scaled[rows].reshape(-1)
+        lead = hot.shape[:-1]
+        count = math.prod(lead)
+        dense = self._fill(hot.reshape(count, 3), scaled, np.empty((count, self.shape[1])))
+        if not lead:  # one row, by an integer
+            return dense[(0, *rest)]
+        if isinstance(rows, slice) or not rest:
+            return dense.reshape(*lead, self.shape[1])[(slice(None),) * len(lead) + rest]
+        # an array of rows pairs up with any array in ``rest``, as in numpy
+        return dense[(np.arange(count).reshape(lead), *rest)]
 
 
 def encode_features(
     records: Transactions | Iterable[TransactionRecord], schema: EncodingSchema
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode records as (X, standardized labels).
+) -> tuple[EncodedFeatures, np.ndarray]:
+    """Encode records as (X, standardized labels), X an :class:`EncodedFeatures`.
 
     Row layout: one-hot station | one-hot day (7) | one-hot hour (24)
     | scaled transaction id (when the schema includes it, clipped to [0,1]).
     """
     records = Transactions.of(records)
-    codes = feature_codes(records, schema)
+    station, day, hour, offset = _code_columns(records, schema)
     n_stations = len(schema.station_vocabulary)
-    X = np.zeros((len(records), schema.width), dtype=np.float64)
-    rows = np.arange(len(records))
-    station, day, hour = codes[:, :3].astype(np.int64).T
-    X[rows, station] = 1.0
-    X[rows, n_stations + day - 1] = 1.0
-    X[rows, n_stations + 7 + hour] = 1.0
+    hot = np.empty((len(records), 3), dtype=np.int32)
+    hot[:, 0] = station
+    hot[:, 1] = day + (n_stations - 1)
+    hot[:, 2] = hour + (n_stations + 7)
+    scaled = None
     span = schema.txn_max - schema.txn_min
     if schema.include_transaction_id and span:
-        if codes.dtype != object and span < 2**53:
+        if isinstance(offset, np.ndarray) and span < 2**53:
             # both exact in float64, so one correctly rounded division each
-            X[:, -1] = codes[:, 3] / float(span)
+            scaled = offset / float(span)
         else:  # Python int division rounds the exact quotient once
-            X[:, -1] = [offset / span for offset in codes[:, 3].tolist()]
+            offsets = offset.tolist() if isinstance(offset, np.ndarray) else offset
+            scaled = np.array([o / span for o in offsets], dtype=np.float64)
+    X = EncodedFeatures(hot, scaled, schema.width)
     return X, (records.energy_kwh - schema.label_mean) / schema.label_std
 
 

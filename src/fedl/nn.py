@@ -23,19 +23,24 @@ Design points:
   own activation and dropout-output buffers before the affine map fills
   them, so a workspace holds no hash scratch;
 * training steps and inference both work in row blocks of at most
-  :data:`STEP_BLOCK_ROWS` rows: :func:`predict` runs its input through
-  one workspace block by block, so its scratch holds one block's
-  activations whatever the input's size.
+  :data:`STEP_BLOCK_ROWS` rows, each read by :func:`take_rows` (expanded
+  from :class:`fedl.data.EncodedFeatures`, or sliced or gathered from an
+  ndarray) into the calling thread's workspace (:func:`thread_workspace`):
+  :func:`predict` runs its input through it block by block, so its
+  scratch holds one block's activations whatever the input's size, and
+  reuses what the thread's training steps left there.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import EncodedFeatures
 from .errors import ShapeError
 from .rng import keep_mask
 
@@ -86,6 +91,42 @@ class Workspace:
             a = np.empty(shape, dtype=dtype)
             self._arrays[key] = a
         return a[: shape[0]]
+
+
+# Each thread's scratch arrays, kept from one step, training or prediction
+# to the next.
+_scratch = threading.local()
+
+
+def thread_workspace() -> Workspace:
+    """The calling thread's workspace, made on its first call."""
+    if not hasattr(_scratch, "workspace"):
+        _scratch.workspace = Workspace()
+    return _scratch.workspace
+
+
+def as_features(X) -> np.ndarray | EncodedFeatures:
+    """``X`` itself when it is :class:`EncodedFeatures`, else ``X`` as a
+    float64 ndarray."""
+    return X if isinstance(X, EncodedFeatures) else np.asarray(X, dtype=np.float64)
+
+
+def take_rows(X: np.ndarray | EncodedFeatures, rows, workspace: Workspace) -> np.ndarray:
+    """Rows ``rows`` (a slice, or an array of in-range ids) of ``X`` as one
+    float64 block.
+
+    A slice of an ndarray is a view of it.  Otherwise the block is written
+    into ``workspace``'s flat ``("rows",)`` buffer, which serves every
+    width: gathered from an ndarray (the gather clips, because a checked
+    gather buffers its output), or expanded from EncodedFeatures into the
+    bytes ``np.asarray(X)[rows]`` holds."""
+    if isinstance(rows, slice) and isinstance(X, np.ndarray):
+        return X[rows]
+    n = rows.stop - rows.start if isinstance(rows, slice) else len(rows)
+    block = workspace.take(("rows",), (n * X.shape[1],)).reshape(n, X.shape[1])
+    if isinstance(X, EncodedFeatures):
+        return X.rows_into(rows, block)
+    return np.take(X, rows, axis=0, mode="clip", out=block)
 
 
 @dataclass(frozen=True)
@@ -433,25 +474,29 @@ def adam_step(
 def predict(network: Network, X, schema) -> np.ndarray:
     """Inference in original label units.
 
-    ``schema`` is anything exposing ``label_mean``/``label_std`` (the
-    encoding schema the network was trained against).  Dropout is inactive;
-    standardized outputs are mapped back to kWh.  The rows go through
-    :func:`forward` in blocks of at most :data:`STEP_BLOCK_ROWS`, all in one
-    workspace, and each block's predictions are written into its slice of
-    the result, so the scratch holds one block's activations however many
-    rows there are.  The bits are those of one pass over all the rows.
+    ``X`` is an ndarray or :class:`EncodedFeatures`; ``schema`` is anything
+    exposing ``label_mean``/``label_std`` (the encoding schema the network
+    was trained against).  Dropout is inactive; standardized outputs are
+    mapped back to kWh.  The rows go through :func:`forward` in blocks of
+    at most :data:`STEP_BLOCK_ROWS`, read by :func:`take_rows`, in the
+    calling thread's workspace, and each block's predictions are written
+    into its slice of the result, so the scratch holds one block's
+    activations however many rows there are.  The bits are those of one
+    pass over all the rows.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = as_features(X)
     if X.ndim != 2 or X.shape[1] != network.input_width:
         raise ShapeError(
             f"predict expects rows of width {network.input_width}, "
             f"got array of shape {X.shape}"
         )
     result = np.empty(X.shape[0])
-    workspace = Workspace()
+    workspace = thread_workspace()
     for start in range(0, X.shape[0], STEP_BLOCK_ROWS):
-        rows = slice(start, start + STEP_BLOCK_ROWS)
-        out, _ = forward(network, X[rows], mode=Mode.INFER, workspace=workspace)
+        rows = slice(start, min(start + STEP_BLOCK_ROWS, X.shape[0]))
+        out, _ = forward(
+            network, take_rows(X, rows, workspace), mode=Mode.INFER, workspace=workspace
+        )
         block = result[rows]
         np.multiply(out[:, 0], schema.label_std, out=block)
         np.add(block, schema.label_mean, out=block)

@@ -46,6 +46,7 @@ import numpy as np
 
 from .clustering import ClusterAssignment, ClusterConfig, constrained_kmeans
 from .data import (
+    EncodedFeatures,
     EncodingSchema,
     PartitionStrategy,
     StationInfo,
@@ -70,14 +71,16 @@ from .nn import (
     LayerSpec,
     Mode,
     Network,
-    Workspace,
     adam_step,
+    as_features,
     backward,
     forward,
     init_adam,
     init_network,
     predict,
     sse_loss,
+    take_rows,
+    thread_workspace,
 )
 from .rng import fold_seed
 
@@ -116,7 +119,7 @@ class Payload(enum.Enum):
     MODEL = "model"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrafficEntry:
     epoch: int
     direction: Direction
@@ -226,14 +229,14 @@ def network_specs(input_width: int, config: TrainConfig) -> tuple[LayerSpec, ...
 class WorkerState:
     """A simulated training site: the ids of its rows in the pooled data.
 
-    ``X`` and ``y`` are the pooled arrays every site shares, not copies of
-    this site's rows; ``sample_ids`` are the global ids of the site's rows.
-    They select the rows the site trains on, and they drive its dropout
-    masks.
+    ``X`` (an ndarray or EncodedFeatures) and ``y`` are the pooled data
+    every site shares, not copies of this site's rows; ``sample_ids`` are
+    the global ids of the site's rows.  They select the rows the site
+    trains on, and they drive its dropout masks.
     """
 
     worker_id: int
-    X: np.ndarray
+    X: np.ndarray | EncodedFeatures
     y: np.ndarray
     sample_ids: np.ndarray  # global row ids into X and y, in training order
     model_version: int = 0
@@ -258,7 +261,7 @@ class WorkerState:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundReport:
     epoch: int
     global_loss: float
@@ -314,20 +317,11 @@ def step_threads() -> int:
     return max(1, cores // blas)
 
 
-# Each thread's scratch arrays, kept from one step and one training to the next.
-_scratch = threading.local()
-
 # Step helper threads, started on first use and kept for the process.  The
 # cap matters: a submit that comes before a finished helper marks itself
-# idle starts one more thread, and each thread keeps its workspace.
+# idle starts one more thread, and each thread keeps its workspace
+# (nn.thread_workspace).
 _helpers = ThreadPoolExecutor(max(1, _usable_cores() - 1), thread_name_prefix="fedl-step")
-
-
-def _workspace() -> Workspace:
-    """The calling thread's workspace, made on its first call."""
-    if not hasattr(_scratch, "workspace"):
-        _scratch.workspace = Workspace()
-    return _scratch.workspace
 
 
 def _map_steps(fn: Callable, items: Sequence) -> list:
@@ -376,27 +370,29 @@ def _summed(grads: Sequence[Gradient]) -> tuple[list[np.ndarray], list[np.ndarra
 
 
 def _site_gradients(
-    network: Network, X: np.ndarray, y: np.ndarray, sites: Sequence[np.ndarray],
-    seed: int,
+    network: Network, X: np.ndarray | EncodedFeatures, y: np.ndarray,
+    sites: Sequence[np.ndarray], seed: int,
 ) -> list[tuple[Gradient, float]]:
     """Each site's exact gradient and SSE loss at ``network``.  A site is
     the global ids of its rows in the pooled ``X`` and ``y``.
 
-    Every (site, row block) is one task of :func:`_map_steps`.  A site whose
-    ids are one ascending range, such as the central site, reads its blocks
-    as slices of ``X`` and ``y`` (when ``X`` is C-contiguous, so a slice is
-    laid out as a gathered block is); any other site gathers its block's
-    rows into the thread's workspace, in one flat buffer that serves every
-    width.  A site's gradient and loss are its blocks' results summed in
-    block order, so they do not depend on the thread count.  The ids must lie in range
-    (WorkerState checks them): the gather clips, because a checked gather
-    buffers its output.
+    Every (site, row block) is one task of :func:`_map_steps`, and each
+    task reads its rows with :func:`fedl.nn.take_rows` into the thread's
+    workspace.  A site whose ids are one ascending range, such as the
+    central site, reads its blocks by slices: views of ``y``, and of ``X``
+    when ``X`` is a C-contiguous ndarray (laid out as a gathered block
+    is).  Any other site gathers its block's labels, and EncodedFeatures
+    expands every block.  A site's gradient and loss are its blocks'
+    results summed in block order, so they do not depend on the thread
+    count.  The ids must lie in range (WorkerState checks them): the
+    gathers clip, because a checked gather buffers its output.
     """
     # each site's block starts: blocks of at most STEP_BLOCK_ROWS ids
     blocks = [range(0, len(ids), STEP_BLOCK_ROWS) for ids in sites]
+    sliceable = isinstance(X, EncodedFeatures) or X.flags.c_contiguous
     # each site's first id when it reads slices, else None (the span test is O(1))
     firsts = [
-        int(ids[0]) if X.flags.c_contiguous and ids[-1] - ids[0] == len(ids) - 1
+        int(ids[0]) if sliceable and ids[-1] - ids[0] == len(ids) - 1
         and (np.diff(ids) == 1).all() else None
         for ids in sites
     ]
@@ -409,21 +405,18 @@ def _site_gradients(
     def block_step(task) -> tuple[Gradient, float]:
         sample_ids, first, start = task
         ids = sample_ids[start : start + STEP_BLOCK_ROWS]
-        workspace = _workspace()
+        workspace = thread_workspace()
         if first is not None:
             rows = slice(first + start, first + start + len(ids))
-            X_block, y_block = X[rows], y[rows]
+            y_block = y[rows]
         else:
-            flat = workspace.take(("rows",), (len(ids) * X.shape[1],), X.dtype)
-            X_block = np.take(
-                X, ids, axis=0, mode="clip", out=flat.reshape(len(ids), X.shape[1])
-            )
+            rows = ids
             y_block = np.take(
                 y, ids, mode="clip", out=workspace.take(("labels",), ids.shape, y.dtype)
             )
         out, tape = forward(
-            network, X_block, mode=Mode.TRAIN, seed=seed, sample_ids=ids,
-            workspace=workspace,
+            network, take_rows(X, rows, workspace), mode=Mode.TRAIN, seed=seed,
+            sample_ids=ids, workspace=workspace,
         )
         loss = sse_loss(out[:, 0], y_block)
         return backward(network, tape, y_block, workspace=workspace), loss
@@ -612,7 +605,7 @@ def _train(
 
 
 def run_centralized(
-    X: np.ndarray,
+    X: np.ndarray | EncodedFeatures,
     y: np.ndarray,
     config: TrainConfig,
     on_epoch: EpochCallback | None = None,
@@ -623,7 +616,7 @@ def run_centralized(
     The traffic log contains the single upfront dataset upload; training
     itself moves no bytes.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = as_features(X)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DegenerateDataError("centralized training needs a nonempty 2-d X")
@@ -654,7 +647,7 @@ def run_centralized(
 
 
 def make_workers(
-    X: np.ndarray,
+    X: np.ndarray | EncodedFeatures,
     y: np.ndarray,
     partitions: Sequence[WorkerPartition],
     model: Network,
@@ -668,7 +661,7 @@ def make_workers(
 
 
 def run_federated(
-    X: np.ndarray,
+    X: np.ndarray | EncodedFeatures,
     y: np.ndarray,
     partitions: Sequence[WorkerPartition],
     config: TrainConfig,
@@ -679,7 +672,7 @@ def run_federated(
     Stops when every worker's local loss satisfies convergence_check, or
     at the epoch budget.  Raw records never appear in the traffic log.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = as_features(X)
     y = np.asarray(y, dtype=np.float64)
     if not partitions:
         raise DegenerateDataError("need at least one worker partition")

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedl.data import (
+    EncodedFeatures,
     PartitionStrategy,
     WorkerPartition,
     build_schema,
@@ -23,6 +26,9 @@ from fedl.errors import (
     DegenerateSplitError,
     EncodingError,
 )
+from fedl.nn import STEP_BLOCK_ROWS, Workspace, take_rows
+
+from helpers import reference_encode_features
 
 HEADER = "station_id,transaction_id,date,time,energy_kwh\n"
 
@@ -173,7 +179,7 @@ def test_feature_codes_are_the_encoding_before_one_hot():
     assert np.all(X[rows, s + codes[:, 1] - 1] == 1.0)
     assert np.all(X[rows, s + 7 + codes[:, 2]] == 1.0)
     assert X[:, -1].tolist() == (codes[:, 3] / 10).tolist()
-    assert X.sum() == 3 * len(records) + 2.0
+    assert np.asarray(X).sum() == 3 * len(records) + 2.0
     no_txn = feature_codes(records, build_schema(records, include_transaction_id=False))
     assert no_txn[:, 3].tolist() == [0, 0, 0, 0]
 
@@ -249,6 +255,103 @@ def test_encoded_labels_are_standardized():
     _, y = encode_features(records, schema)
     assert y.mean() == pytest.approx(0.0, abs=1e-9)
     assert y.std() == pytest.approx(1.0, abs=1e-9)
+
+
+# --------------------------------------------------------------- encoded matrix
+
+
+def encoded_corpus(kind):
+    """(records, schema) of STEP_BLOCK_ROWS + 5 synthetic records, so the
+    rows span one full block and a partial one.  ``kind`` picks the id
+    column: scaled ids, none, a zero span, or offsets beyond int64."""
+    records = list(synth_generate(5, STEP_BLOCK_ROWS + 5, seed=4)[0])
+    if kind == "zero_span":
+        records = [dataclasses.replace(r, transaction_id=7) for r in records]
+    elif kind == "big_ids":  # ids up to ~2**71: the offsets overflow int64
+        records = [
+            dataclasses.replace(r, transaction_id=(i - 40) * 2**60 + i)
+            for i, r in enumerate(records)
+        ]
+    schema = build_schema(records, include_transaction_id=kind != "no_id")
+    return records, schema
+
+
+@pytest.mark.parametrize("kind", ["scaled_id", "no_id", "zero_span", "big_ids"])
+def test_expanded_blocks_hold_the_dense_rows_bytes(kind):
+    records, schema = encoded_corpus(kind)
+    X, y = encode_features(records, schema)
+    want_X, want_y = reference_encode_features(records, schema)
+    dense = np.asarray(X)
+    assert isinstance(X, EncodedFeatures) and X.shape == dense.shape == want_X.shape
+    assert len(X) == len(records) and dense.dtype == np.float64
+    assert dense.tobytes() == want_X.tobytes() and y.tobytes() == want_y.tobytes()
+    if kind == "big_ids":
+        assert feature_codes(records, schema).dtype == object
+    n = len(records)
+    scattered = np.random.default_rng(1).permutation(n)[:300]
+    selections = [
+        scattered, np.arange(100, 400), slice(100, 400), np.array([7]), slice(7, 8),
+        # a site's blocks in order, the last one partial, in one workspace
+        slice(0, STEP_BLOCK_ROWS), slice(STEP_BLOCK_ROWS, n),
+        np.arange(STEP_BLOCK_ROWS), np.arange(STEP_BLOCK_ROWS, n),
+    ]
+    workspace = Workspace()
+    for rows in selections:
+        block = take_rows(X, rows, workspace)
+        assert block.flags.c_contiguous
+        assert block.tobytes() == dense[rows].tobytes()
+    assert [name for name, _, _ in workspace._arrays] == [("rows",)]
+
+
+@pytest.mark.parametrize("key", [
+    5, -1, np.int64(3), slice(None), slice(10, 3, -2), [3, 1, 3],
+    np.array([[0, 1], [2, 3]]), (slice(2, 9), -1), ([0, 4], [1, 2]),
+    ([0, 4], slice(None, 5)), (3, slice(None)), (Ellipsis, -1), (slice(4), None),
+    (np.array([2, 0]), np.array([[1], [5]])),
+], ids=repr)
+def test_indexing_builds_the_dense_value(key):
+    records, schema = encoded_corpus("scaled_id")
+    X, _ = encode_features(records[:20], schema)
+    got, want = X[key], np.asarray(X)[key]
+    assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_indexing_by_a_mask_and_out_of_range():
+    records, schema = encoded_corpus("scaled_id")
+    X, _ = encode_features(records[:20], schema)
+    mask = np.arange(20) % 3 == 0
+    assert np.array_equal(X[mask], np.asarray(X)[mask])
+    with pytest.raises(IndexError):
+        X[20]
+    with pytest.raises(IndexError):
+        X[np.array([0, -21])]
+
+
+def test_encoded_matrix_is_read_only():
+    records, schema = encoded_corpus("scaled_id")
+    X, _ = encode_features(records[:20], schema)
+    with pytest.raises(TypeError):
+        X[0] = 1.0
+    with pytest.raises(ValueError):
+        np.asarray(X, copy=False)
+    assert np.asarray(X, dtype=np.float32).dtype == np.float32
+
+
+def test_encode_features_never_builds_the_dense_matrix():
+    # 50k rows of 90 features would be 34.3 MiB dense; the encoded matrix
+    # holds 20 bytes a row and the labels 8
+    records, _, _ = synth_generate(58, 50_000, seed=1)
+    schema = build_schema(records)
+    assert schema.width == 90
+    encode_features(records[:10], schema)  # first-call set-up
+    tracemalloc.start()
+    try:
+        X, _ = encode_features(records, schema)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 # --------------------------------------------------------------- split

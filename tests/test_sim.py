@@ -16,7 +16,17 @@ from fedl.data import (
 )
 from fedl.errors import DegenerateDataError, ShapeError, StalenessError
 from fedl.model_io import network_to_bytes
-from fedl.nn import Gradient, Mode, backward, forward, init_adam, init_network, sse_loss
+from fedl.nn import (
+    Gradient,
+    Mode,
+    backward,
+    forward,
+    init_adam,
+    init_network,
+    predict,
+    sse_loss,
+    thread_workspace,
+)
 from fedl.rng import fold_seed
 from fedl.sim import (
     STEP_BLOCK_ROWS,
@@ -32,7 +42,6 @@ from fedl.sim import (
     _map_steps,
     _site_gradients,
     _usable_cores,
-    _workspace,
     aggregate_gradients,
     convergence_check,
     dataset_bytes,
@@ -254,7 +263,7 @@ def _on_a_new_thread(fn):
 
     def body():
         fn()
-        out.append(_workspace())
+        out.append(thread_workspace())
 
     thread = threading.Thread(target=body)
     thread.start()
@@ -629,6 +638,28 @@ def test_pool_size_changes_no_bit(monkeypatch, multi_block_corpus, pipeline):
     assert outputs[2] == outputs[0]
 
 
+@pytest.mark.parametrize("pipeline", ["central", "by_station", "round_robin"])
+def test_encoded_and_dense_features_train_to_the_same_bits(multi_block_corpus, pipeline):
+    # the encoded matrix expands each block where the dense one is sliced
+    # (central) or gathered (federated), at the same block boundaries; every
+    # site here has at least three blocks
+    records, _, X, y = multi_block_corpus
+    dense = np.asarray(X)
+    cfg = TrainConfig(epochs=2, tolerance=0.0, hidden_layers=(16, 8), workers=2, seed=5)
+
+    def run(features):
+        if pipeline == "central":
+            return run_centralized(features, y, cfg)
+        parts = partition_workers(records, 2, PartitionStrategy(pipeline))
+        assert min(len(p.record_indices) for p in parts) > 2 * STEP_BLOCK_ROWS
+        return run_federated(features, y, parts, cfg)
+
+    encoded_run, dense_run = run(X), run(dense)
+    assert _outputs(*encoded_run) == _outputs(*dense_run)
+    model, schema = encoded_run[0], build_schema(records, True)
+    assert predict(model, X, schema).tobytes() == predict(model, dense, schema).tobytes()
+
+
 def test_blocked_worker_gradients_sum_to_full_batch(multi_block_corpus):
     # criterion 3 at shards of several blocks: each worker gradient is a sum
     # of block gradients, and the workers' sum is the full-batch gradient
@@ -664,6 +695,46 @@ def test_federated_run_copies_no_worker_rows():
     finally:
         tracemalloc.stop()
     assert peak - before < X.nbytes / 2
+
+
+def test_predict_after_training_allocates_no_block(monkeypatch):
+    # training leaves the thread's workspace holding a block's expanded
+    # rows (2048 x 90) and activations (2048 x 64, 1 MiB each), which
+    # predict reuses: it allocates its 10,000 results and per-block index
+    # arrays, 0.24 MiB at its peak.  A thread that has not trained
+    # allocates the block arrays afresh.
+    import fedl.sim
+
+    monkeypatch.setattr(fedl.sim, "step_threads", lambda: 1)
+    records, _, _ = synth_generate(58, 14_000, seed=3)
+    schema = build_schema(records)
+    X, y = encode_features(records[:4_000], schema)
+    X_test, _ = encode_features(records[4_000:], schema)
+    assert X.shape[1] == 90 and len(X_test) == 10_000
+    model, _, _ = run_centralized(
+        X, y, TrainConfig(epochs=1, hidden_layers=(64, 64), seed=1)
+    )
+
+    def predict_peak(train_first):
+        peaks = []
+
+        def body():
+            if train_first:
+                run_centralized(X, y, TrainConfig(epochs=1, hidden_layers=(64, 64), seed=1))
+            tracemalloc.start()
+            try:
+                predict(model, X_test, schema)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=body)
+        thread.start()
+        thread.join()
+        return peaks[0]
+
+    assert predict_peak(train_first=True) < 0.5 * 2**20
+    assert predict_peak(train_first=False) > 2048 * (90 + 64 + 64) * 8
 
 
 def test_round_runs_one_forward_per_row_block(monkeypatch):
@@ -726,7 +797,7 @@ def test_step_threads_keep_the_callers_error_state(monkeypatch):
 
     def task(item):
         barrier.wait()  # so each of the two threads takes one item
-        return np.geterr()["over"], threading.get_ident(), id(_workspace())
+        return np.geterr()["over"], threading.get_ident(), id(thread_workspace())
 
     with np.errstate(over="ignore"):
         results = _map_steps(task, ["a", "b"])
@@ -746,13 +817,13 @@ def test_repeated_trainings_reuse_the_step_threads_and_workspaces(monkeypatch):
     def helpers():
         return {t for t in threading.enumerate() if t.name.startswith("fedl-step")}
 
-    workspace = _workspace()
+    workspace = thread_workspace()
     run_federated(X, y, parts, cfg)
     started = helpers()
     run_federated(X, y, parts, cfg)
     assert helpers() == started
     assert 1 <= len(started) <= max(1, _usable_cores() - 1)
-    assert _workspace() is workspace
+    assert thread_workspace() is workspace
 
 
 def _backward_poisoned_at_5_rows(network, tape, targets, workspace=None):

@@ -157,7 +157,7 @@ def test_encode_matches_record_by_record_reference(low, span, data):
         assert codes.tolist() == want.tolist()
         X, y = encode_features(records, schema)
         want_X, want_y = reference_encode_features(records, schema)
-        assert X.tobytes() == want_X.tobytes() and y.tobytes() == want_y.tobytes()
+        assert np.asarray(X).tobytes() == want_X.tobytes() and y.tobytes() == want_y.tobytes()
 
 
 def test_encode_on_synthetic_corpus_matches_reference():
@@ -165,7 +165,7 @@ def test_encode_on_synthetic_corpus_matches_reference():
     schema = build_schema(records[:3000])  # ids of the other rows clip
     X, y = encode_features(records, schema)
     want_X, want_y = reference_encode_features(records, schema)
-    assert X.tobytes() == want_X.tobytes() and y.tobytes() == want_y.tobytes()
+    assert np.asarray(X).tobytes() == want_X.tobytes() and y.tobytes() == want_y.tobytes()
 
 
 @pytest.mark.parametrize("bad", [
