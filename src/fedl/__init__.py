@@ -12,7 +12,6 @@ from .data import (
     PartitionStrategy,
     build_schema,
     encode_features,
-    feature_codes,
     partition_workers,
     split_train_test,
     synth_generate,

@@ -30,7 +30,6 @@ from .data import (
     EncodingSchema,
     build_schema,
     encode_features,
-    feature_codes,
     parse_stations,
     parse_transactions,
     partition_workers,
@@ -640,13 +639,13 @@ def _pipeline_name(mode: str, clustered: bool) -> str:
     return f"{mode}_clustered" if clustered else mode
 
 
-def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
-    """Score the model(s) saved by `fedl train` on the given test split.
+def _evaluate_run_dir(run_dir: Path, mode: str, clustered: bool, test):
+    """Score the model(s) saved by a `fedl train` run in ``mode``, one per
+    cluster when ``clustered``, on the given test split.
 
     Returns (pipeline_name, rmse, total_bytes, uncovered_test).
     """
-    clustered = bool(manifest.get("clustered", False))
-    name = _pipeline_name(manifest.get("config", {}).get("mode", "central"), clustered)
+    name = _pipeline_name(mode, clustered)
     traffic_path = run_dir / "traffic.csv"
     total_bytes = (
         _read_traffic(traffic_path).total_bytes() if traffic_path.exists() else 0
@@ -699,8 +698,7 @@ def _baseline_rmse(train, test, include_txn: bool, knn_k: int):
     schema = build_schema(train, include_txn, station_vocabulary=vocab)
     k = min(knn_k, len(train))
     knn_pred = knn_baseline(
-        feature_codes(train, schema), train_y, feature_codes(test, schema), k,
-        schema=schema,
+        encode_features(train, schema)[0], train_y, encode_features(test, schema)[0], k
     )
     return _rmse(actual, mean_pred), _rmse(actual, knn_pred)
 
@@ -785,14 +783,18 @@ def cmd_evaluate(args) -> int:
     if not isinstance(run_cfg, dict):
         raise DataFormatError(f"{args.run_dir / 'manifest.json'}: config is not an object")
 
+    def recorded(key, value):
+        # a manifest value, checked as the option it records
+        try:
+            return _typed(key, value)
+        except UsageError as e:
+            raise DataFormatError(f"{args.run_dir / 'manifest.json'}: {e}") from None
+
     def inherited(key):
         # a flag wins, then the scored run's value, then config file/default;
         # --run-dir takes no transaction-id flag, so the run's encoding wins
         if getattr(args, key) is None and key in run_cfg:
-            try:
-                return _typed(key, run_cfg[key])
-            except UsageError as e:
-                raise DataFormatError(f"{args.run_dir / 'manifest.json'}: {e}") from None
+            return recorded(key, run_cfg[key])
         return cfg[key]
 
     ratio = _check_ratio(inherited("ratio"))
@@ -804,8 +806,15 @@ def cmd_evaluate(args) -> int:
     total_bytes: dict[str, int] = {}
     uncovered = 0
     if args.run_dir is not None:
+        clustered = run_manifest.get("clustered", False)
+        if not isinstance(clustered, bool):
+            raise DataFormatError(
+                f"{args.run_dir / 'manifest.json'}: clustered must be true or false, "
+                f"got {json.dumps(clustered)}"
+            )
+        mode = recorded("mode", run_cfg.get("mode", "central"))
         name, value, n_bytes, uncovered = _evaluate_run_dir(
-            args.run_dir, run_manifest, test
+            args.run_dir, mode, clustered, test
         )
         if value is not None:
             rmse_kwh[name] = value

@@ -20,10 +20,11 @@ here that takes records applies first.
 
 Features are one-hot station ⊕ one-hot day-of-week (Monday=1) ⊕ one-hot
 hour, optionally followed by the transaction id min-max scaled to [0, 1].
-:func:`encode_features` keeps them as :class:`EncodedFeatures`, each
-row's one-hot columns and scaled id, which expands to dense rows a block
-at a time.  Labels are z-scored with statistics taken from training
-records only.
+:func:`encode_features` keeps them as :class:`EncodedFeatures`, the only
+encoded form: each row's one-hot columns and integer id offset, which
+training and scoring expand to dense rows a block at a time and the kNN
+baseline reads as they are.  Labels are z-scored with statistics taken
+from training records only.
 """
 
 from __future__ import annotations
@@ -192,9 +193,10 @@ class EncodingSchema:
     @staticmethod
     def from_dict(d: dict) -> "EncodingSchema":
         """The inverse of :meth:`to_dict`.  A missing key, a value not of
-        the type ``to_dict`` writes, or values no built schema has (label
-        statistics that are not finite, a std that is not positive,
-        txn_min above txn_max) raise DataFormatError."""
+        the type ``to_dict`` writes, or values no built schema has (a
+        vocabulary that is not strictly ascending, label statistics that
+        are not finite, a std that is not positive, txn_min above txn_max)
+        raise DataFormatError."""
         types = {  # exact types: a JSON true is not a number here
             "station_vocabulary": (list,),
             "include_transaction_id": (bool,),
@@ -212,6 +214,9 @@ class EncodingSchema:
             wrong.insert(0, "station_vocabulary")
         if wrong:
             raise DataFormatError(f"schema values of the wrong type: {', '.join(wrong)}")
+        if any(a >= b for a, b in zip(vocab, vocab[1:])):
+            # the one-hot columns follow the vocabulary's sorted order
+            raise DataFormatError("schema station_vocabulary is not strictly ascending")
         try:
             mean, std = float(d["label_mean"]), float(d["label_std"])
         except OverflowError:  # an integer beyond float64
@@ -468,75 +473,32 @@ def build_schema(
     )
 
 
-def _code_columns(records: Transactions, schema: EncodingSchema) -> tuple:
-    """The four columns of :func:`feature_codes`: station index, day and
-    hour (int64), and the id offsets, int64 or, when one does not fit, a
-    list of Python ints."""
-    index = {sid: i for i, sid in enumerate(schema.station_vocabulary)}
-    lookup = np.array([index.get(sid, -1) for sid in records.vocabulary], dtype=np.int64)
-    station, day, hour = lookup[records.station], records.day, records.hour
-    bad = (station < 0) | (day < 1) | (day > 7) | (hour < 0) | (hour > 23)
-    if bad.any():
-        r = records[int(np.argmax(bad))]
-        if r.station_id not in index:
-            raise EncodingError(f"station {r.station_id!r} not in schema vocabulary")
-        raise EncodingError(f"record out of range: day={r.day_of_week}, hour={r.hour}")
-    low, high = schema.txn_min, schema.txn_max
-    ids = records.transaction_id
-    if not schema.include_transaction_id:
-        offset = np.zeros(len(records), dtype=np.int64)
-    elif ids.dtype != object and _INT64.min <= low <= high <= _INT64.max + min(low, 0):
-        # the bounds and the span high - low all fit in int64
-        offset = np.clip(ids, low, high) - low
-    else:  # Python ints, exact at any size
-        offset = [min(max(t, low), high) - low for t in ids.tolist()]
-        try:
-            offset = np.array(offset, dtype=np.int64)
-        except OverflowError:
-            pass
-    return station, day, hour, offset
-
-
-def feature_codes(
-    records: Transactions | Iterable[TransactionRecord], schema: EncodingSchema
-) -> np.ndarray:
-    """Records as integer codes, one (station index, day, hour, id offset)
-    row each: what :func:`encode_features` writes, before one-hot expansion.
-
-    The id offset is the transaction id clipped to [txn_min, txn_max],
-    minus txn_min, so the encoded id column is exactly offset / span.  It
-    is 0 when the schema leaves the id out.  The array is int64, or holds
-    Python ints (dtype object) when a code does not fit in int64.
-    """
-    records = Transactions.of(records)
-    columns = _code_columns(records, schema)
-    if isinstance(columns[3], np.ndarray):
-        return np.column_stack(columns)
-    rows = zip(*(column.tolist() for column in columns[:3]), columns[3])
-    return np.array(list(rows), dtype=object).reshape(len(records), 4)
-
-
 class EncodedFeatures:
-    """The feature matrix of :func:`encode_features`, held as each row's
-    three one-hot columns (int32) and its scaled transaction id, 20 bytes
-    a row instead of ``width`` float64s.  Read-only.
+    """The feature matrix of :func:`encode_features`, held as integer codes,
+    20 bytes a row instead of ``width`` float64s.  Read-only.
 
-    ``np.asarray(X)`` builds the dense float64 matrix; ``X[key]`` is
-    ``np.asarray(X)[key]`` built from the selected rows only; training and
-    scoring expand one row block at a time with :meth:`rows_into`.
+    ``hot`` holds each row's three one-hot columns (int32, shape (n, 3)).
+    ``offset`` holds each row's transaction id clipped to the schema's
+    range, minus ``txn_min``: int64, or Python ints (dtype object) once an
+    offset leaves int64, and None when the schema leaves the id out or
+    ``span``, ``txn_max - txn_min``, is 0.  The id column is offset / span.
+
+    ``np.asarray(X)`` builds the dense float64 matrix.  ``X[key]`` is
+    ``np.asarray(X)[key]``: a key that selects rows builds only those rows,
+    a tuple key indexes the dense matrix.  Training and scoring expand one
+    row block at a time with :meth:`rows_into`.
     """
 
-    __slots__ = ("_hot", "_scaled", "shape")
+    __slots__ = ("hot", "offset", "span", "shape")
     ndim = 2
 
-    def __init__(self, hot: np.ndarray, scaled: np.ndarray | None, width: int) -> None:
-        """``hot`` is (n, 3): the columns of each row's ones; ``scaled`` the
-        last column's values, or None when that column is all zeros or
-        absent."""
-        for column in (hot, scaled):
+    def __init__(
+        self, hot: np.ndarray, offset: np.ndarray | None, span: int, width: int
+    ) -> None:
+        for column in (hot, offset):
             if column is not None:
                 column.setflags(write=False)
-        self._hot, self._scaled = hot, scaled
+        self.hot, self.offset, self.span = hot, offset, span
         self.shape = (len(hot), width)
 
     def __len__(self) -> int:
@@ -551,17 +513,17 @@ class EncodedFeatures:
         def select(column):  # take gathers faster than fancy indexing
             return column[rows] if isinstance(rows, slice) else column.take(rows, axis=0)
 
-        scaled = None if self._scaled is None else select(self._scaled)
-        return self._fill(select(self._hot), scaled, out)
-
-    def _fill(self, hot: np.ndarray, scaled: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-        """Write the dense rows of ``hot`` and ``scaled`` into the
-        C-contiguous ``out``."""
         out.fill(0.0)
         # the flat positions of each row's ones
-        out.reshape(-1)[hot + np.arange(0, out.size, self.shape[1])[:, None]] = 1.0
-        if scaled is not None:
-            out[:, -1] = scaled
+        starts = np.arange(0, out.size, self.shape[1])[:, None]
+        out.reshape(-1)[select(self.hot) + starts] = 1.0
+        if self.offset is not None:
+            offset = select(self.offset)
+            if offset.dtype != object and self.span < 2**53:
+                # both exact in float64, so one correctly rounded division each
+                np.divide(offset, float(self.span), out=out[:, -1])
+            else:  # Python int division rounds the exact quotient once
+                out[:, -1] = [o / self.span for o in offset.tolist()]
         return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -571,22 +533,11 @@ class EncodedFeatures:
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
     def __getitem__(self, key) -> np.ndarray:
-        rows, rest = (key[0], key[1:]) if isinstance(key, tuple) and key else (key, ())
-        if rows is None or rows is Ellipsis or (
-            isinstance(rows, np.ndarray) and rows.dtype == bool and rows.ndim != 1
-        ):
+        if isinstance(key, tuple):
             return np.asarray(self)[key]
-        hot = self._hot[rows]  # numpy checks the key
-        scaled = None if self._scaled is None else self._scaled[rows].reshape(-1)
-        lead = hot.shape[:-1]
-        count = math.prod(lead)
-        dense = self._fill(hot.reshape(count, 3), scaled, np.empty((count, self.shape[1])))
-        if not lead:  # one row, by an integer
-            return dense[(0, *rest)]
-        if isinstance(rows, slice) or not rest:
-            return dense.reshape(*lead, self.shape[1])[(slice(None),) * len(lead) + rest]
-        # an array of rows pairs up with any array in ``rest``, as in numpy
-        return dense[(np.arange(count).reshape(lead), *rest)]
+        ids = np.arange(len(self))[key]  # numpy checks the key
+        dense = self.rows_into(ids.reshape(-1), np.empty((ids.size, self.shape[1])))
+        return dense.reshape(*ids.shape, self.shape[1])
 
 
 def encode_features(
@@ -596,24 +547,38 @@ def encode_features(
 
     Row layout: one-hot station | one-hot day (7) | one-hot hour (24)
     | scaled transaction id (when the schema includes it, clipped to [0,1]).
+    A station outside the schema's vocabulary, or a day or hour out of
+    range, raises EncodingError naming the first such record.
     """
     records = Transactions.of(records)
-    station, day, hour, offset = _code_columns(records, schema)
+    index = {sid: i for i, sid in enumerate(schema.station_vocabulary)}
+    lookup = np.array([index.get(sid, -1) for sid in records.vocabulary], dtype=np.int64)
+    station, day, hour = lookup[records.station], records.day, records.hour
+    bad = (station < 0) | (day < 1) | (day > 7) | (hour < 0) | (hour > 23)
+    if bad.any():
+        r = records[int(np.argmax(bad))]
+        if r.station_id not in index:
+            raise EncodingError(f"station {r.station_id!r} not in schema vocabulary")
+        raise EncodingError(f"record out of range: day={r.day_of_week}, hour={r.hour}")
     n_stations = len(schema.station_vocabulary)
     hot = np.empty((len(records), 3), dtype=np.int32)
     hot[:, 0] = station
     hot[:, 1] = day + (n_stations - 1)
     hot[:, 2] = hour + (n_stations + 7)
-    scaled = None
-    span = schema.txn_max - schema.txn_min
-    if schema.include_transaction_id and span:
-        if isinstance(offset, np.ndarray) and span < 2**53:
-            # both exact in float64, so one correctly rounded division each
-            scaled = offset / float(span)
-        else:  # Python int division rounds the exact quotient once
-            offsets = offset.tolist() if isinstance(offset, np.ndarray) else offset
-            scaled = np.array([o / span for o in offsets], dtype=np.float64)
-    X = EncodedFeatures(hot, scaled, schema.width)
+    low, high = schema.txn_min, schema.txn_max
+    ids = records.transaction_id
+    if not schema.include_transaction_id or low == high:
+        offset = None
+    elif ids.dtype != object and _INT64.min <= low <= high <= _INT64.max + min(low, 0):
+        # the bounds and the span high - low all fit in int64
+        offset = np.clip(ids, low, high) - low
+    else:  # Python ints, exact at any size
+        offset = [min(max(t, low), high) - low for t in ids.tolist()]
+        try:
+            offset = np.array(offset, dtype=np.int64)
+        except OverflowError:
+            offset = np.array(offset, dtype=object)
+    X = EncodedFeatures(hot, offset, high - low, schema.width)
     return X, (records.energy_kwh - schema.label_mean) / schema.label_std
 
 

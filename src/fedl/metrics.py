@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import EncodingSchema
+from .data import EncodedFeatures
 from .errors import DegenerateDataError, EncodingError, ShapeError
 
 # Queries per kNN lookup pass; the result does not depend on it.
@@ -34,74 +34,67 @@ def rmse(actual, predicted) -> float:
     return float(np.sqrt(np.mean(d * d)))
 
 
-def knn_baseline(
-    train, train_y, test, k: int, *, schema: EncodingSchema,
-) -> np.ndarray:
+def knn_baseline(train_X, train_y, test_X, k: int) -> np.ndarray:
     """Mean label of the k nearest training rows (Euclidean distance on the
     encoded features), averaged in neighbour order.
 
-    ``train`` and ``test`` are :func:`fedl.data.feature_codes` arrays made
-    under ``schema``.  On the encoded features the squared distance is
-    2m + (gap/span)^2, where m counts the mismatched one-hot blocks and gap
-    the id offsets' integer difference, so neighbours order by (m, |gap|,
-    training-row index) with no floating point.  Queries are processed in
-    chunks of ``KNN_CHUNK_ROWS``.
+    ``train_X`` and ``test_X`` are :class:`fedl.data.EncodedFeatures` made
+    under one schema, and kNN reads their codes, ``hot`` and ``offset``.
+    On the encoded features the squared distance is 2m + (gap/span)^2,
+    where m counts the mismatched one-hot blocks and gap the id offsets'
+    integer difference, so neighbours order by (m, |gap|, training-row
+    index) with no floating point.  Queries are processed in chunks of
+    ``KNN_CHUNK_ROWS``.
     """
-    X = np.asarray(train)
+    for X in (train_X, test_X):
+        if not isinstance(X, EncodedFeatures):
+            raise TypeError(f"knn reads EncodedFeatures, got {type(X).__name__}")
     y = np.asarray(train_y, dtype=np.float64)
-    Q = np.asarray(test)
-    if X.shape[0] == 0:
+    if len(train_X) == 0:
         raise DegenerateDataError("knn needs a nonempty training set")
-    if not (1 <= k <= X.shape[0]):
-        raise ValueError(f"k must be in [1, {X.shape[0]}], got {k}")
-    if X.ndim != 2 or Q.ndim != 2 or X.shape[1] != Q.shape[1]:
-        raise ShapeError(
-            f"feature widths differ: train {X.shape} vs test {Q.shape}"
-        )
-    if y.shape != (X.shape[0],):
-        raise ShapeError("train labels must be one per training row")
-    _check_codes(X, schema)
-    _check_codes(Q, schema)
-    return y[_nearest_codes(X, Q, k)].mean(axis=1)
-
-
-def _check_codes(codes: np.ndarray, schema: EncodingSchema) -> None:
-    if codes.shape[1] != 4:
-        raise ShapeError(f"knn codes need 4 columns, got {codes.shape[1]}")
-    span = schema.txn_max - schema.txn_min if schema.include_transaction_id else 0
-    high = (len(schema.station_vocabulary) - 1, 7, 23, span)
-    if ((codes < (0, 1, 0, 0)) | (codes > high)).any():
+    if not (1 <= k <= len(train_X)):
+        raise ValueError(f"k must be in [1, {len(train_X)}], got {k}")
+    if (train_X.shape[1], train_X.span) != (test_X.shape[1], test_X.span):
         raise EncodingError(
-            "knn codes fall outside the schema's ranges (not feature_codes output?)"
+            f"knn needs train and test encoded under one schema: width "
+            f"{train_X.shape[1]} vs {test_X.shape[1]}, "
+            f"id span {train_X.span} vs {test_X.span}"
         )
+    if y.shape != (len(train_X),):
+        raise ShapeError("train labels must be one per training row")
+    return y[_nearest(train_X, test_X, k)].mean(axis=1)
 
 
-def _pair_keys(blocks: np.ndarray):
-    """Group keys for (station, day), (station, hour) and (day, hour)."""
-    s, d, h = blocks.T
-    return s * 8 + d, s * 24 + h, d * 24 + h
+def _pair_keys(hot: np.ndarray, width: int):
+    """Group keys for (station, day), (station, hour) and (day, hour): each
+    pair of one-hot columns as one integer."""
+    s, d, h = hot.astype(np.int64).T
+    return s * width + d, s * width + h, d * width + h
 
 
-def _nearest_codes(train, test, k: int) -> np.ndarray:
+def _nearest(train: EncodedFeatures, test: EncodedFeatures, k: int) -> np.ndarray:
     """(|test|, k) row indices, ordered by (m, |gap|, row index).
 
     A row with m <= 1 shares at least two blocks with the query, so it is
     in one of the query's three pair groups; those groups usually hold k
     rows or more.  Queries whose groups hold fewer scan every row.
     """
-    blocks_x = train[:, :3].astype(np.int64)
-    blocks_q = test[:, :3].astype(np.int64)
-    ids_x, ids_q = train[:, 3], test[:, 3]
+    blocks_x, blocks_q = train.hot, test.hot
+    # with no id column every gap is 0
+    ids_x, ids_q = (
+        np.zeros(len(X), dtype=np.int64) if X.offset is None else X.offset
+        for X in (train, test)
+    )
     groups = []
-    for key in _pair_keys(blocks_x):
+    for key in _pair_keys(blocks_x, train.shape[1]):
         order = np.argsort(key, kind="stable")
         groups.append((key[order], order))
-    nearest = np.empty((test.shape[0], k), dtype=np.intp)
-    for start in range(0, test.shape[0], KNN_CHUNK_ROWS):
+    nearest = np.empty((len(test), k), dtype=np.intp)
+    for start in range(0, len(test), KNN_CHUNK_ROWS):
         bq = blocks_q[start : start + KNN_CHUNK_ROWS]
         tq = ids_q[start : start + KNN_CHUNK_ROWS]
         qid, rows = [], []
-        for (keys, order), kq in zip(groups, _pair_keys(bq)):
+        for (keys, order), kq in zip(groups, _pair_keys(bq, train.shape[1])):
             lo = np.searchsorted(keys, kq, "left")
             size = np.searchsorted(keys, kq, "right") - lo
             qid.append(np.repeat(np.arange(len(kq)), size))
@@ -123,7 +116,7 @@ def _nearest_codes(train, test, k: int) -> np.ndarray:
         best[full] = rows[first[full, None] + np.arange(k)]
         far = np.flatnonzero(~full)
         if far.size:
-            m_far = np.zeros((far.size, train.shape[0]), dtype=np.int8)
+            m_far = np.zeros((far.size, len(train)), dtype=np.int8)
             for j in range(3):
                 m_far += bq[far, j : j + 1] != blocks_x[:, j]
             gap_far = np.abs(tq[far, None] - ids_x[None, :])

@@ -23,12 +23,12 @@ Design points:
   own activation and dropout-output buffers before the affine map fills
   them, so a workspace holds no hash scratch;
 * training steps and inference both work in row blocks of at most
-  :data:`STEP_BLOCK_ROWS` rows, each read by :func:`take_rows` (expanded
-  from :class:`fedl.data.EncodedFeatures`, or sliced or gathered from an
-  ndarray) into the calling thread's workspace (:func:`thread_workspace`):
-  :func:`predict` runs its input through it block by block, so its
-  scratch holds one block's activations whatever the input's size, and
-  reuses what the thread's training steps left there.
+  :data:`STEP_BLOCK_ROWS` rows, each read by :func:`take_rows` into the
+  calling thread's workspace (:func:`thread_workspace`): a training step
+  by row ids, :func:`predict` by slices, expanded from
+  :class:`fedl.data.EncodedFeatures` or gathered (a slice: viewed) from
+  an ndarray.  So :func:`predict`'s scratch holds one block's activations
+  whatever the input's size, and reuses what the training steps left.
 """
 
 from __future__ import annotations

@@ -16,11 +16,13 @@ Determinism contract: given (config, seed) every run is bit-reproducible.
 A round is a list of independent tasks, one per (site, block of at most
 :data:`STEP_BLOCK_ROWS` consecutive entries of the site's row ids), run on
 the calling thread and on helper threads that last for the process, each
-thread with one workspace of its own.  A site's gradient and loss are its
-blocks' results summed in block order, and sites are reduced in ascending
-worker-id order, so the output is the same bits for any thread count.  A
-site of one block gets exactly its whole-batch gradient, and with one
-worker the federated trajectory is bit-identical to the centralized one.
+thread with one workspace of its own.  Every site, the central one too,
+reads each block's rows and labels by their ids into that workspace.  A
+site's gradient and loss are its blocks' results summed in block order,
+and sites are reduced in ascending worker-id order, so the output is the
+same bits for any thread count.  A site of one block gets exactly its
+whole-batch gradient, and with one worker the federated trajectory is
+bit-identical to the centralized one.
 
 Traffic sizing is fixed and documented: a gradient or model message costs
 ``parameter_count * 8 + 64`` bytes (payload plus header); one encoded
@@ -377,45 +379,27 @@ def _site_gradients(
     the global ids of its rows in the pooled ``X`` and ``y``.
 
     Every (site, row block) is one task of :func:`_map_steps`, and each
-    task reads its rows with :func:`fedl.nn.take_rows` into the thread's
-    workspace.  A site whose ids are one ascending range, such as the
-    central site, reads its blocks by slices: views of ``y``, and of ``X``
-    when ``X`` is a C-contiguous ndarray (laid out as a gathered block
-    is).  Any other site gathers its block's labels, and EncodedFeatures
-    expands every block.  A site's gradient and loss are its blocks'
-    results summed in block order, so they do not depend on the thread
-    count.  The ids must lie in range (WorkerState checks them): the
-    gathers clip, because a checked gather buffers its output.
+    task reads its rows by their ids with :func:`fedl.nn.take_rows` into
+    the thread's workspace, expanded from EncodedFeatures or gathered from
+    an ndarray, and gathers its labels beside them.  A site's gradient and
+    loss are its blocks' results summed in block order, so they do not
+    depend on the thread count.  The ids must lie in range (WorkerState
+    checks them): the gathers clip, because a checked gather buffers its
+    output.
     """
     # each site's block starts: blocks of at most STEP_BLOCK_ROWS ids
     blocks = [range(0, len(ids), STEP_BLOCK_ROWS) for ids in sites]
-    sliceable = isinstance(X, EncodedFeatures) or X.flags.c_contiguous
-    # each site's first id when it reads slices, else None (the span test is O(1))
-    firsts = [
-        int(ids[0]) if sliceable and ids[-1] - ids[0] == len(ids) - 1
-        and (np.diff(ids) == 1).all() else None
-        for ids in sites
-    ]
-    tasks = [
-        (ids, first, start)
-        for ids, first, starts in zip(sites, firsts, blocks)
-        for start in starts
-    ]
+    tasks = [(ids, start) for ids, starts in zip(sites, blocks) for start in starts]
 
     def block_step(task) -> tuple[Gradient, float]:
-        sample_ids, first, start = task
+        sample_ids, start = task
         ids = sample_ids[start : start + STEP_BLOCK_ROWS]
         workspace = thread_workspace()
-        if first is not None:
-            rows = slice(first + start, first + start + len(ids))
-            y_block = y[rows]
-        else:
-            rows = ids
-            y_block = np.take(
-                y, ids, mode="clip", out=workspace.take(("labels",), ids.shape, y.dtype)
-            )
+        y_block = np.take(
+            y, ids, mode="clip", out=workspace.take(("labels",), ids.shape, y.dtype)
+        )
         out, tape = forward(
-            network, take_rows(X, rows, workspace), mode=Mode.TRAIN, seed=seed,
+            network, take_rows(X, ids, workspace), mode=Mode.TRAIN, seed=seed,
             sample_ids=ids, workspace=workspace,
         )
         loss = sse_loss(out[:, 0], y_block)

@@ -302,7 +302,11 @@ def reference_synth_records(n_stations: int, n_records: int, seed: int,
 
 
 def reference_feature_codes(records, schema) -> np.ndarray:
-    """fedl.data.feature_codes one record at a time."""
+    """The integer codes fedl.data.encode_features encodes, one record at a
+    time: a (station index, day, hour, id offset) row each, where the id
+    offset is the id clipped to [txn_min, txn_max] minus txn_min, or 0 when
+    the schema leaves the id out.  int64, or Python ints (dtype object) when
+    a code does not fit in int64."""
     index = {sid: i for i, sid in enumerate(schema.station_vocabulary)}
     low, high = schema.txn_min, schema.txn_max
     rows = []
@@ -320,6 +324,22 @@ def reference_feature_codes(records, schema) -> np.ndarray:
         return np.array(rows, dtype=np.int64).reshape(len(rows), 4)
     except OverflowError:
         return np.array(rows, dtype=object).reshape(len(rows), 4)
+
+
+def assert_codes_match_reference(X, records, schema) -> None:
+    """``X``'s ``hot`` and ``offset`` hold reference_feature_codes: the
+    one-hot columns of station, day and hour, and the id offsets (None
+    where every offset is 0 because the schema has no id column or span)."""
+    want = reference_feature_codes(records, schema)
+    s = len(schema.station_vocabulary)
+    assert X.hot.dtype == np.int32
+    assert X.hot.tolist() == (want[:, :3] + (0, s - 1, s + 7)).tolist()
+    assert X.span == schema.txn_max - schema.txn_min
+    if X.offset is None:
+        assert not schema.include_transaction_id or X.span == 0
+    else:
+        assert X.offset.dtype == want.dtype
+        assert X.offset.tolist() == want[:, 3].tolist()
 
 
 def reference_encode_features(records, schema):

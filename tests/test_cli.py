@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -802,6 +804,15 @@ def _vocabulary_of_numbers(text):
     return json.dumps(schema)
 
 
+def _vocabulary(change):
+    def corrupt(text):
+        schema = json.loads(text)
+        assert len(schema["station_vocabulary"]) > 1
+        schema["station_vocabulary"] = change(schema["station_vocabulary"])
+        return json.dumps(schema)
+    return corrupt
+
+
 def _manifest_config(**values):
     def corrupt(text):
         manifest = json.loads(text)
@@ -849,6 +860,10 @@ def _assignment_rows(*rows):
     ("manifest.json", _manifest_config(ratio="abc")),
     ("manifest.json", _manifest_config(include_transaction_id="no")),
     ("manifest.json", _manifest_config(seed=1.5)),
+    ("manifest.json", _manifest_config(mode="banana")),
+    ("manifest.json", lambda text: json.dumps({**json.loads(text), "clustered": "false"})),
+    ("schema_cluster0.json", _vocabulary(lambda vocab: vocab[::-1])),
+    ("schema_cluster0.json", _vocabulary(lambda vocab: vocab[:1] + vocab)),
 ], ids=[
     "empty-assignment", "assignment-header", "one-field-row", "non-integer-cluster",
     "negative-cluster", "cluster-past-row-count", "duplicate-station",
@@ -857,6 +872,8 @@ def _assignment_rows(*rows):
     "schema-std-negative", "schema-id-range-inverted", "model-parameter-nan",
     "manifest-list", "manifest-config-list",
     "manifest-ratio-string", "manifest-flag-string", "manifest-seed-float",
+    "manifest-mode-unknown", "manifest-clustered-string",
+    "schema-vocabulary-reversed", "schema-vocabulary-duplicate",
 ])
 def test_evaluate_corrupt_run_dir_file_exits_2(tmp_path, corpus_dir, clustered_run, name, corrupt):
     run = tmp_path / "run"
@@ -1125,6 +1142,29 @@ def test_readme_configuration_table_lists_each_commands_keys():
         for command in commands:
             declared.setdefault(command, set()).add(key)
     assert documented == declared
+
+
+def test_readme_library_use_runs_and_imports_the_package_exports():
+    # the package docstring: fedl re-exports exactly the names README
+    # "Library use" imports from it
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert blocks
+    imported = set()
+    namespace: dict = {}
+    for block in blocks:
+        tree = ast.parse(block)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "fedl":
+                imported.update(alias.name for alias in node.names)
+        exec(compile(tree, "README.md", "exec"), namespace)
+    exported = {
+        name for name, value in vars(fedl).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert imported == exported
+    assert namespace["knn"].shape == (len(namespace["test"]),)
 
 
 def test_every_training_knob_is_a_cli_option():

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from fedl.data import (
     EncodedFeatures,
+    EncodingSchema,
     PartitionStrategy,
     WorkerPartition,
     build_schema,
     encode_features,
-    feature_codes,
     parse_stations,
     parse_transactions,
     partition_workers,
@@ -28,7 +28,11 @@ from fedl.errors import (
 )
 from fedl.nn import STEP_BLOCK_ROWS, Workspace, take_rows
 
-from helpers import reference_encode_features
+from helpers import (
+    assert_codes_match_reference,
+    reference_encode_features,
+    reference_feature_codes,
+)
 
 HEADER = "station_id,transaction_id,date,time,energy_kwh\n"
 
@@ -166,13 +170,14 @@ def test_feature_codes_are_the_encoding_before_one_hot():
     records = corpus_records()
     # ids 20..30 from the middle rows: 10 and 40 get clipped
     schema = build_schema(records[1:3], station_vocabulary=["A", "B", "C"])
-    codes = feature_codes(records, schema)
-    assert codes.dtype == np.int64
+    X, _ = encode_features(records, schema)
+    codes = reference_feature_codes(records, schema)
     # B=1 Mon 14h id 10 -> 0; A=0 Tue 9h 20 -> 0; C=2 Wed 23h 30 -> 10; A Thu 0h 40 -> 10
     assert codes.tolist() == [[1, 1, 14, 0], [0, 2, 9, 0], [2, 3, 23, 10], [0, 4, 0, 10]]
+    assert_codes_match_reference(X, records, schema)
+    assert X.offset.dtype == np.int64 and X.span == 10
     with pytest.raises(EncodingError):
-        feature_codes(records, build_schema(records[::2]))  # vocab B, C: no A
-    X, _ = encode_features(records, schema)
+        encode_features(records, build_schema(records[::2]))  # vocab B, C: no A
     s = len(schema.station_vocabulary)
     rows = np.arange(len(records))
     assert np.all(X[rows, codes[:, 0]] == 1.0)
@@ -180,8 +185,8 @@ def test_feature_codes_are_the_encoding_before_one_hot():
     assert np.all(X[rows, s + 7 + codes[:, 2]] == 1.0)
     assert X[:, -1].tolist() == (codes[:, 3] / 10).tolist()
     assert np.asarray(X).sum() == 3 * len(records) + 2.0
-    no_txn = feature_codes(records, build_schema(records, include_transaction_id=False))
-    assert no_txn[:, 3].tolist() == [0, 0, 0, 0]
+    no_txn, _ = encode_features(records, build_schema(records, include_transaction_id=False))
+    assert no_txn.offset is None and no_txn.hot.tolist() == X.hot.tolist()
 
 
 def test_schema_constant_labels_rejected():
@@ -214,6 +219,16 @@ def test_schema_dict_roundtrip():
     schema = build_schema(corpus_records())
     clone = type(schema).from_dict(schema.to_dict())
     assert clone == schema
+
+
+@pytest.mark.parametrize("vocabulary", [["C", "B", "A"], ["A", "A", "B", "C"]],
+                         ids=["reversed", "duplicate"])
+def test_schema_dict_rejects_a_vocabulary_not_strictly_ascending(vocabulary):
+    # encode_features gives station i column i: a reordered vocabulary
+    # would feed a model each station's weights under another's column
+    d = {**build_schema(corpus_records()).to_dict(), "station_vocabulary": vocabulary}
+    with pytest.raises(DataFormatError, match="strictly ascending"):
+        EncodingSchema.from_dict(d)
 
 
 def test_encode_one_hot_blocks():
@@ -285,8 +300,10 @@ def test_expanded_blocks_hold_the_dense_rows_bytes(kind):
     assert isinstance(X, EncodedFeatures) and X.shape == dense.shape == want_X.shape
     assert len(X) == len(records) and dense.dtype == np.float64
     assert dense.tobytes() == want_X.tobytes() and y.tobytes() == want_y.tobytes()
+    assert_codes_match_reference(X, records, schema)
+    assert (X.offset is None) == (kind in ("no_id", "zero_span"))
     if kind == "big_ids":
-        assert feature_codes(records, schema).dtype == object
+        assert X.offset.dtype == object
     n = len(records)
     scattered = np.random.default_rng(1).permutation(n)[:300]
     selections = [

@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedl.data import (
-    TransactionRecord,
-    build_schema,
-    encode_features,
-    feature_codes,
-)
+from fedl.data import TransactionRecord, build_schema, encode_features
 from fedl import metrics
 from fedl.errors import DegenerateDataError, EncodingError, ShapeError
 from fedl.metrics import (
@@ -20,7 +15,7 @@ from fedl.metrics import (
 )
 from fedl.nn import sse_loss
 from fedl.sim import Direction, Payload, TrafficEntry, TrafficLog
-from helpers import knn_exact_neighbours
+from helpers import assert_codes_match_reference, knn_exact_neighbours
 
 
 # --------------------------------------------------------------- rmse
@@ -63,49 +58,48 @@ def test_rmse_squared_times_n_is_sse():
 # --------------------------------------------------------------- knn
 
 
-def _codes_corpus(records):
-    """(codes, labels, schema) for records over their own stations."""
-    schema = build_schema(records)
-    y = np.array([r.energy_kwh for r in records])
-    return feature_codes(records, schema), y, schema
+def _encoded(records, schema):
+    return encode_features(records, schema)[0]
 
 
 def test_knn_ties_resolve_to_lower_train_index():
     # rows 0 and 1 are the same codes with different labels: an exact tie
     train = [TransactionRecord("A", 5, 1, 2, 7.0), TransactionRecord("A", 5, 1, 2, 9.0),
              TransactionRecord("B", 9, 3, 4, 0.0)]
-    codes, y, schema = _codes_corpus(train)
-    assert knn_baseline(codes, y, codes[:1], k=1, schema=schema).tolist() == [7.0]
+    schema = build_schema(train)
+    X, y = _encoded(train, schema), np.array([r.energy_kwh for r in train])
+    assert knn_baseline(X, y, _encoded(train[:1], schema), k=1).tolist() == [7.0]
 
 
 def test_knn_chunking_is_invisible(small_corpus, monkeypatch):
     records, _, _ = small_corpus
-    codes, y, schema = _codes_corpus(records)
-    train, test = codes[:320], codes[320:]
+    schema = build_schema(records)
+    y = np.array([r.energy_kwh for r in records])
+    train, test = _encoded(records[:320], schema), _encoded(records[320:], schema)
     # k=3 mostly reads the queries' pair groups; k=60 outgrows them and
     # scans every row
     for k in (3, 60):
         monkeypatch.setattr(metrics, "KNN_CHUNK_ROWS", 1000)
-        whole = knn_baseline(train, y[:320], test, k, schema=schema)
+        whole = knn_baseline(train, y[:320], test, k)
         monkeypatch.setattr(metrics, "KNN_CHUNK_ROWS", 4)
-        tiny = knn_baseline(train, y[:320], test, k, schema=schema)
+        tiny = knn_baseline(train, y[:320], test, k)
         assert whole.tobytes() == tiny.tobytes()
 
 
 def test_knn_validation():
-    codes, y, schema = _codes_corpus(
-        [TransactionRecord("A", t, 1, 0, float(t)) for t in range(3)]
-    )
+    records = [TransactionRecord("A", t, 1, 0, float(t)) for t in range(3)]
+    schema = build_schema(records)
+    X, y = _encoded(records, schema), np.arange(3.0)
     with pytest.raises(ValueError):
-        knn_baseline(codes, y, codes, k=0, schema=schema)
+        knn_baseline(X, y, X, k=0)
     with pytest.raises(ValueError):
-        knn_baseline(codes, y, codes, k=4, schema=schema)
+        knn_baseline(X, y, X, k=4)
+    with pytest.raises(TypeError):  # kNN reads codes, not dense rows
+        knn_baseline(X, y, np.asarray(X), k=1)
     with pytest.raises(ShapeError):
-        knn_baseline(codes, y, codes[:, :3], k=1, schema=schema)
-    with pytest.raises(ShapeError):
-        knn_baseline(codes, y[:2], codes, k=1, schema=schema)
+        knn_baseline(X, y[:2], X, k=1)
     with pytest.raises(DegenerateDataError):
-        knn_baseline(codes[:0], y[:0], codes, k=1, schema=schema)
+        knn_baseline(_encoded(records[:0], schema), y[:0], X, k=1)
 
 
 @st.composite
@@ -148,10 +142,10 @@ def test_knn_codes_match_exact_rational_brute_force(corpus):
     extra = TransactionRecord(train[0].station_id, train[0].transaction_id, 1, 0, -1.0)
     schema = build_schema([*train, extra], include, station_vocabulary=vocab)
     y = np.array([r.energy_kwh for r in train])
-    got = knn_baseline(
-        feature_codes(train, schema), y, feature_codes(test, schema), k,
-        schema=schema,
-    )
+    X, X_test = _encoded(train, schema), _encoded(test, schema)
+    assert_codes_match_reference(X, train, schema)
+    assert_codes_match_reference(X_test, test, schema)
+    got = knn_baseline(X, y, X_test, k)
     want = y[knn_exact_neighbours(train, test, schema, k)].mean(axis=1)
     assert got.tobytes() == want.tobytes()
 
@@ -165,9 +159,7 @@ def test_knn_codes_without_ids_equal_dense_bitwise(small_corpus, k):
     vocab = sorted({r.station_id for r in records})
     schema = build_schema(train, False, station_vocabulary=vocab)
     y = np.array([r.energy_kwh for r in train])
-    got = knn_baseline(
-        feature_codes(train, schema), y, feature_codes(test, schema), k, schema=schema
-    )
+    got = knn_baseline(_encoded(train, schema), y, _encoded(test, schema), k)
     want = y[knn_exact_neighbours(train, test, schema, k)].mean(axis=1)
     assert got.tobytes() == want.tobytes()
 
@@ -184,35 +176,35 @@ def test_knn_codes_order_ids_the_float_encoding_merges(base):
     train = [TransactionRecord("A", t, 1, 0, float(i)) for i, t in enumerate(ids)]
     schema = build_schema(train)
     assert schema.txn_max - schema.txn_min > 2**53
-    X, _ = encode_features(train[:3], schema)
+    X = _encoded(train, schema)
     assert X[0, -1] == X[1, -1] == X[2, -1]
-    codes = feature_codes(train, schema)
-    assert codes.dtype == (object if base > 2**63 else np.int64)
+    assert X.offset.dtype == (object if base > 2**63 else np.int64)
     y = np.array([r.energy_kwh for r in train])
-    query = feature_codes([TransactionRecord("A", base + 2, 1, 0, 0.0)], schema)
-    assert knn_baseline(codes, y, query, 1, schema=schema).tolist() == [2.0]
-    assert knn_baseline(codes, y, query, 2, schema=schema).tolist() == [1.5]
+    query = [TransactionRecord("A", base + 2, 1, 0, 0.0)]
+    assert knn_baseline(X, y, _encoded(query, schema), 1).tolist() == [2.0]
+    assert knn_baseline(X, y, _encoded(query, schema), 2).tolist() == [1.5]
     # k past the query's groups scans every row, in the same integer order
     other = TransactionRecord("B", base, 2, 1, 5.0)
     schema = build_schema([*train, other])
-    codes = feature_codes([*train, other], schema)
+    X = _encoded([*train, other], schema)
     y = np.append(y, 5.0)
-    query = feature_codes([TransactionRecord("A", base + 2, 1, 0, 0.0)], schema)
-    assert knn_baseline(codes, y, query, 6, schema=schema).tolist() == [2.5]
-    assert knn_baseline(codes, y, query, 2, schema=schema).tolist() == [1.5]
+    assert knn_baseline(X, y, _encoded(query, schema), 6).tolist() == [2.5]
+    assert knn_baseline(X, y, _encoded(query, schema), 2).tolist() == [1.5]
 
 
 def test_knn_codes_validation():
+    # train and test encoded under schemas of another width (one more
+    # station) or another id span would compare unrelated codes
     train = [TransactionRecord("A", t, 1, 0, float(t)) for t in range(4)]
     schema = build_schema(train)
-    codes = feature_codes(train, schema)
-    y = np.arange(4.0)
-    with pytest.raises(ShapeError):
-        knn_baseline(codes[:, :3], y, codes[:, :3], 1, schema=schema)
-    raw = codes.copy()
-    raw[:, 3] += 10  # ids not clipped into [0, span]
-    with pytest.raises(EncodingError):
-        knn_baseline(codes, y, raw, 1, schema=schema)
+    X, y = _encoded(train, schema), np.arange(4.0)
+    wider = build_schema(train, station_vocabulary=["A", "B"])
+    longer = build_schema([*train, TransactionRecord("A", 9, 1, 0, 0.0)])
+    for other in (wider, longer):
+        with pytest.raises(EncodingError, match="one schema"):
+            knn_baseline(X, y, _encoded(train, other), 1)
+        with pytest.raises(EncodingError, match="one schema"):
+            knn_baseline(_encoded(train, other), y, X, 1)
 
 
 # --------------------------------------------------------------- mean

@@ -229,20 +229,17 @@ def test_step_scratch_holds_no_dead_partials():
     # arrays of 16 KiB, 3.15625 MiB in all.  The mask's hash runs in the
     # dropout layer's activation and output buffers before they are filled,
     # so no hash scratch is kept, and backward's n x 64 partials reuse dead
-    # tape buffers, so they add nothing.  A site of the identity range reads
-    # its rows as a slice of X; any other site gathers its rows and labels
-    # into 1.421875 MiB more, 4.578125 MiB in all.  Each step runs on a new
-    # thread, whose workspace no earlier step has grown.
+    # tape buffers, so they add nothing.  Every site, the identity range of
+    # the central site too, gathers its rows and labels by id into 1.421875
+    # MiB more, 4.578125 MiB in all.  Each step runs on a new thread, whose
+    # workspace no earlier step has grown.
     rng = np.random.default_rng(3)
     X = rng.normal(size=(STEP_BLOCK_ROWS, 90))
     y = rng.normal(size=STEP_BLOCK_ROWS)
     net = init_network(network_specs(90, TrainConfig(hidden_layers=(64, 64))), 0)
-    for ids, limit in (
-        (np.arange(STEP_BLOCK_ROWS), 3.15625),
-        (rng.permutation(STEP_BLOCK_ROWS), 4.578125),
-    ):
+    for ids in (np.arange(STEP_BLOCK_ROWS), rng.permutation(STEP_BLOCK_ROWS)):
         workspace = _on_a_new_thread(lambda: _site_gradients(net, X, y, [ids], 7))
-        assert sum(a.nbytes for a in workspace._arrays.values()) <= limit * 2**20
+        assert sum(a.nbytes for a in workspace._arrays.values()) <= 4.578125 * 2**20
         assert all(name != ("hash",) for name, _, _ in workspace._arrays)
 
     # a thread's workspace outlives a training, so a process that trains
@@ -274,9 +271,11 @@ def _on_a_new_thread(fn):
 
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 4097])
 def test_slices_train_to_the_same_bits_as_gathered_rows(rows):
-    # X's rows at ids 2i of a pool whose odd rows are junk: one site reads
-    # X by slices, the other gathers the same rows in the same order (with
-    # no dropout, so the masks' keys, the ids, play no part)
+    # X's rows at ids 2i of a pool whose odd rows are junk: one site's ids
+    # are the range 0..rows-1 of X (a slice of it), the other's pick the
+    # same rows in the same order from the pool (with no dropout, so the
+    # masks' keys, the ids, play no part); where a site's rows sit in its
+    # pool changes no bit
     X, y = toy_problem(rows, 7, seed=rows)
     pooled_X, pooled_y = np.full((2 * rows, 7), 1e6), np.full(2 * rows, -1e6)
     pooled_X[::2], pooled_y[::2] = X, y
@@ -640,9 +639,9 @@ def test_pool_size_changes_no_bit(monkeypatch, multi_block_corpus, pipeline):
 
 @pytest.mark.parametrize("pipeline", ["central", "by_station", "round_robin"])
 def test_encoded_and_dense_features_train_to_the_same_bits(multi_block_corpus, pipeline):
-    # the encoded matrix expands each block where the dense one is sliced
-    # (central) or gathered (federated), at the same block boundaries; every
-    # site here has at least three blocks
+    # the encoded matrix expands each block where the dense one is
+    # gathered, at the same block boundaries; every site here has at least
+    # three blocks
     records, _, X, y = multi_block_corpus
     dense = np.asarray(X)
     cfg = TrainConfig(epochs=2, tolerance=0.0, hidden_layers=(16, 8), workers=2, seed=5)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    assert_codes_match_reference,
     reference_encode_features,
     reference_feature_codes,
     reference_parse_transactions,
@@ -24,7 +25,6 @@ from fedl.data import (
     Transactions,
     build_schema,
     encode_features,
-    feature_codes,
     parse_transactions,
     synth_generate,
 )
@@ -151,11 +151,8 @@ def test_encode_matches_record_by_record_reference(low, span, data):
     for include in (True, False):
         schema = EncodingSchema(("A", "B", "C"), include, label_mean=3.0, label_std=2.0,
                                 txn_min=low, txn_max=high)
-        codes = feature_codes(records, schema)
-        want = reference_feature_codes(records, schema)
-        assert codes.dtype == want.dtype and codes.shape == want.shape
-        assert codes.tolist() == want.tolist()
         X, y = encode_features(records, schema)
+        assert_codes_match_reference(X, records, schema)
         want_X, want_y = reference_encode_features(records, schema)
         assert np.asarray(X).tobytes() == want_X.tobytes() and y.tobytes() == want_y.tobytes()
 
@@ -178,7 +175,7 @@ def test_encoding_error_names_the_first_offending_record(bad):
     schema = build_schema([TransactionRecord("A", 1, 1, 0, 1.0),
                            TransactionRecord("A", 2, 1, 0, 2.0)])
     with pytest.raises(EncodingError) as got:
-        feature_codes(records, schema)
+        encode_features(records, schema)
     with pytest.raises(EncodingError) as want:
         reference_feature_codes(records, schema)
     assert str(got.value) == str(want.value)
