@@ -639,44 +639,53 @@ def _pipeline_name(mode: str, clustered: bool) -> str:
     return f"{mode}_clustered" if clustered else mode
 
 
-def _evaluate_run_dir(run_dir: Path, mode: str, clustered: bool, test):
+def _run_file(run_dir: Path, name: str) -> Path:
+    """``run_dir / name``, a file the run wrote; DataFormatError if missing."""
+    path = run_dir / name
+    if not path.exists():
+        raise DataFormatError(f"{path} is missing from the run directory")
+    return path
+
+
+def _evaluate_run_dir(run_dir: Path, manifest: dict, mode: str, clustered: bool, test):
     """Score the model(s) saved by a `fedl train` run in ``mode``, one per
-    cluster when ``clustered``, on the given test split.
+    cluster when ``clustered``, on the given test split.  A cluster's
+    model is read when ``manifest``'s ``clusters`` row says it was trained
+    (``"skipped": false``); a skipped cluster's test records are uncovered.
 
     Returns (pipeline_name, rmse, total_bytes, uncovered_test).
     """
     name = _pipeline_name(mode, clustered)
-    traffic_path = run_dir / "traffic.csv"
-    total_bytes = (
-        _read_traffic(traffic_path).total_bytes() if traffic_path.exists() else 0
-    )
+    total_bytes = _read_traffic(_run_file(run_dir, "traffic.csv")).total_bytes()
     groups = [("", test)]  # (file suffix, the test records its model scores)
     uncovered = 0
     if clustered:
-        assignment_path = run_dir / "assignment.csv"
-        if not assignment_path.exists():
-            raise UsageError(f"{run_dir} is clustered but has no assignment.csv")
-        cluster_of = _read_assignment(assignment_path)
+        cluster_of = _read_assignment(_run_file(run_dir, "assignment.csv"))
         unknown = sorted(set(test.station_ids()) - set(cluster_of))
         if unknown:
             raise DegenerateDataError(
                 f"test stations missing from assignment: {', '.join(unknown)}"
             )
+        rows = manifest.get("clusters")
+        rows = rows if isinstance(rows, list) else []
         groups = []
         for k, test_k in enumerate(by_cluster(test, cluster_of, len(cluster_of))):
             if not test_k:
                 continue
-            suffix = f"_cluster{k}"
-            if not (run_dir / f"model{suffix}.fedl").exists() or not (
-                run_dir / f"schema{suffix}.json"
-            ).exists():
-                uncovered += len(test_k)  # cluster was skipped at train time
+            row = rows[k] if k < len(rows) and isinstance(rows[k], dict) else {}
+            if not isinstance(row.get("skipped"), bool):
+                raise DataFormatError(
+                    f"{run_dir / 'manifest.json'}: clusters row {k} does not say "
+                    f"whether the cluster was skipped (true or false)"
+                )
+            if row["skipped"]:
+                uncovered += len(test_k)
                 continue
-            groups.append((suffix, test_k))
+            groups.append((f"_cluster{k}", test_k))
     scored = []
     for suffix, records in groups:
-        schema = _read_schema(run_dir / f"schema{suffix}.json")
-        model_path = run_dir / f"model{suffix}.fedl"
+        schema = _read_schema(_run_file(run_dir, f"schema{suffix}.json"))
+        model_path = _run_file(run_dir, f"model{suffix}.fedl")
         model = load_network(model_path)
         if (model.input_width, model.output_width) != (schema.width, 1):
             raise DataFormatError(
@@ -814,7 +823,7 @@ def cmd_evaluate(args) -> int:
             )
         mode = recorded("mode", run_cfg.get("mode", "central"))
         name, value, n_bytes, uncovered = _evaluate_run_dir(
-            args.run_dir, mode, clustered, test
+            args.run_dir, run_manifest, mode, clustered, test
         )
         if value is not None:
             rmse_kwh[name] = value

@@ -7,7 +7,8 @@ Layout (all integers little-endian):
     u32    layer count
     per layer: u32 input width | u32 output width | u8 activation code
                | u8 dropout flag | f64 dropout fraction
-    per layer: f64[out*in] weights (row-major) | f64[out] biases
+    parameter block: ``Network.params``, f64 per layer: weights
+               (out*in, row-major) | biases (out)
 
 The same network saves to the same bytes every time, so save -> load ->
 save round-trips byte-identically.
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
-from .nn import Activation, LayerSpec, Network
+from .nn import Activation, LayerSpec, Network, parameter_count
 
 MAGIC = b"FEDL"
 FORMAT_VERSION = 1
@@ -47,9 +48,7 @@ def network_to_bytes(network: Network) -> bytes:
                 spec.dropout,
             )
         )
-    for w, b in zip(network.weights, network.biases):
-        buf.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    buf.write(network.params.astype("<f8").tobytes())
     return buf.getvalue()
 
 
@@ -78,30 +77,19 @@ def network_from_bytes(blob: bytes) -> Network:
             )
         except ValueError as e:  # a zero width, or a dropout outside [0, 1)
             raise DataFormatError(f"bad layer {len(specs)}: {e}") from None
-    weights = []
-    biases = []
-    for spec in specs:
-        n_w = spec.output_width * spec.input_width
-        need = (n_w + spec.output_width) * 8
-        if offset + need > len(blob):
-            raise DataFormatError("model file truncated in parameter block")
-        w = np.frombuffer(blob, dtype="<f8", count=n_w, offset=offset).reshape(
-            spec.output_width, spec.input_width
-        )
-        offset += n_w * 8
-        b = np.frombuffer(blob, dtype="<f8", count=spec.output_width, offset=offset)
-        offset += spec.output_width * 8
-        weights.append(w.astype(np.float64))
-        biases.append(b.astype(np.float64))
-    if offset != len(blob):
-        raise DataFormatError(f"{len(blob) - offset} trailing bytes in model file")
-    for layer, (w, b) in enumerate(zip(weights, biases)):
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise DataFormatError(f"non-finite parameters in layer {layer}")
-        w.setflags(write=False)
-        b.setflags(write=False)
+    end = offset + 8 * parameter_count(specs)
+    if end > len(blob):
+        raise DataFormatError("model file truncated in parameter block")
+    if end != len(blob):
+        raise DataFormatError(f"{len(blob) - end} trailing bytes in model file")
+    params = np.frombuffer(blob, dtype="<f8", offset=offset).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        ends = np.cumsum([parameter_count([spec]) for spec in specs])
+        layer = int(np.searchsorted(ends, bad[0], side="right"))
+        raise DataFormatError(f"non-finite parameters in layer {layer}")
     try:
-        return Network(specs=tuple(specs), weights=tuple(weights), biases=tuple(biases))
+        return Network(tuple(specs), params)
     except ShapeError as e:  # no layers, or widths that do not chain
         raise DataFormatError(f"bad layer stack: {e}") from None
 

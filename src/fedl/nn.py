@@ -2,9 +2,12 @@
 
 Design points:
 
-* networks, gradients and optimiser state are never mutated: parameters,
-  gradients and Adam moments are fresh read-only arrays, so values can be
-  shared across threads and repeated calls are bit-identical;
+* a network's parameters, a gradient and each Adam moment are one
+  read-only float64 vector each, laid out like a model file's parameter
+  block (:class:`Parameters`); ``weights[l]`` and ``biases[l]`` are
+  views of it.  They are never mutated: each step makes fresh vectors, so
+  values can be shared across threads and repeated calls are
+  bit-identical;
 * the batch-sized intermediates of a training step live in a caller-owned
   :class:`Workspace` and are overwritten in place: tapes are views valid
   until the workspace's next step or until :func:`backward` consumes them
@@ -148,21 +151,36 @@ class LayerSpec:
             raise ValueError(f"dropout fraction must be in [0, 1), got {self.dropout}")
 
 
-@dataclass(frozen=True)
-class Network:
-    """An immutable stack of dense layers.
+def parameter_count(specs) -> int:
+    """Weights plus biases of the layers ``specs``."""
+    return sum((spec.input_width + 1) * spec.output_width for spec in specs)
 
-    ``weights[l]`` has shape (output_width, input_width); the layer maps
-    ``X -> activation(X @ weights[l].T + biases[l])``.
-    """
+
+def _layer_views(specs, vector: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """(weights, biases): per-layer views of ``vector``, which holds each
+    layer's weights row-major, then its biases."""
+    weights, biases, start = [], [], 0
+    for spec in specs:
+        stop = start + spec.output_width * spec.input_width
+        weights.append(vector[start:stop].reshape(spec.output_width, spec.input_width))
+        biases.append(vector[stop : stop + spec.output_width])
+        start = stop + spec.output_width
+    return tuple(weights), tuple(biases)
+
+
+@dataclass(frozen=True)
+class Parameters:
+    """The parameters of the layers ``specs`` as ``params``, one float64
+    vector in the model file's layout: each layer's weights row-major, then
+    its biases.  The constructor makes ``params`` read-only in place before
+    it cuts the views ``weights[l]`` and ``biases[l]``, so they are too."""
 
     specs: tuple[LayerSpec, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    params: np.ndarray
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (len(self.specs) == len(self.weights) == len(self.biases)):
-            raise ShapeError("specs, weights and biases must have equal length")
         if not self.specs:
             raise ShapeError("a network needs at least one layer")
         for prev, nxt in zip(self.specs, self.specs[1:]):
@@ -170,16 +188,23 @@ class Network:
                 raise ShapeError(
                     f"layer chain mismatch: {prev.output_width} -> {nxt.input_width}"
                 )
-        for spec, w, b in zip(self.specs, self.weights, self.biases):
-            if w.shape != (spec.output_width, spec.input_width):
-                raise ShapeError(
-                    f"weight shape {w.shape} does not match spec "
-                    f"{spec.output_width}x{spec.input_width}"
-                )
-            if b.shape != (spec.output_width,):
-                raise ShapeError(
-                    f"bias shape {b.shape} does not match width {spec.output_width}"
-                )
+        count = parameter_count(self.specs)
+        if self.params.dtype != np.float64 or self.params.shape != (count,):
+            raise ShapeError(
+                f"{count} float64 parameters expected, got {self.params.dtype} "
+                f"{self.params.shape}"
+            )
+        weights, biases = _layer_views(self.specs, _frozen(self.params))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
+
+
+class Network(Parameters):
+    """An immutable stack of dense layers.
+
+    ``weights[l]`` has shape (output_width, input_width); the layer maps
+    ``X -> activation(X @ weights[l].T + biases[l])``.
+    """
 
     @property
     def input_width(self) -> int:
@@ -191,23 +216,12 @@ class Network:
 
     @property
     def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
 
-@dataclass(frozen=True)
-class Gradient:
-    """Per-parameter partials, mirroring a Network's weight/bias shapes."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-
-    def matches(self, network: Network) -> bool:
-        return len(self.weights) == len(network.weights) and all(
-            gw.shape == w.shape and gb.shape == b.shape
-            for gw, w, gb, b in zip(
-                self.weights, network.weights, self.biases, network.biases
-            )
-        )
+class Gradient(Parameters):
+    """Partials of a loss with respect to each parameter of a Network with
+    the same ``specs``, in the same layout."""
 
 
 @dataclass(frozen=True)
@@ -216,12 +230,11 @@ class AdamState:
     so far.  The decay rates and epsilon are the module's ``ADAM_*``
     constants.
 
-    Each moment holds one array per parameter array, in the order
-    ``(*weights, *biases)``.
+    Each moment is one read-only vector laid out like ``Network.params``.
     """
 
-    eta: tuple[np.ndarray, ...]  # first-moment running average
-    delta: tuple[np.ndarray, ...]  # second-moment running average
+    eta: np.ndarray  # first-moment running average
+    delta: np.ndarray  # second-moment running average
     step_size: float = 0.01
     steps: int = 0
 
@@ -253,14 +266,11 @@ def init_network(specs, seed: int) -> Network:
     """
     specs = tuple(specs)
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for spec in specs:
+    params = np.zeros(parameter_count(specs))
+    for spec, w in zip(specs, _layer_views(specs, params)[0]):
         limit = 1.0 / math.sqrt(spec.input_width)
-        w = rng.uniform(-limit, limit, size=(spec.output_width, spec.input_width))
-        weights.append(_frozen(w))
-        biases.append(_frozen(np.zeros(spec.output_width)))
-    return Network(specs=specs, weights=tuple(weights), biases=tuple(biases))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return Network(specs, params)
 
 
 def _apply_layer(
@@ -367,7 +377,8 @@ def backward(
     goes into (a) those inputs when they are a dropout output, (b) else
     layer l's ``activated`` buffer when it has their width, (c) else
     ``workspace`` (a fresh one when None), as does the output partial.
-    The gradient is fresh.
+    The gradient is one fresh vector: each layer's partials are written
+    into their views of it.
     """
     if tape.consumed:
         raise ValueError("backward already consumed this tape")
@@ -394,8 +405,8 @@ def backward(
     # a layer's input and output widths differ, so a GEMM never writes into
     # its own operand.
     n = y.shape[0]
-    grad_w: list[np.ndarray | None] = [None] * len(network.specs)
-    grad_b: list[np.ndarray | None] = [None] * len(network.specs)
+    params = np.empty(network.params.size)
+    grad_w, grad_b = _layer_views(network.specs, params)
     d_out = workspace.take(("partial",), y.shape)
     np.subtract(y, t, out=d_out)
     np.multiply(2.0, d_out, out=d_out)  # dL/d(layer output) for the last layer
@@ -411,8 +422,8 @@ def backward(
             np.subtract(1.0, factor, out=factor)
             np.multiply(d_out, factor, out=d_out)
         d_pre = d_out
-        grad_w[layer] = _frozen(d_pre.T @ trace.inputs)
-        grad_b[layer] = _frozen(d_pre.sum(axis=0))
+        np.matmul(d_pre.T, trace.inputs, out=grad_w[layer])
+        d_pre.sum(axis=0, out=grad_b[layer])
         if layer > 0:
             if tape.traces[layer - 1].mask is not None:
                 d_out = trace.inputs  # (a): dead once grad_w[layer] is formed
@@ -427,13 +438,11 @@ def backward(
                 np.add(d_out, 0.0, out=d_out)
             else:
                 np.matmul(d_pre, network.weights[layer], out=d_out)
-    return Gradient(weights=tuple(grad_w), biases=tuple(grad_b))
+    return Gradient(network.specs, params)
 
 
 def init_adam(network: Network, step_size: float = 0.01) -> AdamState:
-    zeros = tuple(
-        _frozen(np.zeros_like(p)) for p in (*network.weights, *network.biases)
-    )
+    zeros = _frozen(np.zeros(network.params.size))
     return AdamState(eta=zeros, delta=zeros, step_size=step_size)
 
 
@@ -447,28 +456,16 @@ def adam_step(
     ``step_size * sqrt(1 - beta2^t) / (1 - beta1^t)``, and
     :data:`ADAM_EPSILON` guards the denominator.
     """
-    if not gradient.matches(network):
+    if gradient.specs != network.specs:
         raise ShapeError("gradient shapes do not match network shapes")
     t = state.steps + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     lr_t = state.step_size * math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
-
-    eta, delta, params = [], [], []
-    for m, v, grad, param in zip(
-        state.eta, state.delta,
-        (*gradient.weights, *gradient.biases), (*network.weights, *network.biases),
-    ):
-        eta1 = b1 * m + (1.0 - b1) * grad
-        delta1 = b2 * v + (1.0 - b2) * grad * grad
-        eta.append(_frozen(eta1))
-        delta.append(_frozen(delta1))
-        params.append(_frozen(param - lr_t * eta1 / (np.sqrt(delta1) + ADAM_EPSILON)))
-
-    n = len(network.specs)
-    new_network = Network(
-        specs=network.specs, weights=tuple(params[:n]), biases=tuple(params[n:])
-    )
-    return replace(state, eta=tuple(eta), delta=tuple(delta), steps=t), new_network
+    grad = gradient.params
+    eta = _frozen(b1 * state.eta + (1.0 - b1) * grad)
+    delta = _frozen(b2 * state.delta + (1.0 - b2) * grad * grad)
+    params = network.params - lr_t * eta / (np.sqrt(delta) + ADAM_EPSILON)
+    return replace(state, eta=eta, delta=delta, steps=t), Network(network.specs, params)
 
 
 def predict(network: Network, X, schema) -> np.ndarray:

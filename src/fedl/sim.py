@@ -356,19 +356,16 @@ def _map_steps(fn: Callable, items: Sequence) -> list:
     return results
 
 
-def _summed(grads: Sequence[Gradient]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Elementwise sums of ``grads`` in the order given, starting from
-    copies of the first (not from zeros, which would change signed zeros);
-    one gradient's own arrays when there is nothing to add."""
+def _summed(grads: Sequence[Gradient]) -> np.ndarray:
+    """Elementwise sum of ``grads``' vectors in the order given, starting
+    from a copy of the first (not from zeros, which would change signed
+    zeros); one gradient's own vector when there is nothing to add."""
     if len(grads) == 1:
-        return list(grads[0].weights), list(grads[0].biases)
-    sum_w = [w.copy() for w in grads[0].weights]
-    sum_b = [b.copy() for b in grads[0].biases]
+        return grads[0].params
+    total = grads[0].params.copy()
     for g in grads[1:]:
-        for layer in range(len(sum_w)):
-            sum_w[layer] += g.weights[layer]
-            sum_b[layer] += g.biases[layer]
-    return sum_w, sum_b
+        total += g.params
+    return total
 
 
 def _site_gradients(
@@ -412,8 +409,7 @@ def _site_gradients(
         loss = losses[0]
         for block_loss in losses[1:]:
             loss += block_loss
-        sum_w, sum_b = _summed(grads)
-        sums.append((Gradient(weights=tuple(sum_w), biases=tuple(sum_b)), loss))
+        sums.append((Gradient(network.specs, _summed(grads)), loss))
     return sums
 
 
@@ -424,9 +420,7 @@ def _check_gradients(
     FloatingPointError naming the epoch and the worker (None: the central
     site).  A non-finite loss is left to the training loop to report."""
     for (grad, loss), worker in zip(results, worker_ids):
-        if math.isfinite(loss) and not all(
-            np.isfinite(a).all() for a in (*grad.weights, *grad.biases)
-        ):
+        if math.isfinite(loss) and not np.isfinite(grad.params).all():
             where = "" if worker is None else f" on worker {worker}"
             raise FloatingPointError(
                 f"training gradient became non-finite at epoch {epoch}{where}"
@@ -452,19 +446,10 @@ def aggregate_gradients(grads: Sequence[Gradient]) -> Gradient:
     (``run_round`` passes them in ascending worker-id order)."""
     if not grads:
         raise ValueError("cannot aggregate zero gradients")
-    first = grads[0]
-    for g in grads[1:]:
-        if len(g.weights) != len(first.weights) or any(
-            gw.shape != fw.shape or gb.shape != fb.shape
-            for gw, fw, gb, fb in zip(g.weights, first.weights, g.biases, first.biases)
-        ):
-            raise ShapeError("gradient shapes differ across workers")
-    j = float(len(grads))
-    sum_w, sum_b = _summed(grads)
-    return Gradient(
-        weights=tuple(w / j for w in sum_w),
-        biases=tuple(b / j for b in sum_b),
-    )
+    specs = grads[0].specs
+    if any(g.specs != specs for g in grads[1:]):
+        raise ShapeError("gradient shapes differ across workers")
+    return Gradient(specs, _summed(grads) / float(len(grads)))
 
 
 def run_round(

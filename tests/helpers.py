@@ -1,8 +1,9 @@
 """Shared test oracles: the float dropout hash and a fresh-allocating
-forward/backward, finite-difference gradients, brute-force constrained
-assignment and brute-force kNN, and one-record-at-a-time parsing,
-generation and encoding.  These are deliberately independent of the
-library implementations they check."""
+forward/backward, a per-array Adam step, finite-difference gradients,
+brute-force constrained assignment and brute-force kNN, and
+one-record-at-a-time parsing, generation and encoding.  These are
+deliberately independent of the library implementations they check.
+``from_layers`` builds a Network or Gradient from per-layer arrays."""
 
 from __future__ import annotations
 
@@ -15,7 +16,18 @@ import numpy as np
 
 from fedl.data import TRANSACTIONS_HEADER, RejectedRow, SynthMetadata, TransactionRecord
 from fedl.errors import EncodingError, ShapeError
-from fedl.nn import Activation, LayerTrace, Mode, Network, Tape, forward, sse_loss
+from fedl.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    Activation,
+    LayerTrace,
+    Mode,
+    Network,
+    Tape,
+    forward,
+    sse_loss,
+)
 from fedl.rng import _GOLDEN, _MIX1, _MIX2, fold_seed
 
 
@@ -90,6 +102,32 @@ def reference_backward(network: Network, tape: Tape, targets, pre_partials=None)
     return grad_w, grad_b
 
 
+def from_layers(cls, specs, weights, biases):
+    """``cls(specs, vector)`` (a Network or a Gradient) for per-layer
+    arrays, concatenated into the model file's layout: each layer's
+    weights row-major, then its biases."""
+    arrays = [np.ravel(a) for layer in zip(weights, biases) for a in layer]
+    return cls(tuple(specs), np.concatenate(arrays))
+
+
+def reference_adam_step(eta, delta, params, grads, step_size: float, t: int):
+    """Adam step ``t`` array by array: each of ``eta``, ``delta``,
+    ``params`` and ``grads`` is a list of arrays, one per parameter array.
+    Returns the new (eta, delta, params) lists.  This is the per-array
+    loop fedl.nn.adam_step's whole-vector expressions must match bit for
+    bit."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    lr_t = step_size * math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
+    new_eta, new_delta, new_params = [], [], []
+    for m, v, grad, param in zip(eta, delta, grads, params):
+        eta1 = b1 * m + (1.0 - b1) * grad
+        delta1 = b2 * v + (1.0 - b2) * grad * grad
+        new_eta.append(eta1)
+        new_delta.append(delta1)
+        new_params.append(param - lr_t * eta1 / (np.sqrt(delta1) + ADAM_EPSILON))
+    return new_eta, new_delta, new_params
+
+
 def loss_at(network: Network, X, y, seed: int, mode: Mode) -> float:
     out, _ = forward(network, X, mode=mode, seed=seed)
     return sse_loss(out[:, 0], np.asarray(y, dtype=np.float64))
@@ -102,9 +140,7 @@ def _with_entry(network: Network, layer: int, kind: str, idx, value: float) -> N
         weights[layer][idx] = value
     else:
         biases[layer][idx] = value
-    return Network(
-        specs=network.specs, weights=tuple(weights), biases=tuple(biases)
-    )
+    return from_layers(Network, network.specs, weights, biases)
 
 
 def finite_diff_gradient(

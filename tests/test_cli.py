@@ -514,7 +514,9 @@ def test_train_non_finite_gradient_exits_3(monkeypatch, tmp_path, corpus_dir, ex
 
     def poisoned(network, tape, targets, workspace=None):
         g = backward(network, tape, targets, workspace=workspace)
-        return Gradient(weights=(g.weights[0] * np.inf, *g.weights[1:]), biases=g.biases)
+        params = g.params.copy()
+        params[: g.weights[0].size] *= np.inf  # the first layer's weights
+        return Gradient(g.specs, params)
 
     monkeypatch.setattr(fedl.sim, "backward", poisoned)
     out = tmp_path / "run"
@@ -833,6 +835,18 @@ def _last_parameter_nan(text):
     return text[:-8] + struct.pack("<d", math.nan).decode("latin-1")
 
 
+def _cluster_row(**values):
+    # cluster 0's row of the manifest's clusters; None deletes the key
+    def corrupt(text):
+        manifest = json.loads(text)
+        row = manifest["clusters"][0]
+        row.update(values)
+        for key in [k for k, v in values.items() if v is None]:
+            del row[key]
+        return json.dumps(manifest)
+    return corrupt
+
+
 def _assignment_rows(*rows):
     return lambda text: "\n".join(["station_id,cluster_id", *rows]) + "\n"
 
@@ -862,6 +876,9 @@ def _assignment_rows(*rows):
     ("manifest.json", _manifest_config(seed=1.5)),
     ("manifest.json", _manifest_config(mode="banana")),
     ("manifest.json", lambda text: json.dumps({**json.loads(text), "clustered": "false"})),
+    ("manifest.json", _cluster_row(skipped="false")),
+    ("manifest.json", _cluster_row(skipped=None)),
+    ("manifest.json", lambda text: json.dumps({**json.loads(text), "clusters": {}})),
     ("schema_cluster0.json", _vocabulary(lambda vocab: vocab[::-1])),
     ("schema_cluster0.json", _vocabulary(lambda vocab: vocab[:1] + vocab)),
 ], ids=[
@@ -873,6 +890,7 @@ def _assignment_rows(*rows):
     "manifest-list", "manifest-config-list",
     "manifest-ratio-string", "manifest-flag-string", "manifest-seed-float",
     "manifest-mode-unknown", "manifest-clustered-string",
+    "manifest-skipped-string", "manifest-skipped-missing", "manifest-clusters-object",
     "schema-vocabulary-reversed", "schema-vocabulary-duplicate",
 ])
 def test_evaluate_corrupt_run_dir_file_exits_2(tmp_path, corpus_dir, clustered_run, name, corrupt):
@@ -888,6 +906,56 @@ def test_evaluate_corrupt_run_dir_file_exits_2(tmp_path, corpus_dir, clustered_r
     assert code == 2, err
     (line,) = err.splitlines()
     assert line.startswith("fedl: data error:") and name in line
+
+
+@pytest.fixture(scope="module")
+def two_cluster_run(tmp_path_factory):
+    """An 8-station corpus and a central run of two clusters that both train
+    and both score test records: the run scores with every file in place."""
+    root = tmp_path_factory.mktemp("two_clusters")
+    corpus, run = root / "corpus", root / "run"
+    code, _, err = invoke(
+        "synth", "--stations", 8, "--records", 1500, "--seed", 3, "--out", corpus
+    )
+    assert code == 0, err
+    code, _, err = invoke(
+        "train", "--transactions", corpus / "transactions.csv",
+        "--stations", corpus / "stations.csv", "--clustering", "--clusters", 2,
+        "--mode", "central", "--epochs", 5, "--seed", 3, "--out", run,
+    )
+    assert code == 0, err
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert [row["skipped"] for row in manifest["clusters"]] == [False, False]
+    assert "traffic.csv" in manifest["outputs"]
+    code, _, err = invoke(
+        "evaluate", "--transactions", corpus / "transactions.csv",
+        "--run-dir", run, "--out", root / "eval",
+    )
+    assert code == 0, err
+    report = json.loads((root / "eval" / "report.json").read_text())
+    assert report["uncovered_test"] == 0 and report["total_bytes"]["central_clustered"] > 0
+    return corpus, run
+
+
+@pytest.mark.parametrize("name", [
+    "model_cluster1.fedl", "schema_cluster0.json", "traffic.csv", "assignment.csv",
+])
+def test_evaluate_run_dir_missing_a_file_it_wrote_exits_2(tmp_path, two_cluster_run, name):
+    # a trained cluster whose model was missing used to count as skipped
+    # (exit 0, its test records uncovered), and a missing traffic.csv as
+    # zero bytes
+    corpus, trained = two_cluster_run
+    run = tmp_path / "run"
+    shutil.copytree(trained, run)
+    (run / name).unlink()
+    code, _, err = invoke(
+        "evaluate", "--transactions", corpus / "transactions.csv",
+        "--run-dir", run, "--out", tmp_path / "eval",
+    )
+    assert code == 2, err
+    (line,) = err.splitlines()
+    assert line.startswith("fedl: data error:") and name in line
+    assert not (tmp_path / "eval" / "report.json").exists()
 
 
 def test_evaluate_sweep_writes_method_by_ratio_grid(tmp_path, corpus_dir):

@@ -42,6 +42,14 @@ def test_blob_starts_with_magic():
     assert network_to_bytes(sample_net())[:4] == b"FEDL"
 
 
+def test_blob_ends_with_the_parameter_vector():
+    net = sample_net(seed=5)
+    tail = net.params.astype("<f8").tobytes()
+    blob = network_to_bytes(net)
+    assert len(blob) == _HEADER.size + len(net.specs) * _LAYER.size + len(tail)
+    assert blob.endswith(tail)
+
+
 def test_roundtrip_through_file(tmp_path):
     net = sample_net(seed=4)
     path = tmp_path / "model.fedl"

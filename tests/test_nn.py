@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fedl.errors import ShapeError
 from fedl.nn import (
+    STEP_BLOCK_ROWS,
     Activation,
     Gradient,
     LayerSpec,
@@ -24,7 +25,9 @@ from fedl.nn import (
 )
 from helpers import (
     finite_diff_gradient,
+    from_layers,
     max_relative_error,
+    reference_adam_step,
     reference_backward,
     reference_forward,
 )
@@ -82,7 +85,7 @@ def test_init_rejects_chain_mismatch():
 
 def test_network_rejects_an_empty_stack():
     with pytest.raises(ShapeError, match="at least one layer"):
-        Network(specs=(), weights=(), biases=())
+        Network((), np.empty(0))
     with pytest.raises(ShapeError, match="at least one layer"):
         init_network([], seed=0)
 
@@ -90,7 +93,8 @@ def test_network_rejects_an_empty_stack():
 def test_network_rejects_widths_that_do_not_chain():
     specs = (LayerSpec(3, 4), LayerSpec(5, 1))
     with pytest.raises(ShapeError, match="chain mismatch: 4 -> 5"):
-        Network(
+        from_layers(
+            Network,
             specs=specs,
             weights=(np.zeros((4, 3)), np.zeros((1, 5))),
             biases=(np.zeros(4), np.zeros(1)),
@@ -105,16 +109,52 @@ def test_layer_spec_rejects_bad_dropout():
 
 
 def test_network_parameters_are_read_only():
+    # every vector a Network, Gradient or AdamState holds, and every
+    # weights/biases view of one: from init, backward, a site sum of one
+    # block and of two, an aggregate, an Adam step and a model file
+    from fedl.model_io import network_from_bytes, network_to_bytes
+    from fedl.sim import _site_gradients, aggregate_gradients
+
     net = tiny_net([3, 4, 1], seed=1)
-    with pytest.raises(ValueError):
-        net.weights[0][0, 0] = 5.0
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(STEP_BLOCK_ROWS + 5, 3))
+    y = rng.normal(size=len(X))
+    _, tape = forward(net, X[:7], mode=Mode.TRAIN)
+    grad = backward(net, tape, y[:7])
+    sites = [np.arange(7), np.arange(len(X))]  # one block, and two summed
+    site_sums = [g for g, _ in _site_gradients(net, X, y, sites, 3)]
+    aggregate = aggregate_gradients(site_sums)
+    state, stepped = adam_step(init_adam(net), net, aggregate)
+    loaded = network_from_bytes(network_to_bytes(stepped))
+    arrays = [state.eta, state.delta]
+    for p in (net, grad, *site_sums, aggregate, stepped, loaded):
+        arrays += [p.params, *p.weights, *p.biases]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 5.0
+
+
+def test_layers_are_views_of_one_vector_in_the_model_file_layout():
+    specs = (LayerSpec(3, 2), LayerSpec(2, 1, Activation.IDENTITY))
+    for cls in (Network, Gradient):
+        p = cls(specs, np.arange(11.0))
+        assert [w.tolist() for w in p.weights] == [[[0, 1, 2], [3, 4, 5]], [[8, 9]]]
+        assert [b.tolist() for b in p.biases] == [[6, 7], [10]]
+        for view in (*p.weights, *p.biases):
+            assert np.shares_memory(view, p.params)
+        with pytest.raises(ShapeError):
+            cls(specs, np.arange(10.0))
+        with pytest.raises(ShapeError):
+            cls(specs, np.arange(11))
 
 
 # --------------------------------------------------------------- one layer
 
 
 def test_dense_forward_constant_layer():
-    net = Network(
+    net = from_layers(
+        Network,
         specs=(LayerSpec(2, 1, Activation.TANH),),
         weights=(np.zeros((1, 2)),),
         biases=(np.array([0.7]),),
@@ -133,7 +173,8 @@ def test_dropout_count_and_scaling():
     # 10 samples x 100 units = 1000 activations at f=0.15: the zeroed count
     # lands in a generous [100, 200] window, and survivors scale by 1/0.85
     spec = LayerSpec(1, 100, Activation.IDENTITY, dropout=0.15)
-    net = Network(
+    net = from_layers(
+        Network,
         specs=(spec,),
         weights=(np.ones((100, 1)),),
         biases=(np.zeros(100),),
@@ -151,7 +192,7 @@ def test_dropout_count_and_scaling():
 def test_dropout_mask_expectation():
     # over many units the kept fraction concentrates around 1-f (3 sigma)
     spec = LayerSpec(1, 200, Activation.IDENTITY, dropout=0.15)
-    net = Network(specs=(spec,), weights=(np.ones((200, 1)),), biases=(np.zeros(200),))
+    net = from_layers(Network, (spec,), (np.ones((200, 1)),), (np.zeros(200),))
     X = np.ones((50, 1))
     out = forward(net, X, mode=Mode.TRAIN, seed=3)[0]
     n = out.size
@@ -165,7 +206,8 @@ def test_dropout_mask_expectation():
 
 
 def test_forward_single_identity_layer_is_identity():
-    net = Network(
+    net = from_layers(
+        Network,
         specs=(LayerSpec(2, 2, Activation.IDENTITY),),
         weights=(np.eye(2),),
         biases=(np.zeros(2),),
@@ -239,7 +281,8 @@ def test_sse_additivity_over_concatenation(part_a, part_b):
 
 
 def test_backward_zero_gradient_at_exact_fit():
-    net = Network(
+    net = from_layers(
+        Network,
         specs=(LayerSpec(1, 1, Activation.IDENTITY),),
         weights=(np.array([[1.0]]),),
         biases=(np.zeros(1),),
@@ -255,7 +298,7 @@ def test_backward_linear_layer_closed_form():
     # single identity layer: dL/dG = 2(Gx+h-t) x^T, dL/dh = 2(Gx+h-t)
     G = np.array([[0.5, -1.0]])
     h = np.array([0.25])
-    net = Network(specs=(LayerSpec(2, 1, Activation.IDENTITY),), weights=(G,), biases=(h,))
+    net = from_layers(Network, (LayerSpec(2, 1, Activation.IDENTITY),), (G,), (h,))
     x = np.array([[2.0, 3.0]])
     t = np.array([1.0])
     out, tape = forward(net, x)
@@ -456,7 +499,9 @@ def test_k1_product_plus_zero_matches_the_gemm_bytes():
 def test_adam_zero_gradient_leaves_parameters():
     net = tiny_net([2, 3, 1], seed=3)
     state = init_adam(net)
-    zero = Gradient(
+    zero = from_layers(
+        Gradient,
+        net.specs,
         weights=tuple(np.zeros_like(w) for w in net.weights),
         biases=tuple(np.zeros_like(b) for b in net.biases),
     )
@@ -469,13 +514,14 @@ def test_adam_first_step_magnitude():
     # closed form for the first update with moment accumulators at zero:
     # eta_1 = (1-b1) g, delta_1 = (1-b2) g^2,
     # step = lr*sqrt(1-b2)/(1-b1) * eta_1/(sqrt(delta_1)+eps) ~= lr*sign(g)
-    net = Network(
+    net = from_layers(
+        Network,
         specs=(LayerSpec(1, 1, Activation.IDENTITY),),
         weights=(np.array([[0.5]]),),
         biases=(np.array([0.0]),),
     )
     state = init_adam(net, step_size=0.01)
-    g = Gradient(weights=(np.array([[1.0]]),), biases=(np.array([0.0]),))
+    g = from_layers(Gradient, net.specs, (np.array([[1.0]]),), (np.array([0.0]),))
     _, updated = adam_step(state, net, g)
     delta = abs(updated.weights[0][0, 0] - 0.5)
     assert abs(delta - 0.01) < 1e-6
@@ -484,12 +530,16 @@ def test_adam_first_step_magnitude():
 def test_adam_step_size_nearly_gradient_scale_invariant():
     # the normalized update has |step| ~ lr regardless of gradient scale
     def one_step(gscale):
-        net = Network(
+        net = from_layers(
+            Network,
             specs=(LayerSpec(1, 1, Activation.IDENTITY),),
             weights=(np.array([[0.0]]),),
             biases=(np.array([0.0]),),
         )
-        g = Gradient(weights=(np.array([[gscale]]),), biases=(np.array([0.0]),))
+        g = from_layers(
+            Gradient,
+            net.specs, weights=(np.array([[gscale]]),), biases=(np.array([0.0]),)
+        )
         _, updated = adam_step(init_adam(net), net, g)
         return abs(updated.weights[0][0, 0])
 
@@ -514,6 +564,31 @@ def test_adam_is_pure_and_deterministic():
         assert not np.array_equal(a, b)
 
 
+def test_adam_step_matches_the_per_array_reference_bit_for_bit():
+    # gradients holding +-0.0 and subnormals, whose moments and updates
+    # round at the bottom of the range, over several steps
+    net = tiny_net([3, 5, 1], seed=8)
+    state = init_adam(net, step_size=0.05)
+    ref = [[np.zeros_like(a) for a in (*net.weights, *net.biases)]] * 2
+    ref_params = [*net.weights, *net.biases]
+    rng = np.random.default_rng(12)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-315, 1e-300]
+    for t in range(1, 7):
+        n = net.params.size
+        g = rng.normal(size=n) * 10.0 ** rng.integers(-8, 3, size=n)
+        g[rng.choice(g.size, size=len(specials), replace=False)] = specials
+        grad = Gradient(net.specs, g)
+        state, net = adam_step(state, net, grad)
+        *ref, ref_params = reference_adam_step(
+            *ref, ref_params, [*grad.weights, *grad.biases], state.step_size, t
+        )
+        for vector, arrays in zip((state.eta, state.delta, net.params), (*ref, ref_params)):
+            views = Network(net.specs, vector)
+            for view, a in zip((*views.weights, *views.biases), arrays):
+                assert view.tobytes() == a.tobytes()
+    assert state.steps == 6
+
+
 def test_adam_rejects_mismatched_gradient():
     net = tiny_net([2, 3, 1])
     other = tiny_net([2, 4, 1])
@@ -533,7 +608,8 @@ class _Schema:
 
 
 def test_predict_destandardizes():
-    net = Network(
+    net = from_layers(
+        Network,
         specs=(LayerSpec(1, 1, Activation.IDENTITY),),
         weights=(np.array([[1.0]]),),
         biases=(np.zeros(1),),

@@ -17,7 +17,9 @@ from fedl.data import (
 from fedl.errors import DegenerateDataError, ShapeError, StalenessError
 from fedl.model_io import network_to_bytes
 from fedl.nn import (
+    Activation,
     Gradient,
+    LayerSpec,
     Mode,
     backward,
     forward,
@@ -350,8 +352,9 @@ def test_aggregate_single_gradient_is_bitwise_identity():
 def test_aggregate_takes_elementwise_mean():
     from fedl.nn import Gradient
 
-    g1 = Gradient(weights=(np.array([[2.0]]),), biases=(np.array([4.0]),))
-    g2 = Gradient(weights=(np.array([[6.0]]),), biases=(np.array([0.0]),))
+    specs = (LayerSpec(1, 1, Activation.IDENTITY),)
+    g1 = Gradient(specs, np.array([2.0, 4.0]))
+    g2 = Gradient(specs, np.array([6.0, 0.0]))
     out = aggregate_gradients([g1, g2])
     assert out.weights[0][0, 0] == 4.0
     assert out.biases[0][0] == 2.0
@@ -362,8 +365,8 @@ def test_aggregate_rejects_empty_and_ragged():
 
     with pytest.raises(ValueError):
         aggregate_gradients([])
-    g1 = Gradient(weights=(np.zeros((2, 2)),), biases=(np.zeros(2),))
-    g2 = Gradient(weights=(np.zeros((3, 2)),), biases=(np.zeros(3),))
+    g1 = Gradient((LayerSpec(2, 2),), np.zeros(6))
+    g2 = Gradient((LayerSpec(2, 3),), np.zeros(9))
     with pytest.raises(ShapeError):
         aggregate_gradients([g1, g2])
 
@@ -831,9 +834,9 @@ def _backward_poisoned_at_5_rows(network, tape, targets, workspace=None):
     g = backward(network, tape, targets, workspace=workspace)
     if len(targets) != 5:
         return g
-    w0 = g.weights[0].copy()
-    w0[0, 0] = np.inf
-    return Gradient(weights=(w0, *g.weights[1:]), biases=g.biases)
+    params = g.params.copy()
+    params[0] = np.inf  # weights[0][0, 0]
+    return Gradient(g.specs, params)
 
 
 @pytest.mark.parametrize("rows, workers, where", [(5, 0, ""), (11, 2, " on worker 1")])
