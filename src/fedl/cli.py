@@ -652,11 +652,28 @@ def _evaluate_run_dir(run_dir: Path, manifest: dict, mode: str, clustered: bool,
     cluster when ``clustered``, on the given test split.  A cluster's
     model is read when ``manifest``'s ``clusters`` row says it was trained
     (``"skipped": false``); a skipped cluster's test records are uncovered.
+    Every file the manifest lists in ``outputs`` must exist, and
+    ``traffic.csv`` must total the manifest's ``total_bytes``.
 
     Returns (pipeline_name, rmse, total_bytes, uncovered_test).
     """
     name = _pipeline_name(mode, clustered)
-    total_bytes = _read_traffic(_run_file(run_dir, "traffic.csv")).total_bytes()
+    manifest_path = run_dir / "manifest.json"
+    outputs = manifest.get("outputs")
+    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+        raise DataFormatError(f"{manifest_path}: outputs is not a list of file names")
+    for output in outputs:
+        _run_file(run_dir, output)
+    recorded = manifest.get("total_bytes")
+    if type(recorded) is not int:
+        raise DataFormatError(f"{manifest_path}: total_bytes is not an integer")
+    traffic_path = _run_file(run_dir, "traffic.csv")
+    total_bytes = _read_traffic(traffic_path).total_bytes()
+    if total_bytes != recorded:
+        raise DataFormatError(
+            f"{traffic_path} totals {total_bytes} B, but the manifest records "
+            f"total_bytes {recorded}"
+        )
     groups = [("", test)]  # (file suffix, the test records its model scores)
     uncovered = 0
     if clustered:

@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from datetime import date as _date
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +52,11 @@ _INT64 = np.iinfo(np.int64)
 _BLOCK_ROWS = 1024  # CSV rows parsed at a time
 
 
-@dataclass(frozen=True)
-class TransactionRecord:
+class TransactionRecord(NamedTuple):
+    """One transaction.  A named tuple: it equals a plain tuple of the same
+    values, unpacks into its five fields and is immutable; ``r._replace(...)``
+    gives a copy with some fields changed."""
+
     station_id: str
     transaction_id: int
     day_of_week: int  # 1 = Monday .. 7 = Sunday
@@ -125,10 +128,15 @@ class Transactions:
         return len(self.station)
 
     def __iter__(self):
+        # tuple.__new__ builds each record from its zipped fields in C, as
+        # TransactionRecord._make does, without a Python call per record
         return map(
-            TransactionRecord,
-            map(self.vocabulary.__getitem__, self.station.tolist()),
-            *(column.tolist() for column in self._columns()[1:]),
+            tuple.__new__,
+            itertools.repeat(TransactionRecord),
+            zip(
+                map(self.vocabulary.__getitem__, self.station.tolist()),
+                *(column.tolist() for column in self._columns()[1:]),
+            ),
         )
 
     def __getitem__(self, i):

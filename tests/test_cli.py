@@ -835,6 +835,12 @@ def _last_parameter_nan(text):
     return text[:-8] + struct.pack("<d", math.nan).decode("latin-1")
 
 
+def _manifest_values(**values):
+    def corrupt(text):
+        return json.dumps({**json.loads(text), **values})
+    return corrupt
+
+
 def _cluster_row(**values):
     # cluster 0's row of the manifest's clusters; None deletes the key
     def corrupt(text):
@@ -870,15 +876,19 @@ def _assignment_rows(*rows):
     ("schema_cluster0.json", _schema_values(txn_min=10, txn_max=9)),
     ("model_cluster0.fedl", _last_parameter_nan),
     ("manifest.json", lambda text: "[]"),
-    ("manifest.json", lambda text: json.dumps({**json.loads(text), "config": []})),
+    ("manifest.json", _manifest_values(config=[])),
     ("manifest.json", _manifest_config(ratio="abc")),
     ("manifest.json", _manifest_config(include_transaction_id="no")),
     ("manifest.json", _manifest_config(seed=1.5)),
     ("manifest.json", _manifest_config(mode="banana")),
-    ("manifest.json", lambda text: json.dumps({**json.loads(text), "clustered": "false"})),
+    ("manifest.json", _manifest_values(clustered="false")),
     ("manifest.json", _cluster_row(skipped="false")),
     ("manifest.json", _cluster_row(skipped=None)),
-    ("manifest.json", lambda text: json.dumps({**json.loads(text), "clusters": {}})),
+    ("manifest.json", _manifest_values(clusters={})),
+    ("manifest.json", _manifest_values(outputs="traffic.csv")),
+    ("manifest.json", _manifest_values(outputs=["traffic.csv", 7])),
+    ("manifest.json", _manifest_values(total_bytes="0")),
+    ("traffic.csv", lambda text: "".join(text.splitlines(keepends=True)[:-1])),
     ("schema_cluster0.json", _vocabulary(lambda vocab: vocab[::-1])),
     ("schema_cluster0.json", _vocabulary(lambda vocab: vocab[:1] + vocab)),
 ], ids=[
@@ -891,6 +901,8 @@ def _assignment_rows(*rows):
     "manifest-ratio-string", "manifest-flag-string", "manifest-seed-float",
     "manifest-mode-unknown", "manifest-clustered-string",
     "manifest-skipped-string", "manifest-skipped-missing", "manifest-clusters-object",
+    "manifest-outputs-string", "manifest-output-number", "manifest-total-bytes-string",
+    "traffic-row-dropped",
     "schema-vocabulary-reversed", "schema-vocabulary-duplicate",
 ])
 def test_evaluate_corrupt_run_dir_file_exits_2(tmp_path, corpus_dir, clustered_run, name, corrupt):
@@ -939,11 +951,12 @@ def two_cluster_run(tmp_path_factory):
 
 @pytest.mark.parametrize("name", [
     "model_cluster1.fedl", "schema_cluster0.json", "traffic.csv", "assignment.csv",
+    "metrics_cluster0.csv",
 ])
 def test_evaluate_run_dir_missing_a_file_it_wrote_exits_2(tmp_path, two_cluster_run, name):
     # a trained cluster whose model was missing used to count as skipped
-    # (exit 0, its test records uncovered), and a missing traffic.csv as
-    # zero bytes
+    # (exit 0, its test records uncovered), a missing traffic.csv as zero
+    # bytes, and a missing metrics file went unnoticed
     corpus, trained = two_cluster_run
     run = tmp_path / "run"
     shutil.copytree(trained, run)

@@ -248,8 +248,6 @@ def test_encode_one_hot_blocks():
 
 
 def test_encode_clips_out_of_range_transaction_ids():
-    import dataclasses
-
     records = corpus_records()
     schema = dataclasses.replace(build_schema(records), txn_min=10, txn_max=20)
     X, _ = encode_features(records, schema)
@@ -281,10 +279,10 @@ def encoded_corpus(kind):
     column: scaled ids, none, a zero span, or offsets beyond int64."""
     records = list(synth_generate(5, STEP_BLOCK_ROWS + 5, seed=4)[0])
     if kind == "zero_span":
-        records = [dataclasses.replace(r, transaction_id=7) for r in records]
+        records = [r._replace(transaction_id=7) for r in records]
     elif kind == "big_ids":  # ids up to ~2**71: the offsets overflow int64
         records = [
-            dataclasses.replace(r, transaction_id=(i - 40) * 2**60 + i)
+            r._replace(transaction_id=(i - 40) * 2**60 + i)
             for i, r in enumerate(records)
         ]
     schema = build_schema(records, include_transaction_id=kind != "no_id")

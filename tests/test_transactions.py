@@ -201,6 +201,18 @@ def test_transactions_round_trip_records():
         t.energy_kwh[0] = 1.0  # columns are read-only
     empty = Transactions.of([])
     assert len(empty) == 0 and list(empty) == [] and empty.station_ids() == ()
+    # a record is a named tuple: hashed and compared by value, immutable
+    big = t[1]
+    assert type(big) is TransactionRecord and t.transaction_id.dtype == object
+    assert hash(big) == hash(rows[1]) and len(set(t) | set(rows)) == 3
+    with pytest.raises(AttributeError):
+        big.energy_kwh = 1.0
+    station_id, transaction_id, day, hour, energy = big
+    assert big == tuple(big) == (station_id, BIG, 7, 0, 0.0) == ("A", transaction_id, day,
+                                                                   hour, energy)
+    moved = big._replace(hour=3)
+    assert moved == TransactionRecord("A", BIG, 7, 3, 0.0) and big.hour == 0
+    assert Transactions.of(list(t)) == t
 
 
 @pytest.mark.parametrize("rows", [1, 5, 40])
