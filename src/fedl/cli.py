@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import warnings
 from dataclasses import fields
@@ -418,6 +419,8 @@ def cmd_synth(args) -> int:
     cfg = _resolve(args, "synth")
     if args.n_stations < 1 or args.n_records < 1:
         raise UsageError("--stations and --records must be >= 1")
+    if not (math.isfinite(cfg["noise"]) and cfg["noise"] >= 0.0):
+        raise UsageError(f"--noise must be finite and >= 0, got {cfg['noise']}")
     out = _out_dir(args)
     records, stations, meta = synth_generate(
         args.n_stations, args.n_records, seed=cfg["seed"], noise_std=cfg["noise"],

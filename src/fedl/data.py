@@ -35,6 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from datetime import date as _date
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -95,16 +96,18 @@ class Transactions:
 
     @staticmethod
     def of(records: Transactions | Iterable[TransactionRecord]) -> Transactions:
-        """``records`` as Transactions; Transactions pass through as they are."""
+        """``records`` as Transactions; Transactions pass through as they are.
+        Fields are read by position, so plain 5-tuples serve as records; a
+        record of any other length raises ValueError naming its index."""
         if isinstance(records, Transactions):
             return records
         records = list(records)
+        width = len(TransactionRecord._fields)
+        if set(map(len, records)) - {width}:
+            i = next(i for i, r in enumerate(records) if len(r) != width)
+            raise ValueError(f"record {i} has {len(records[i])} fields, expected {width}")
         return Transactions._from_lists(
-            [r.station_id for r in records],
-            [r.transaction_id for r in records],
-            [r.day_of_week for r in records],
-            [r.hour for r in records],
-            [r.energy_kwh for r in records],
+            *(list(map(itemgetter(j), records)) for j in range(width))
         )
 
     @staticmethod
@@ -129,12 +132,13 @@ class Transactions:
 
     def __iter__(self):
         # tuple.__new__ builds each record from its zipped fields in C, as
-        # TransactionRecord._make does, without a Python call per record
+        # TransactionRecord._make does, and the station ids come from one
+        # object-array gather: no Python call per record
         return map(
             tuple.__new__,
             itertools.repeat(TransactionRecord),
             zip(
-                map(self.vocabulary.__getitem__, self.station.tolist()),
+                np.array(self.vocabulary, dtype=object)[self.station].tolist(),
                 *(column.tolist() for column in self._columns()[1:]),
             ),
         )
@@ -607,6 +611,16 @@ def split_train_test(
     return records.take(order[:n_train]), records.take(order[n_train:])
 
 
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in [0, bound).
+
+    The keys are cast to the narrowest unsigned dtype that holds bound - 1,
+    and numpy sorts 8- and 16-bit keys by radix.  A stable order is unique,
+    so the cast does not change it.
+    """
+    return np.argsort(keys.astype(np.min_scalar_type(max(bound - 1, 0))), kind="stable")
+
+
 def partition_workers(
     records: Transactions | Iterable[TransactionRecord],
     workers: int,
@@ -644,7 +658,7 @@ def partition_workers(
             f"(too many workers for this corpus/strategy)"
         )
     # a stable sort keeps each worker's indices ascending
-    buckets = np.split(np.argsort(worker_of, kind="stable"), np.cumsum(counts)[:-1])
+    buckets = np.split(stable_order(worker_of, workers), np.cumsum(counts)[:-1])
     return [
         WorkerPartition(worker_id=j, record_indices=bucket)
         for j, bucket in enumerate(buckets)
@@ -683,12 +697,16 @@ def synth_generate(
     """Generate a desk-scale corpus with a known generating function.
 
     Stations sit in two spatial lobes; demand is a smooth per-station
-    function of day and hour plus Gaussian noise, clamped at zero.  Same
-    seed in, identical corpus out.  A station's transaction ids count its
-    records from 1 in generation order.
+    function of day and hour plus Gaussian noise of std ``noise_std``
+    (finite and >= 0, else ValueError), clamped at zero.  Same seed in,
+    identical corpus out.  A station's transaction ids count its records
+    from 1 in generation order.  Each distinct (station, hour) pair's sine
+    is computed once, as SynthMetadata.signal does, and gathered back.
     """
     if n_stations < 1 or n_records < 1:
         raise ValueError("n_stations and n_records must both be >= 1")
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     rng = np.random.default_rng(seed)
     width = len(str(n_stations - 1))
     ids = [f"S{i:0{width}d}" for i in range(n_stations)]  # sorted: equal widths
@@ -696,10 +714,7 @@ def synth_generate(
     lobe = np.arange(n_stations) % 2
     lat = np.where(lobe == 0, 56.46, 56.49) + rng.normal(0.0, 0.004, n_stations)
     lon = np.where(lobe == 0, -3.03, -2.97) + rng.normal(0.0, 0.004, n_stations)
-    stations = [
-        StationInfo(station_id=ids[i], latitude=float(lat[i]), longitude=float(lon[i]))
-        for i in range(n_stations)
-    ]
+    stations = list(map(StationInfo, ids, lat.tolist(), lon.tolist()))
 
     base = rng.uniform(4.0, 16.0, n_stations) + 4.0 * lobe
     hour_amp = rng.uniform(0.5, 2.5, n_stations)
@@ -707,10 +722,10 @@ def synth_generate(
     day_amp = rng.uniform(0.25, 1.25, n_stations)
     meta = SynthMetadata(
         noise_std=noise_std,
-        base=tuple(float(v) for v in base),
-        hour_amplitude=tuple(float(v) for v in hour_amp),
-        hour_phase=tuple(float(v) for v in hour_phase),
-        day_amplitude=tuple(float(v) for v in day_amp),
+        base=tuple(base.tolist()),
+        hour_amplitude=tuple(hour_amp.tolist()),
+        hour_phase=tuple(hour_phase.tolist()),
+        day_amplitude=tuple(day_amp.tolist()),
     )
 
     station = rng.integers(0, n_stations, n_records)
@@ -718,12 +733,17 @@ def synth_generate(
     hours = rng.integers(0, 24, n_records)
     noise = rng.normal(0.0, noise_std, n_records)
     counts = np.bincount(station, minlength=n_stations)
-    order = np.argsort(station, kind="stable")
+    order = stable_order(station, n_stations)
     txn = np.empty(n_records, dtype=np.int64)
     txn[order] = np.arange(1, n_records + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-    # SynthMetadata.signal's operations in its order, with math.sin/cos
-    angle = 2.0 * math.pi * hours / 24.0 + hour_phase[station]
-    sine = np.fromiter(map(math.sin, angle.tolist()), dtype=np.float64, count=n_records)
+    # SynthMetadata.signal's operations in its order, with math.sin/cos; the
+    # sine is taken once per (station, hour) pair that occurs
+    pair = station * 24 + hours
+    present = np.flatnonzero(np.bincount(pair))
+    angle = 2.0 * math.pi * (present % 24) / 24.0 + hour_phase[present // 24]
+    sines = np.zeros(24 * n_stations)
+    sines[present] = np.fromiter(map(math.sin, angle.tolist()), np.float64, len(present))
+    sine = sines[pair]
     cosine = np.array([math.cos(2.0 * math.pi * d / 7.0) for d in range(8)])[days]
     energy = base[station] + hour_amp[station] * sine + day_amp[station] * cosine + noise
     energy = np.where(energy > 0.0, energy, 0.0)  # max(0.0, x), nan included

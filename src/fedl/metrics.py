@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import EncodedFeatures
+from .data import EncodedFeatures, stable_order
 from .errors import DegenerateDataError, EncodingError, ShapeError
 
 # Queries per kNN lookup pass; the result does not depend on it.
@@ -87,7 +87,7 @@ def _nearest(train: EncodedFeatures, test: EncodedFeatures, k: int) -> np.ndarra
     )
     groups = []
     for key in _pair_keys(blocks_x, train.shape[1]):
-        order = np.argsort(key, kind="stable")
+        order = stable_order(key, train.shape[1] ** 2)
         groups.append((key[order], order))
     nearest = np.empty((len(test), k), dtype=np.intp)
     for start in range(0, len(test), KNN_CHUNK_ROWS):

@@ -58,6 +58,7 @@ from .data import (
     build_schema,
     encode_features,
     partition_workers,
+    stable_order,
 )
 from .errors import (
     DegenerateDataError,
@@ -690,15 +691,18 @@ def by_cluster(
     k: int,
 ) -> list[Transactions]:
     """``records`` split into ``k`` groups by ``cluster_of[station_id]``,
-    each group in input order."""
+    each group in input order.  A station missing from ``cluster_of``
+    raises KeyError, a cluster id outside [0, k) ValueError."""
     records = Transactions.of(records)
     labels = [cluster_of.get(sid, -1) for sid in records.vocabulary]
     label = np.array(labels, dtype=np.int64)[records.station]
     if (label < 0).any():
         raise KeyError(records[int(np.argmax(label < 0))].station_id)
+    if (label >= k).any():
+        raise ValueError(f"cluster id {label.max()} is outside [0, {k})")
     # a stable sort keeps each group in input order
     bounds = np.cumsum(np.bincount(label, minlength=k))[:-1]
-    return [records.take(rows) for rows in np.split(np.argsort(label, kind="stable"), bounds)]
+    return [records.take(rows) for rows in np.split(stable_order(label, k), bounds)]
 
 
 def score(

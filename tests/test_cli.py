@@ -108,6 +108,18 @@ def test_synth_rejects_nonpositive_counts(tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-inf", "-1"])
+def test_synth_rejects_noise_that_is_not_finite_and_nonnegative(tmp_path, noise):
+    # nan wrote all-zero energies and inf wrote inf ones, both exiting 0
+    out = tmp_path / "x"
+    code, stdout, err = invoke(
+        "synth", "--stations", 2, "--records", 5, f"--noise={noise}", "--out", out
+    )
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [f"fedl: error: --noise must be finite and >= 0, got {float(noise)}"]
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- ingest
 
 
@@ -1277,6 +1289,26 @@ def test_console_script_is_installed():
     proc = _run_launcher(module, attr)
     assert proc.returncode == 1
     assert "usage: fedl" in proc.stderr
+
+
+def test_python_dash_m_fedl_runs_the_cli(tmp_path):
+    # needs no launcher on PATH, unlike test_installed_console_script_runs
+    pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "fedl", *argv], capture_output=True,
+                              text=True, timeout=60, env=env, cwd=tmp_path)
+
+    proc = run("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: fedl") and "synth" in proc.stdout
+    proc = run("synth", "--stations", "2", "--records", "7", "--out", "corpus")
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "corpus" / "transactions.csv").read_text().splitlines()
+    assert lines[0] == "station_id,transaction_id,date,time,energy_kwh" and len(lines) == 8
+    proc = run()
+    assert proc.returncode == 1 and "usage: fedl" in proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("fedl") is None, reason="fedl not installed")

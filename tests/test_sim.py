@@ -45,6 +45,7 @@ from fedl.sim import (
     _site_gradients,
     _usable_cores,
     aggregate_gradients,
+    by_cluster,
     convergence_check,
     dataset_bytes,
     local_epoch,
@@ -913,6 +914,21 @@ def test_clustered_covers_every_transaction_once(small_corpus):
     assert sum(c.n_test for c in result.clusters) == len(test)
     owned = [sid for c in result.clusters for sid in c.station_ids]
     assert sorted(owned) == sorted(s.station_id for s in stations)
+
+
+@pytest.mark.parametrize("k", [3, 300])
+def test_by_cluster_groups_records_in_input_order(small_corpus, k):
+    records = small_corpus[0]
+    cluster_of = {sid: (7 * i) % k for i, sid in enumerate(records.vocabulary)}
+    groups = by_cluster(records, cluster_of, k)
+    assert len(groups) == k
+    for c, group in enumerate(groups):
+        assert list(group) == [r for r in records if cluster_of[r.station_id] == c]
+    with pytest.raises(KeyError):
+        by_cluster(records, dict(list(cluster_of.items())[1:]), k)
+    # a cast to a narrow dtype must not wrap an id past k into range
+    with pytest.raises(ValueError, match=f"outside \\[0, {k}\\)"):
+        by_cluster(records, {**cluster_of, records.vocabulary[0]: k + 256}, k)
 
 
 def test_clustered_federated_inner_mode(small_corpus):

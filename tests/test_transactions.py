@@ -26,6 +26,7 @@ from fedl.data import (
     build_schema,
     encode_features,
     parse_transactions,
+    stable_order,
     synth_generate,
 )
 from fedl.errors import EncodingError
@@ -112,13 +113,21 @@ def test_parse_keeps_ids_beyond_int64_as_python_ints():
 @pytest.mark.parametrize("n_stations, n_records, noise_std", [
     (1, 1, 0.8),  # one record
     (400, 1, 0.8),  # the clustered workload's layout call
-    (400, 3000, 0.8),
+    (400, 3000, 0.8),  # fewer records than (station, hour) pairs
     (5, 2000, 25.0),  # the clamp to 0 fires
+    # station codes sort as uint8 up to 256 stations and as uint16 beyond
+    (1, 200, 0.8),
+    (255, 4000, 0.8),
+    (256, 4000, 0.8),
+    (300, 7000, 0.0),  # no noise; fewer records than pairs
 ])
 def test_synth_matches_record_by_record_reference(n_stations, n_records, noise_std):
+    # the reference takes math.sin of each record's own angle and counts
+    # each station's transaction ids one record at a time
     records, _, _ = synth_generate(n_stations, n_records, seed=4, noise_std=noise_std)
     want = reference_synth_records(n_stations, n_records, seed=4, noise_std=noise_std)
     assert list(records) == want
+    assert records.transaction_id.dtype == records.station.dtype == np.int64
     got_kwh = np.array([r.energy_kwh for r in records])
     assert got_kwh.tobytes() == np.array([r.energy_kwh for r in want]).tobytes()
     if noise_std > 1.0:
@@ -213,6 +222,42 @@ def test_transactions_round_trip_records():
     moved = big._replace(hour=3)
     assert moved == TransactionRecord("A", BIG, 7, 3, 0.0) and big.hour == 0
     assert Transactions.of(list(t)) == t
+
+
+def test_records_are_read_by_position():
+    rows = [("B", 3, 2, 5, 1.5), ["A", BIG, 7, 0, 0.0], TransactionRecord("B", -1, 1, 23, 2.0)]
+    t = Transactions.of(rows)
+    assert list(t) == [TransactionRecord(*r) for r in rows]
+    assert t == Transactions.of(map(tuple, rows))
+    schema = build_schema([("A", 1, 1, 0, 1.0), ("B", 2, 3, 4, 3.0)])
+    assert schema.station_vocabulary == ("A", "B") and schema.label_mean == 2.0
+    for bad in ([("A", 1, 1, 0)], [("A", 1, 1, 0, 1.0), ("A", 1, 1, 0, 1.0, 9)]):
+        with pytest.raises(ValueError, match=f"record {len(bad) - 1} has {len(bad[-1])} fields"):
+            Transactions.of(bad)
+
+
+@pytest.mark.parametrize("noise_std", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_synth_rejects_noise_that_is_not_finite_and_nonnegative(noise_std):
+    with pytest.raises(ValueError, match="noise_std must be finite and >= 0"):
+        synth_generate(3, 10, seed=1, noise_std=noise_std)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), bound=st.sampled_from([1, 2, 256, 257, 65536, 65537]))
+def test_stable_order_is_the_stable_int64_argsort(data, bound):
+    keys = np.array(data.draw(st.lists(st.integers(0, bound - 1), max_size=300)), dtype=np.int64)
+    got = stable_order(keys, bound)
+    assert got.tolist() == np.argsort(keys.astype(np.int64), kind="stable").tolist()
+
+
+def test_partition_of_300_workers_sorts_uint16_keys():
+    records, _, _ = synth_generate(300, 900, seed=2)
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        parts = data.partition_workers(records, 300, data.PartitionStrategy.ROUND_ROBIN)
+    assert [call.args[0].dtype for call in argsort.call_args_list] == [np.uint16]
+    assert [p.record_indices.tolist() for p in parts] == [
+        list(range(j, 900, 300)) for j in range(300)
+    ]
 
 
 @pytest.mark.parametrize("rows", [1, 5, 40])
