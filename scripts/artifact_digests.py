@@ -116,6 +116,11 @@ PIPELINE = [
      ("evaluate", "--transactions", T, "--run-dir", "train_clustered_federated")),
     ("evaluate_clustered_round_robin",
      ("evaluate", "--transactions", T, "--run-dir", "train_clustered_round_robin")),
+    # with the steps above, every manifest shape the run-directory reader
+    # parses: plain and clustered, central and federated, with and without ids
+    ("evaluate_clustered_central",
+     ("evaluate", "--transactions", T, "--run-dir", "train_clustered_central")),
+    ("evaluate_no_id", ("evaluate", "--transactions", T, "--run-dir", "train_no_id")),
     ("sweep", ("evaluate", "--transactions", T, "--sweep", "--stations", S)),
     ("dirty_ingest", ("ingest", "--transactions", DIRTY)),
     ("dirty_train", ("train", "--transactions", DIRTY, *FEDERATED)),

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from datetime import date as _date, timedelta
 from pathlib import Path
 
@@ -28,9 +28,13 @@ import numpy as np
 
 from .clustering import ClusterConfig, constrained_kmeans
 from .data import (
+    STATIONS_HEADER,
+    TRANSACTIONS_HEADER,
     EncodingSchema,
+    RejectedRow,
     build_schema,
     encode_features,
+    json_problem,
     parse_stations,
     parse_transactions,
     partition_workers,
@@ -192,29 +196,24 @@ def _load_config_file(path: Path | None) -> dict:
     return {key: _typed(key, value) for key, value in data.items()}
 
 
-def _typed(key: str, value):
-    """A config-file value checked as argparse checks ``key``'s flag: a JSON
-    integer for ``type=int``, a number (made float) for ``type=float``, a
-    string for ``type=str``, true/false for an on/off flag, one of the
-    ``choices``; null only where the default is None."""
-    default, _, kwargs = OPTIONS[key]
-    if value is None and default is None:
-        return None
-    kind = kwargs.get("type")
+def _kind(key: str):
+    """Option ``key``'s JSON type, as data.json_problem reads it."""
+    kwargs = OPTIONS[key][2]
     if "action" in kwargs:
-        want, ok = "true or false", isinstance(value, bool)
-    elif "choices" in kwargs:
-        want, ok = "one of " + ", ".join(kwargs["choices"]), value in kwargs["choices"]
-    elif kind is str:
-        want, ok = "a string", isinstance(value, str)
-    elif kind is int:
-        want, ok = "an integer", type(value) is int  # not bool
-    else:  # an integer past float64's range would not convert
-        want = "a number"
-        ok = type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
-    if not ok:
-        raise UsageError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
-    return float(value) if kind is float else value
+        return bool
+    return tuple(kwargs["choices"]) if "choices" in kwargs else kwargs["type"]
+
+
+def _typed(key: str, value):
+    """A config-file value checked as argparse checks ``key``'s flag, of
+    :func:`_kind`'s type (an integer made float for ``type=float``); null
+    only where the default is None."""
+    if value is None and OPTIONS[key][0] is None:
+        return None
+    problem = json_problem(value, _kind(key), f"config key {key!r}")
+    if problem:
+        raise UsageError(problem)
+    return float(value) if _kind(key) is float else value
 
 
 def _resolve(args, command: str) -> dict:
@@ -308,21 +307,30 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _jsonable(value):
-    if isinstance(value, Path):
-        return str(value)
-    return value
+# A train run's files with fixed names; _model_files names the others.
+MANIFEST, TRAFFIC, ASSIGNMENT = "manifest.json", "traffic.csv", "assignment.csv"
+ASSIGNMENT_HEADER = ("station_id", "cluster_id")
+
+# The manifest keys `evaluate --run-dir` reads, with their JSON types as
+# data.json_problem reads them; "clusters" only when "clustered" is true.
+RUN_MANIFEST = {
+    "config": {key: _kind(key) for key in ("ratio", "seed", "include_transaction_id", "mode")},
+    "clustered": bool,
+    "outputs": [str],
+    "total_bytes": int,
+    "clusters": [{"skipped": bool}],
+}
 
 
 def _manifest(out: Path, command: str, cfg: dict, extra: dict) -> dict:
     payload = {
         "command": command,
-        "config": {k: _jsonable(v) for k, v in sorted(cfg.items())},
+        "config": {k: str(v) if isinstance(v, Path) else v for k, v in sorted(cfg.items())},
     }
     manifest = dict(payload)
     manifest["run_id"] = _run_id(payload)
     manifest.update(extra)
-    _write_json(out / "manifest.json", manifest)
+    _write_json(out / MANIFEST, manifest)
     return manifest
 
 
@@ -341,42 +349,41 @@ def _metrics_rows(reports):
 
 def _write_assignment(out: Path, stations, labels) -> None:
     _write_csv(
-        out / "assignment.csv",
-        ["station_id", "cluster_id"],
+        out / ASSIGNMENT,
+        ASSIGNMENT_HEADER,
         [(s.station_id, int(labels[i])) for i, s in enumerate(stations)],
     )
 
 
 def _write_traffic(path: Path, log: TrafficLog) -> None:
-    _write_csv(path, ["epoch", "direction", "payload", "bytes"], log.to_rows())
+    _write_csv(path, TrafficLog.HEADER, log.to_rows())
+
+
+def _csv_rows(path: Path, header) -> list[tuple[int, list[str]]]:
+    """The non-blank rows of the CSV at ``path``, each with its line number;
+    DataFormatError unless its first line is ``header``."""
+    with _open_input(path) as f:
+        reader = csv.reader(f)
+        if tuple(c.strip() for c in next(reader, None) or []) != header:
+            raise DataFormatError(f"{path}: header is not {','.join(header)}")
+        return [(reader.line_num, row) for row in reader if row]
 
 
 def _read_traffic(path: Path) -> TrafficLog:
-    with _open_input(path) as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != [
-            "epoch", "direction", "payload", "bytes",
-        ]:
-            raise DataFormatError(f"{path} is not a traffic CSV")
-        try:
-            return TrafficLog.from_rows(r for r in reader if r)
-        except (KeyError, ValueError) as e:
-            raise DataFormatError(f"{path}: bad traffic row: {e}") from None
+    try:
+        return TrafficLog.from_rows(row for _, row in _csv_rows(path, TrafficLog.HEADER))
+    except (KeyError, ValueError) as e:
+        raise DataFormatError(f"{path}: bad traffic row: {e}") from None
 
 
 def _read_assignment(path: Path) -> dict[str, int]:
     """Station id -> cluster id from an ``assignment.csv``.  The header must
-    be ``station_id,cluster_id``, each row two fields, each station once,
+    be :data:`ASSIGNMENT_HEADER`, each row two fields, each station once,
     and each cluster id an integer in [0, number of rows)."""
-    with _open_input(path) as f:
-        reader = csv.reader(f)
-        if [c.strip() for c in next(reader, None) or []] != ["station_id", "cluster_id"]:
-            raise DataFormatError(f"{path}: header is not station_id,cluster_id")
-        rows = [(reader.line_num, row) for row in reader if row]
+    rows = _csv_rows(path, ASSIGNMENT_HEADER)
     cluster_of: dict[str, int] = {}
     for line, row in rows:
-        if len(row) != 2:
+        if len(row) != len(ASSIGNMENT_HEADER):
             raise DataFormatError(f"{path} line {line}: expected 2 fields, got {len(row)}")
         station_id, raw = row
         if station_id in cluster_of:
@@ -430,7 +437,7 @@ def cmd_synth(args) -> int:
     times = [f"{h:02d}:00" for h in range(24)]
     _write_csv(
         out / "transactions.csv",
-        ["station_id", "transaction_id", "date", "time", "energy_kwh"],
+        TRANSACTIONS_HEADER,
         zip(
             map(records.vocabulary.__getitem__, records.station.tolist()),
             records.transaction_id.tolist(),
@@ -439,21 +446,8 @@ def cmd_synth(args) -> int:
             map(repr, records.energy_kwh.tolist()),
         ),
     )
-    _write_csv(
-        out / "stations.csv",
-        ["station_id", "latitude", "longitude"],
-        [(s.station_id, repr(s.latitude), repr(s.longitude)) for s in stations],
-    )
-    _write_json(
-        out / "generator.json",
-        {
-            "noise_std": meta.noise_std,
-            "base": list(meta.base),
-            "hour_amplitude": list(meta.hour_amplitude),
-            "hour_phase": list(meta.hour_phase),
-            "day_amplitude": list(meta.day_amplitude),
-        },
-    )
+    _write_csv(out / "stations.csv", STATIONS_HEADER, stations)  # str(float) is repr
+    _write_json(out / "generator.json", asdict(meta))
     _manifest(
         out, "synth",
         {"n_stations": args.n_stations, "n_records": args.n_records, **cfg},
@@ -470,11 +464,7 @@ def cmd_ingest(args) -> int:
     schema = build_schema(records, cfg["include_transaction_id"])
     n_stations = len(schema.station_vocabulary)
     if rejects:
-        _write_csv(
-            out / "rejects.csv",
-            ["line_number", "reason"],
-            [(r.line_number, r.reason) for r in rejects],
-        )
+        _write_csv(out / "rejects.csv", RejectedRow._fields, rejects)
     _write_json(
         out / "ingest_summary.json",
         {
@@ -512,7 +502,7 @@ def cmd_cluster(args) -> int:
     _manifest(
         out, "cluster",
         {**cfg, "stations_file": args.stations},
-        {"outputs": ["assignment.csv", "cluster_summary.json"]},
+        {"outputs": [ASSIGNMENT, "cluster_summary.json"]},
     )
     print(
         f"objective={assignment.objective!r} iterations={assignment.iterations_used} "
@@ -536,10 +526,16 @@ def _fit_plain(train, vocab, mode: TrainMode, config: TrainConfig, include_txn: 
     return model, schema, reports, traffic
 
 
-def _write_model(out: Path, suffix: str, model, schema, reports) -> list[str]:
-    """Write ``model{suffix}.fedl``, ``schema{suffix}.json`` and
-    ``metrics{suffix}.csv``; returns their names."""
-    names = [f"model{suffix}.fedl", f"schema{suffix}.json", f"metrics{suffix}.csv"]
+def _model_files(cluster: int | None) -> list[str]:
+    """The model, schema and metrics file names of a plain run (``cluster``
+    None) or of its cluster ``cluster``."""
+    suffix = "" if cluster is None else f"_cluster{cluster}"
+    return [f"model{suffix}.fedl", f"schema{suffix}.json", f"metrics{suffix}.csv"]
+
+
+def _write_model(out: Path, cluster: int | None, model, schema, reports) -> list[str]:
+    """Write :func:`_model_files`; returns their names."""
+    names = _model_files(cluster)
     save_network(model, out / names[0])
     _write_json(out / names[1], schema.to_dict())
     _write_csv(out / names[2], *_metrics_rows(reports))
@@ -566,7 +562,7 @@ def cmd_train(args) -> int:
         "n_test": len(test),
         "clustered": clustering,
     }
-    outputs = ["manifest.json", "traffic.csv"]
+    outputs = [MANIFEST, TRAFFIC]
 
     if clustering:
         if args.stations is None:
@@ -577,7 +573,7 @@ def cmd_train(args) -> int:
             include_transaction_id=include_txn,
         )
         _write_assignment(out, stations, result.assignment.labels)
-        outputs.append("assignment.csv")
+        outputs.append(ASSIGNMENT)
         traffic = result.combined_traffic()
         summary = [
             f"clustered {config.mode.value}: pooled_rmse_kwh="
@@ -603,43 +599,26 @@ def cmd_train(args) -> int:
             )
             if c.skipped:
                 continue
-            outputs += _write_model(
-                out, f"_cluster{c.cluster_id}", c.model, c.schema, c.reports
-            )
-        extra.update(
-            {
-                "clusters": cluster_rows,
-                "pooled_rmse_kwh": result.pooled_rmse_kwh,
-                "uncovered_test": result.uncovered_test,
-            }
-        )
+            outputs += _write_model(out, c.cluster_id, c.model, c.schema, c.reports)
+        extra.update(clusters=cluster_rows, pooled_rmse_kwh=result.pooled_rmse_kwh,
+                     uncovered_test=result.uncovered_test)
     else:
         model, schema, reports, traffic = _fit_plain(
             train, vocab, config.mode, config, include_txn
         )
-        outputs += _write_model(out, "", model, schema, reports)
-        extra.update(
-            {
-                "epochs_ran": len(reports),
-                "stopped_early": len(reports) < config.epochs,
-                "final_loss": reports[-1].global_loss,
-                "parameter_count": model.parameter_count,
-            }
-        )
+        outputs += _write_model(out, None, model, schema, reports)
+        extra.update(epochs_ran=len(reports), stopped_early=len(reports) < config.epochs,
+                     final_loss=reports[-1].global_loss, parameter_count=model.parameter_count)
         summary = [
             f"{config.mode.value}: epochs={len(reports)} "
             f"final_loss={reports[-1].global_loss!r} "
             f"params={model.parameter_count} total_bytes={traffic.total_bytes()}"
         ]
-    _write_traffic(out / "traffic.csv", traffic)
+    _write_traffic(out / TRAFFIC, traffic)
     extra.update({"total_bytes": traffic.total_bytes(), "outputs": sorted(outputs)})
     _manifest(out, "train", cfg, extra)
     print("\n".join(summary))
     return 0
-
-
-def _pipeline_name(mode: str, clustered: bool) -> str:
-    return f"{mode}_clustered" if clustered else mode
 
 
 def _run_file(run_dir: Path, name: str) -> Path:
@@ -650,62 +629,66 @@ def _run_file(run_dir: Path, name: str) -> Path:
     return path
 
 
-def _evaluate_run_dir(run_dir: Path, manifest: dict, mode: str, clustered: bool, test):
-    """Score the model(s) saved by a `fedl train` run in ``mode``, one per
-    cluster when ``clustered``, on the given test split.  A cluster's
-    model is read when ``manifest``'s ``clusters`` row says it was trained
-    (``"skipped": false``); a skipped cluster's test records are uncovered.
-    Every file the manifest lists in ``outputs`` must exist, and
-    ``traffic.csv`` must total the manifest's ``total_bytes``.
+def _read_manifest(run_dir: Path) -> dict:
+    """A train run's manifest, which must have every :data:`RUN_MANIFEST`
+    key with its type; DataFormatError naming the file otherwise."""
+    path = run_dir / MANIFEST
+    if not path.exists():
+        raise UsageError(f"{run_dir} has no {MANIFEST} (not a train run dir)")
+    manifest = _read_json_object(path)
+    keys = dict(RUN_MANIFEST)
+    if manifest.get("clustered") is not True:
+        del keys["clusters"]
+    problem = json_problem(manifest, keys)
+    if problem:
+        raise DataFormatError(f"{path}: {problem}")
+    return manifest
+
+
+def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
+    """Score the model(s) saved by the `fedl train` run whose checked
+    manifest is ``manifest``, one per cluster when it is clustered, on the
+    given test split.  A cluster's model is read when its ``clusters`` row
+    says it was trained (``"skipped": false``); a skipped cluster's test
+    records are uncovered.  Every file the manifest lists in ``outputs``
+    must exist, and ``traffic.csv`` must total the manifest's ``total_bytes``.
 
     Returns (pipeline_name, rmse, total_bytes, uncovered_test).
     """
-    name = _pipeline_name(mode, clustered)
-    manifest_path = run_dir / "manifest.json"
-    outputs = manifest.get("outputs")
-    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-        raise DataFormatError(f"{manifest_path}: outputs is not a list of file names")
-    for output in outputs:
+    for output in manifest["outputs"]:
         _run_file(run_dir, output)
-    recorded = manifest.get("total_bytes")
-    if type(recorded) is not int:
-        raise DataFormatError(f"{manifest_path}: total_bytes is not an integer")
-    traffic_path = _run_file(run_dir, "traffic.csv")
+    traffic_path = _run_file(run_dir, TRAFFIC)
     total_bytes = _read_traffic(traffic_path).total_bytes()
-    if total_bytes != recorded:
+    if total_bytes != manifest["total_bytes"]:
         raise DataFormatError(
             f"{traffic_path} totals {total_bytes} B, but the manifest records "
-            f"total_bytes {recorded}"
+            f"total_bytes {manifest['total_bytes']}"
         )
-    groups = [("", test)]  # (file suffix, the test records its model scores)
+    groups = [(None, test)]  # (cluster, the test records its model scores)
     uncovered = 0
-    if clustered:
-        cluster_of = _read_assignment(_run_file(run_dir, "assignment.csv"))
+    if manifest["clustered"]:
+        cluster_of = _read_assignment(_run_file(run_dir, ASSIGNMENT))
         unknown = sorted(set(test.station_ids()) - set(cluster_of))
         if unknown:
             raise DegenerateDataError(
                 f"test stations missing from assignment: {', '.join(unknown)}"
             )
-        rows = manifest.get("clusters")
-        rows = rows if isinstance(rows, list) else []
+        rows = manifest["clusters"]
         groups = []
         for k, test_k in enumerate(by_cluster(test, cluster_of, len(cluster_of))):
             if not test_k:
                 continue
-            row = rows[k] if k < len(rows) and isinstance(rows[k], dict) else {}
-            if not isinstance(row.get("skipped"), bool):
-                raise DataFormatError(
-                    f"{run_dir / 'manifest.json'}: clusters row {k} does not say "
-                    f"whether the cluster was skipped (true or false)"
-                )
-            if row["skipped"]:
+            if k >= len(rows):
+                raise DataFormatError(f"{run_dir / MANIFEST}: clusters has no row {k}")
+            if rows[k]["skipped"]:
                 uncovered += len(test_k)
                 continue
-            groups.append((f"_cluster{k}", test_k))
+            groups.append((k, test_k))
     scored = []
-    for suffix, records in groups:
-        schema = _read_schema(_run_file(run_dir, f"schema{suffix}.json"))
-        model_path = _run_file(run_dir, f"model{suffix}.fedl")
+    for cluster, records in groups:
+        model_name, schema_name, _ = _model_files(cluster)
+        schema = _read_schema(_run_file(run_dir, schema_name))
+        model_path = _run_file(run_dir, model_name)
         model = load_network(model_path)
         if (model.input_width, model.output_width) != (schema.width, 1):
             raise DataFormatError(
@@ -714,6 +697,8 @@ def _evaluate_run_dir(run_dir: Path, manifest: dict, mode: str, clustered: bool,
                 f"{schema.width} features into 1 label"
             )
         scored.append(score(model, schema, records))
+    mode = manifest["config"]["mode"]
+    name = f"{mode}_clustered" if manifest["clustered"] else mode
     return name, pooled_rmse(scored), total_bytes, uncovered
 
 
@@ -743,6 +728,8 @@ def _sweep(
     methods += ["knn", "mean"]
     table: dict[str, dict[float, float]] = {m: {} for m in methods}
     vocab = records.station_ids()
+    # the grouping depends on the stations and cluster_config alone
+    assignment = constrained_kmeans(stations, cluster_config) if stations is not None else None
     for ratio in SWEEP_RATIOS:
         train, test = split_train_test(records, ratio, config.seed)
         for mode in (TrainMode.CENTRAL, TrainMode.FEDERATED):
@@ -751,9 +738,9 @@ def _sweep(
             if stations is not None:
                 result = run_clustered(
                     train, test, stations, cluster_config, mode, config,
-                    include_transaction_id=include_txn,
+                    include_transaction_id=include_txn, assignment=assignment,
                 )
-                table[_pipeline_name(mode.value, True)][ratio] = result.pooled_rmse_kwh
+                table[f"{mode.value}_clustered"][ratio] = result.pooled_rmse_kwh
 
         mean_rmse, knn_rmse = _baseline_rmse(train, test, include_txn, cfg["knn_k"])
         table["mean"][ratio] = mean_rmse
@@ -801,50 +788,22 @@ def cmd_evaluate(args) -> int:
     if args.sweep:
         return _sweep(args, cfg, config, cluster_config, records, out)
 
-    # inherit split parameters from the run being scored unless overridden
-    run_manifest: dict = {}
-    if args.run_dir is not None:
-        manifest_path = args.run_dir / "manifest.json"
-        if not manifest_path.exists():
-            raise UsageError(f"{args.run_dir} has no manifest.json (not a train run dir)")
-        run_manifest = _read_json_object(manifest_path)
+    # inherit split parameters from the run being scored unless a flag
+    # overrides them; --run-dir takes no transaction-id flag, so the run's
+    # encoding wins
+    run_manifest = _read_manifest(args.run_dir) if args.run_dir is not None else {}
     run_cfg = run_manifest.get("config", {})
-    if not isinstance(run_cfg, dict):
-        raise DataFormatError(f"{args.run_dir / 'manifest.json'}: config is not an object")
-
-    def recorded(key, value):
-        # a manifest value, checked as the option it records
-        try:
-            return _typed(key, value)
-        except UsageError as e:
-            raise DataFormatError(f"{args.run_dir / 'manifest.json'}: {e}") from None
-
-    def inherited(key):
-        # a flag wins, then the scored run's value, then config file/default;
-        # --run-dir takes no transaction-id flag, so the run's encoding wins
-        if getattr(args, key) is None and key in run_cfg:
-            return recorded(key, run_cfg[key])
-        return cfg[key]
-
-    ratio = _check_ratio(inherited("ratio"))
-    seed = inherited("seed")
-    include_txn = inherited("include_transaction_id")
-    train, test = split_train_test(records, ratio, seed)
+    ratio, seed, include_txn = (
+        run_cfg[key] if getattr(args, key) is None and key in run_cfg else cfg[key]
+        for key in ("ratio", "seed", "include_transaction_id")
+    )
+    train, test = split_train_test(records, _check_ratio(ratio), seed)
 
     rmse_kwh: dict[str, float] = {}
     total_bytes: dict[str, int] = {}
     uncovered = 0
     if args.run_dir is not None:
-        clustered = run_manifest.get("clustered", False)
-        if not isinstance(clustered, bool):
-            raise DataFormatError(
-                f"{args.run_dir / 'manifest.json'}: clustered must be true or false, "
-                f"got {json.dumps(clustered)}"
-            )
-        mode = recorded("mode", run_cfg.get("mode", "central"))
-        name, value, n_bytes, uncovered = _evaluate_run_dir(
-            args.run_dir, run_manifest, mode, clustered, test
-        )
+        name, value, n_bytes, uncovered = _evaluate_run_dir(args.run_dir, run_manifest, test)
         if value is not None:
             rmse_kwh[name] = value
         total_bytes[name] = n_bytes

@@ -2,9 +2,9 @@
 
 The on-disk formats are plain CSV:
 
-* transactions: header ``station_id,transaction_id,date,time,energy_kwh``
-  with ISO-8601 dates and HH:MM times;
-* stations: header ``station_id,latitude,longitude``.
+* transactions: header :data:`TRANSACTIONS_HEADER`, with ISO-8601 dates
+  and HH:MM times;
+* stations: header :data:`STATIONS_HEADER`, the fields of :class:`StationInfo`.
 
 Parsing is lenient per row and strict per file: a missing or wrong header
 is fatal, while malformed rows become (line_number, reason) reject entries
@@ -32,8 +32,10 @@ from __future__ import annotations
 import csv
 import enum
 import itertools
+import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 from datetime import date as _date
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -48,7 +50,6 @@ from .errors import (
 )
 
 TRANSACTIONS_HEADER = ("station_id", "transaction_id", "date", "time", "energy_kwh")
-STATIONS_HEADER = ("station_id", "latitude", "longitude")
 _INT64 = np.iinfo(np.int64)
 _BLOCK_ROWS = 1024  # CSV rows parsed at a time
 
@@ -163,17 +164,22 @@ class Transactions:
         return tuple(self.vocabulary[i] for i in present.tolist())
 
 
-@dataclass(frozen=True)
-class StationInfo:
+class StationInfo(NamedTuple):
+    """A stations CSV row; its fields are the header.  Equals a plain tuple."""
+
     station_id: str
     latitude: float
     longitude: float
 
 
-@dataclass(frozen=True)
-class RejectedRow:
+class RejectedRow(NamedTuple):
+    """A rejected transactions row; its fields are ``rejects.csv``'s header."""
+
     line_number: int
     reason: str
+
+
+STATIONS_HEADER = StationInfo._fields
 
 
 @dataclass(frozen=True)
@@ -187,68 +193,84 @@ class EncodingSchema:
     txn_min: int = 0
     txn_max: int = 0
 
+    # to_dict's keys, which are the fields, and the JSON type of each
+    JSON_TYPES = {
+        "station_vocabulary": [str],
+        "include_transaction_id": bool,
+        "label_mean": float,
+        "label_std": float,
+        "txn_min": int,
+        "txn_max": int,
+    }
+
     @property
     def width(self) -> int:
         base = len(self.station_vocabulary) + 7 + 24
         return base + 1 if self.include_transaction_id else base
 
     def to_dict(self) -> dict:
-        return {
-            "station_vocabulary": list(self.station_vocabulary),
-            "include_transaction_id": self.include_transaction_id,
-            "label_mean": self.label_mean,
-            "label_std": self.label_std,
-            "txn_min": self.txn_min,
-            "txn_max": self.txn_max,
-        }
+        return {k: list(v) if type(v) is tuple else v for k, v in asdict(self).items()}
 
     @staticmethod
     def from_dict(d: dict) -> "EncodingSchema":
-        """The inverse of :meth:`to_dict`.  A missing key, a value not of
-        the type ``to_dict`` writes, or values no built schema has (a
-        vocabulary that is not strictly ascending, label statistics that
-        are not finite, a std that is not positive, txn_min above txn_max)
-        raise DataFormatError."""
-        types = {  # exact types: a JSON true is not a number here
-            "station_vocabulary": (list,),
-            "include_transaction_id": (bool,),
-            "label_mean": (int, float),
-            "label_std": (int, float),
-            "txn_min": (int,),
-            "txn_max": (int,),
-        }
-        missing = [key for key in types if key not in d]
-        if missing:
-            raise DataFormatError(f"schema lacks keys: {', '.join(missing)}")
-        wrong = [key for key, allowed in types.items() if type(d[key]) not in allowed]
-        vocab = d["station_vocabulary"]
-        if type(vocab) is list and any(type(s) is not str for s in vocab):
-            wrong.insert(0, "station_vocabulary")
-        if wrong:
-            raise DataFormatError(f"schema values of the wrong type: {', '.join(wrong)}")
+        """The inverse of :meth:`to_dict`.  A missing key, a value not of its
+        :attr:`JSON_TYPES` type, or values no built schema has (a vocabulary
+        that is not strictly ascending, label statistics that are not
+        finite, a std that is not positive, txn_min above txn_max) raise
+        DataFormatError."""
+        problem = json_problem(d, EncodingSchema.JSON_TYPES)
+        if problem:
+            raise DataFormatError(f"schema {problem}")
+        schema = EncodingSchema(**{
+            key: tuple(d[key]) if type(kind) is list else kind(d[key])
+            for key, kind in EncodingSchema.JSON_TYPES.items()
+        })
+        vocab, mean, std = schema.station_vocabulary, schema.label_mean, schema.label_std
         if any(a >= b for a, b in zip(vocab, vocab[1:])):
             # the one-hot columns follow the vocabulary's sorted order
             raise DataFormatError("schema station_vocabulary is not strictly ascending")
-        try:
-            mean, std = float(d["label_mean"]), float(d["label_std"])
-        except OverflowError:  # an integer beyond float64
-            mean = std = math.inf
         if not (math.isfinite(mean) and math.isfinite(std) and std > 0.0):
             raise DataFormatError(
                 f"schema label statistics unusable: mean {mean!r}, std {std!r}"
             )
-        if d["txn_min"] > d["txn_max"]:
+        if schema.txn_min > schema.txn_max:
             raise DataFormatError(
-                f"schema txn_min {d['txn_min']} exceeds txn_max {d['txn_max']}"
+                f"schema txn_min {schema.txn_min} exceeds txn_max {schema.txn_max}"
             )
-        return EncodingSchema(
-            station_vocabulary=tuple(vocab),
-            include_transaction_id=d["include_transaction_id"],
-            label_mean=mean,
-            label_std=std,
-            txn_min=d["txn_min"],
-            txn_max=d["txn_max"],
-        )
+        return schema
+
+
+_JSON_NAMES = {
+    dict: "an object", list: "a list", bool: "true or false", int: "an integer", str: "a string",
+}
+
+
+def json_problem(value, kind, where: str = "") -> str | None:
+    """Why the parsed JSON ``value`` lacks the declared shape ``kind``; None
+    when it has it.  ``kind`` is a type (``float`` admits any number that
+    converts, and only ``bool`` admits true or false), a tuple of the values
+    allowed, a one-item list (a list of such items) or a dict (an object
+    with at least those keys, each of its kind).  ``where`` names ``value``."""
+    if isinstance(kind, dict) and type(value) is dict:
+        for key, inner in kind.items():
+            path = f"{where}.{key}" if where else key
+            problem = json_problem(value[key], inner, path) if key in value else (
+                f"{path} is missing")
+            if problem:
+                return problem
+        return None
+    if isinstance(kind, list) and type(value) is list:
+        problems = (json_problem(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value))
+        return next(filter(None, problems), None)
+    if isinstance(kind, tuple):
+        ok, want = value in kind, "one of " + ", ".join(kind)
+    elif kind is float:  # an integer past float64's range would not convert
+        ok = type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+        want = "a number"
+    else:
+        ok = type(value) is kind
+        want = _JSON_NAMES[kind if isinstance(kind, type) else type(kind)]
+    return None if ok else f"{where or 'value'} must be {want}, got {json.dumps(value)}"
 
 
 class PartitionStrategy(enum.Enum):
@@ -415,7 +437,7 @@ def parse_stations(lines: Iterable[str]) -> list[StationInfo]:
     for line_number, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != 3:
+        if len(row) != len(STATIONS_HEADER):
             raise DataFormatError(f"stations line {line_number}: expected 3 fields")
         sid, raw_lat, raw_lon = (c.strip() for c in row)
         if not sid:
@@ -714,7 +736,9 @@ def synth_generate(
     lobe = np.arange(n_stations) % 2
     lat = np.where(lobe == 0, 56.46, 56.49) + rng.normal(0.0, 0.004, n_stations)
     lon = np.where(lobe == 0, -3.03, -2.97) + rng.normal(0.0, 0.004, n_stations)
-    stations = list(map(StationInfo, ids, lat.tolist(), lon.tolist()))
+    stations = list(map(
+        tuple.__new__, itertools.repeat(StationInfo), zip(ids, lat.tolist(), lon.tolist())
+    ))
 
     base = rng.uniform(4.0, 16.0, n_stations) + 4.0 * lobe
     hour_amp = rng.uniform(0.5, 2.5, n_stations)

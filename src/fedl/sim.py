@@ -137,6 +137,8 @@ class TrafficEntry:
 class TrafficLog:
     """Append-only log of simulated transfers."""
 
+    HEADER = ("epoch", "direction", "payload", "bytes")  # to_rows's and from_rows's columns
+
     def __init__(self, entries: Iterable[TrafficEntry] = ()) -> None:
         self._entries: list[TrafficEntry] = list(entries)
 
@@ -732,8 +734,11 @@ def run_clustered(
     inner_mode: TrainMode,
     config: TrainConfig,
     include_transaction_id: bool = True,
+    assignment: ClusterAssignment | None = None,
 ) -> ClusteredResult:
-    """Group stations first, then train one independent model per cluster.
+    """Group stations first, by ``assignment`` when it is given (it must be
+    ``constrained_kmeans(stations, cluster_config)``), then train one
+    independent model per cluster.
 
     Transactions follow their station's cluster.  A cluster without
     training transactions, or whose training labels admit no schema
@@ -753,7 +758,8 @@ def run_clustered(
         raise DegenerateDataError(
             f"no coordinates for stations: {', '.join(missing)}"
         )
-    assignment = constrained_kmeans(stations, cluster_config)
+    if assignment is None:
+        assignment = constrained_kmeans(stations, cluster_config)
     k = cluster_config.k
     cluster_of = {s.station_id: int(c) for s, c in zip(stations, assignment.labels)}
     routed = zip(

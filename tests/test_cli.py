@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import importlib
 import inspect
 import io
@@ -21,13 +22,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedl
+from fedl import cli
 from fedl.nn import Gradient
 from fedl.cli import (
     DEFAULTS, OPTIONS, _read_traffic, _resolve, _write_traffic, build_parser, main,
 )
-from fedl.data import parse_stations, parse_transactions, synth_generate
+from fedl.data import (
+    STATIONS_HEADER, EncodingSchema, build_schema, encode_features, parse_stations,
+    parse_transactions, partition_workers, synth_generate,
+)
+from fedl.errors import DataFormatError
 from fedl.model_io import load_network
-from fedl.sim import Direction, Payload, TrafficEntry, TrafficLog, TrainConfig
+from fedl.sim import (
+    Direction, Payload, TrafficEntry, TrafficLog, TrainConfig, run_centralized, run_federated,
+)
 
 
 def invoke(*argv):
@@ -39,6 +47,26 @@ def invoke(*argv):
         except SystemExit as e:  # argparse exits directly on parse errors
             code = int(e.code or 0)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def train_manifests_conform():
+    """Every manifest `fedl train` writes in this module has each
+    RUN_MANIFEST key with its type, as `evaluate --run-dir` reads it."""
+    write = cli._manifest
+
+    def conforming(out, command, cfg, extra):
+        manifest = write(out, command, cfg, extra)
+        if command == "train":
+            try:
+                cli._read_manifest(out)
+            except DataFormatError as e:
+                raise AssertionError(f"train wrote a manifest evaluate rejects: {e}") from None
+        return manifest
+
+    cli._manifest = conforming
+    yield
+    cli._manifest = write
 
 
 @pytest.fixture(scope="module")
@@ -983,7 +1011,137 @@ def test_evaluate_run_dir_missing_a_file_it_wrote_exits_2(tmp_path, two_cluster_
     assert not (tmp_path / "eval" / "report.json").exists()
 
 
-def test_evaluate_sweep_writes_method_by_ratio_grid(tmp_path, corpus_dir):
+@pytest.fixture(scope="module")
+def federated_run(tmp_path_factory, corpus_dir):
+    out = tmp_path_factory.mktemp("federated_run")
+    code, _, err = invoke(
+        "train", "--transactions", corpus_dir / "transactions.csv",
+        "--mode", "federated", "--workers", 2, *FAST, "--out", out,
+    )
+    assert code == 0, err
+    return out
+
+
+def _key_paths(table, prefix=()):
+    """(path, declared type) of every key of a RUN_MANIFEST-shaped table, a
+    key of a list of objects reached through the list's first item."""
+    for key, kind in table.items():
+        yield (*prefix, key), kind
+        if isinstance(kind, list) and isinstance(kind[0], dict):
+            yield from _key_paths(kind[0], (*prefix, key, 0))
+        elif isinstance(kind, dict):
+            yield from _key_paths(kind, (*prefix, key))
+
+
+@pytest.mark.parametrize("run, path, kind", [
+    pytest.param(run, path, kind, id=f"{run}-{'.'.join(map(str, path))}")
+    for run in ("federated_run", "clustered_run")
+    for path, kind in _key_paths(cli.RUN_MANIFEST)
+    if run == "clustered_run" or path[0] != "clusters"  # a plain run has none
+])
+@pytest.mark.parametrize("tamper", ["delete", "retype"])
+def test_evaluate_tampered_manifest_exits_2(tmp_path, corpus_dir, request, run, path, kind, tamper):
+    # a federated run whose manifest lost config.mode and clustered was
+    # scored as central and exited 0
+    trained = request.getfixturevalue(run)
+    target = tmp_path / "run"
+    shutil.copytree(trained, target)
+    manifest = json.loads((target / "manifest.json").read_text())
+    *parents, key = path
+    holder = manifest
+    for parent in parents:
+        holder = holder[parent]
+    if tamper == "delete":
+        del holder[key]
+    else:
+        holder[key] = "1.5" if kind is float else 1.5
+    (target / "manifest.json").write_text(json.dumps(manifest))
+    code, _, err = invoke(
+        "evaluate", "--transactions", corpus_dir / "transactions.csv",
+        "--run-dir", target, "--out", tmp_path / "eval",
+    )
+    assert code == 2, err
+    (line,) = err.splitlines()
+    assert line.startswith("fedl: data error:") and "manifest.json" in line
+
+
+def _csv_header(path):
+    with open(path, newline="") as f:
+        return tuple(next(csv.reader(f)))
+
+
+def _fitted(mode, include_id):
+    """(schema, model, reports, traffic) of a small run in ``mode``."""
+    records, _, _ = synth_generate(4, 80, seed=2)
+    schema = build_schema(records, include_id)
+    X, y = encode_features(records, schema)
+    config = TrainConfig(epochs=2, hidden_layers=(3,), seed=1)
+    if mode == "federated":
+        return schema, *run_federated(X, y, partition_workers(records, 2), config)
+    return schema, *run_centralized(X, y, config)
+
+
+def _schema_case(include_id):
+    def case(tmp_path):
+        schema, model, reports, _ = _fitted("central", include_id)
+        cli._write_model(tmp_path, None, model, schema, reports)
+        path = tmp_path / "schema.json"
+        on_disk = tuple(sorted(json.loads(path.read_text())))
+        assert on_disk == tuple(sorted(f.name for f in fields(EncodingSchema)))
+        return on_disk, tuple(sorted(EncodingSchema.JSON_TYPES)), schema, cli._read_schema(path)
+    return case
+
+
+def _traffic_case(mode):
+    def case(tmp_path):
+        traffic = _fitted(mode, True)[-1]
+        path = tmp_path / "traffic.csv"
+        _write_traffic(path, traffic)
+        return _csv_header(path), TrafficLog.HEADER, traffic.entries, _read_traffic(path).entries
+    return case
+
+
+def _assignment_case(tmp_path):
+    _, stations, _ = synth_generate(5, 1, seed=4)
+    labels = np.array([1, 0, 1, 2, 0])
+    cli._write_assignment(tmp_path, stations, labels)
+    path = tmp_path / "assignment.csv"
+    written = {s.station_id: int(c) for s, c in zip(stations, labels)}
+    return _csv_header(path), cli.ASSIGNMENT_HEADER, written, cli._read_assignment(path)
+
+
+def _stations_case(tmp_path):
+    code, _, err = invoke("synth", "--stations", 5, "--records", 20, "--seed", 4,
+                          "--out", tmp_path)
+    assert code == 0, err
+    path = tmp_path / "stations.csv"
+    with open(path, newline="") as f:
+        read = parse_stations(f)
+    return _csv_header(path), STATIONS_HEADER, synth_generate(5, 20, seed=4)[1], read
+
+
+@pytest.mark.parametrize("case", [
+    _schema_case(True), _schema_case(False), _traffic_case("central"),
+    _traffic_case("federated"), _assignment_case, _stations_case,
+], ids=[
+    "schema-with-id", "schema-without-id", "traffic-central", "traffic-federated",
+    "assignment", "stations",
+])
+def test_declared_format_round_trips(tmp_path, case):
+    # each file is written by its writer and read by its reader, and its
+    # header or key set on disk is its one declaration
+    on_disk, declared, written, read = case(tmp_path)
+    assert on_disk == declared
+    assert read == written
+
+
+def test_evaluate_sweep_writes_method_by_ratio_grid(tmp_path, corpus_dir, monkeypatch):
+    solved = []  # the module through which each K-means was solved
+    for module in (cli, fedl.sim):
+        def counted(*args, _module=module, _solve=module.constrained_kmeans, **kwargs):
+            solved.append(_module)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(module, "constrained_kmeans", counted)
     out = tmp_path / "sweep"
     code, stdout, _ = invoke(
         "evaluate", "--transactions", corpus_dir / "transactions.csv",
@@ -992,6 +1150,8 @@ def test_evaluate_sweep_writes_method_by_ratio_grid(tmp_path, corpus_dir):
         "--clusters", 2, "--seed", 0, "--out", out,
     )
     assert code == 0, stdout
+    # one grouping serves the eight clustered trainings (4 ratios x 2 modes)
+    assert solved == [cli]
     rows = (out / "sweep.csv").read_text().strip().splitlines()
     assert rows[0] == "method,0.8,0.7,0.6,0.5"
     methods = [r.split(",")[0] for r in rows[1:]]
