@@ -121,7 +121,7 @@ PIPELINE = [
     ("evaluate_clustered_central",
      ("evaluate", "--transactions", T, "--run-dir", "train_clustered_central")),
     ("evaluate_no_id", ("evaluate", "--transactions", T, "--run-dir", "train_no_id")),
-    ("sweep", ("evaluate", "--transactions", T, "--sweep", "--stations", S)),
+    ("sweep", ("sweep", "--transactions", T, "--stations", S)),
     ("dirty_ingest", ("ingest", "--transactions", DIRTY)),
     ("dirty_train", ("train", "--transactions", DIRTY, *FEDERATED)),
     ("report", ("report", "central=train_central/traffic.csv",

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: ingest, cluster, train, evaluate, report, synth.  Every
+Subcommands: ingest, cluster, train, evaluate, sweep, report, synth.  Every
 command accepts ``--out``; each takes the config-backed flags that
 :data:`OPTIONS` lists for it, and a command with any takes ``--config``
 (flat JSON; explicit flags win).  Outputs are deterministic: same
@@ -66,7 +66,7 @@ from .sim import (
 
 SWEEP_RATIOS = (0.8, 0.7, 0.6, 0.5)
 
-_TRAINING = ("train", "evaluate")
+_TRAINING = ("train", "sweep")
 _CLUSTERING = ("cluster", *_TRAINING)
 _BOOL = {"action": argparse.BooleanOptionalAction}
 
@@ -74,9 +74,9 @@ _BOOL = {"action": argparse.BooleanOptionalAction}
 # argparse keywords of its flag).  The flag is ``--`` plus the key with
 # dashes; a value resolves as flag > config file > default.
 OPTIONS = {
-    "seed": (0, ("synth", *_CLUSTERING),
+    "seed": (0, ("synth", "evaluate", *_CLUSTERING),
              {"type": int, "help": "base RNG seed"}),
-    "ratio": (0.8, _TRAINING, {"type": float, "help": "training fraction"}),
+    "ratio": (0.8, ("train", "evaluate"), {"type": float, "help": "training fraction"}),
     "mode": ("central", ("train",), {"choices": ["central", "federated"]}),
     "clustering": (False, ("train",),
                    {**_BOOL, "help": "group stations first, one model per cluster"}),
@@ -95,8 +95,8 @@ OPTIONS = {
                    {"type": int, "help": "per-cluster maximum size (default: balanced ceil)"}),
     "max_iterations": (100, _CLUSTERING, {"type": int}),
     "partition": ("by_station", _TRAINING, {"choices": ["by_station", "round_robin"]}),
-    "include_transaction_id": (True, ("ingest", *_TRAINING), _BOOL),
-    "knn_k": (5, ("evaluate",), {"type": int}),
+    "include_transaction_id": (True, ("ingest", "evaluate", *_TRAINING), _BOOL),
+    "knn_k": (5, ("evaluate", "sweep"), {"type": int}),
     "noise": (0.8, ("synth",), {"type": float, "help": "label noise stddev"}),
 }
 DEFAULTS = {key: default for key, (default, _, _) in OPTIONS.items()}
@@ -152,12 +152,15 @@ def build_parser() -> _Parser:
     p.add_argument("--transactions", type=Path, required=True)
     p.add_argument("--run-dir", type=Path, default=None,
                    help="directory written by `fedl train`")
-    p.add_argument("--stations", type=Path, default=None,
-                   help="stations CSV (enables clustered sweep variants)")
-    p.add_argument("--sweep", action="store_true",
-                   help="train+score every method at ratios 0.8/0.7/0.6/0.5")
     _add_common(p, "evaluate")
     p.set_defaults(handler=cmd_evaluate)
+
+    p = sub.add_parser("sweep", help="train and score every method at ratios 0.8/0.7/0.6/0.5")
+    p.add_argument("--transactions", type=Path, required=True)
+    p.add_argument("--stations", type=Path, default=None,
+                   help="stations CSV (enables the clustered methods)")
+    _add_common(p, "sweep")
+    p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("report", help="compare traffic logs across pipelines")
     p.add_argument("logs", nargs="+", metavar="NAME=TRAFFIC_CSV",
@@ -238,7 +241,7 @@ _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 def _train_config(cfg: dict) -> TrainConfig:
     """The options named like TrainConfig fields, plus the ``hidden`` widths
-    (evaluate takes no mode: its sweep trains both)."""
+    (sweep takes no mode: it trains both)."""
     try:
         return TrainConfig(
             hidden_layers=[int(w) for w in cfg["hidden"].split(",") if w.strip()],
@@ -267,28 +270,38 @@ def _check_ratio(ratio: float) -> float:
     return ratio
 
 
+def _check_knn_k(knn_k: int) -> int:
+    if knn_k < 1:
+        raise UsageError(f"--knn-k must be >= 1, got {knn_k}")
+    return knn_k
+
+
 def _out_dir(args) -> Path:
     out = args.out if args.out is not None else Path("fedl_out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _open_input(path: Path):
+def _read_input(path: Path, parse):
+    """``parse`` of the open text file at ``path``; DataFormatError naming
+    the file when it is not UTF-8 text."""
     if not path.exists():
         raise UsageError(f"input file does not exist: {path}")
     if path.is_dir():
         raise UsageError(f"expected a file, got a directory: {path}")
-    return open(path, "r", encoding="utf-8", newline="")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            return parse(f)
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path} is not UTF-8 text: {e.reason}") from None
 
 
 def _read_transactions(path: Path):
-    with _open_input(path) as f:
-        return parse_transactions(f)
+    return _read_input(path, parse_transactions)
 
 
 def _read_stations(path: Path):
-    with _open_input(path) as f:
-        return parse_stations(f)
+    return _read_input(path, parse_stations)
 
 
 def _run_id(payload: dict) -> str:
@@ -312,10 +325,11 @@ MANIFEST, TRAFFIC, ASSIGNMENT = "manifest.json", "traffic.csv", "assignment.csv"
 ASSIGNMENT_HEADER = ("station_id", "cluster_id")
 
 # The manifest keys `evaluate --run-dir` reads, with their JSON types as
-# data.json_problem reads them; "clusters" only when "clustered" is true.
+# data.json_problem reads them; "clusters" only when config.clustering is
+# true.  The run's split is its config's _SPLIT keys.
+_SPLIT = ("ratio", "seed", "include_transaction_id")
 RUN_MANIFEST = {
-    "config": {key: _kind(key) for key in ("ratio", "seed", "include_transaction_id", "mode")},
-    "clustered": bool,
+    "config": {key: _kind(key) for key in (*_SPLIT, "mode", "clustering")},
     "outputs": [str],
     "total_bytes": int,
     "clusters": [{"skipped": bool}],
@@ -362,16 +376,18 @@ def _write_traffic(path: Path, log: TrafficLog) -> None:
 def _csv_rows(path: Path, header) -> list[tuple[int, list[str]]]:
     """The non-blank rows of the CSV at ``path``, each with its line number;
     DataFormatError unless its first line is ``header``."""
-    with _open_input(path) as f:
+    def rows(f):
         reader = csv.reader(f)
         if tuple(c.strip() for c in next(reader, None) or []) != header:
             raise DataFormatError(f"{path}: header is not {','.join(header)}")
         return [(reader.line_num, row) for row in reader if row]
+    return _read_input(path, rows)
 
 
 def _read_traffic(path: Path) -> TrafficLog:
+    rows = _csv_rows(path, TrafficLog.HEADER)
     try:
-        return TrafficLog.from_rows(row for _, row in _csv_rows(path, TrafficLog.HEADER))
+        return TrafficLog.from_rows(row for _, row in rows)
     except (KeyError, ValueError) as e:
         raise DataFormatError(f"{path}: bad traffic row: {e}") from None
 
@@ -560,7 +576,6 @@ def cmd_train(args) -> int:
         "n_rejects": len(rejects),
         "n_train": len(train),
         "n_test": len(test),
-        "clustered": clustering,
     }
     outputs = [MANIFEST, TRAFFIC]
 
@@ -637,7 +652,8 @@ def _read_manifest(run_dir: Path) -> dict:
         raise UsageError(f"{run_dir} has no {MANIFEST} (not a train run dir)")
     manifest = _read_json_object(path)
     keys = dict(RUN_MANIFEST)
-    if manifest.get("clustered") is not True:
+    config = manifest.get("config")
+    if not (isinstance(config, dict) and config.get("clustering") is True):
         del keys["clusters"]
     problem = json_problem(manifest, keys)
     if problem:
@@ -666,7 +682,8 @@ def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
         )
     groups = [(None, test)]  # (cluster, the test records its model scores)
     uncovered = 0
-    if manifest["clustered"]:
+    clustered = manifest["config"]["clustering"]
+    if clustered:
         cluster_of = _read_assignment(_run_file(run_dir, ASSIGNMENT))
         unknown = sorted(set(test.station_ids()) - set(cluster_of))
         if unknown:
@@ -698,7 +715,7 @@ def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
             )
         scored.append(score(model, schema, records))
     mode = manifest["config"]["mode"]
-    name = f"{mode}_clustered" if manifest["clustered"] else mode
+    name = f"{mode}_clustered" if clustered else mode
     return name, pooled_rmse(scored), total_bytes, uncovered
 
 
@@ -717,9 +734,15 @@ def _baseline_rmse(train, test, include_txn: bool, knn_k: int):
     return _rmse(actual, mean_pred), _rmse(actual, knn_pred)
 
 
-def _sweep(
-    args, cfg, config: TrainConfig, cluster_config: ClusterConfig, records, out: Path
-) -> int:
+def cmd_sweep(args) -> int:
+    cfg = _resolve(args, "sweep")
+    # the cluster settings are checked even without --stations
+    config, cluster_config = _train_config(cfg), _cluster_config(cfg)
+    knn_k = _check_knn_k(cfg["knn_k"])
+    out = _out_dir(args)
+    records, _rejects = _read_transactions(args.transactions)
+    if not records:
+        raise DegenerateDataError("no valid records to train on")
     include_txn = cfg["include_transaction_id"]
     stations = _read_stations(args.stations) if args.stations is not None else None
     methods = ["central", "federated"]
@@ -742,9 +765,8 @@ def _sweep(
                 )
                 table[f"{mode.value}_clustered"][ratio] = result.pooled_rmse_kwh
 
-        mean_rmse, knn_rmse = _baseline_rmse(train, test, include_txn, cfg["knn_k"])
-        table["mean"][ratio] = mean_rmse
-        table["knn"][ratio] = knn_rmse
+        table["mean"][ratio], table["knn"][ratio] = _baseline_rmse(
+            train, test, include_txn, knn_k)
         print(f"ratio {ratio}: " + " ".join(
             f"{m}={table[m][ratio]!r}" for m in methods
         ))
@@ -754,62 +776,39 @@ def _sweep(
         for m in methods
     ]
     _write_csv(out / "sweep.csv", ["method", *[str(r) for r in SWEEP_RATIOS]], rows)
-    # the sweep sets its own ratios; a config file's ratio plays no part
-    swept = {k: v for k, v in cfg.items() if k != "ratio"}
-    _manifest(out, "evaluate-sweep", swept, {"outputs": ["sweep.csv"]})
+    _manifest(out, "evaluate-sweep", cfg, {"outputs": ["sweep.csv"]})
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve(args, "evaluate")
-    # checked even when they go unused
-    config, cluster_config = _train_config(cfg), _cluster_config(cfg)
-    if cfg["knn_k"] < 1:
-        raise UsageError(f"--knn-k must be >= 1, got {cfg['knn_k']}")
-    if args.run_dir is not None and args.include_transaction_id is not None:
-        flag = "include-transaction-id" if args.include_transaction_id else (
-            "no-include-transaction-id")
+    knn_k = _check_knn_k(cfg["knn_k"])
+    given = [("no-" if getattr(args, key) is False else "") + key.replace("_", "-")
+             for key in _SPLIT if getattr(args, key) is not None]
+    if args.run_dir is not None and given:
         raise UsageError(
-            f"--run-dir scores the run with the encoding its manifest records; "
-            f"it takes no --{flag}"
+            f"--run-dir scores the run on the split its manifest records; it takes no --{given[0]}"
         )
-    if args.sweep and args.ratio is not None:
-        raise UsageError(
-            f"--sweep trains at ratios {'/'.join(map(str, SWEEP_RATIOS))}; "
-            "it takes no --ratio"
-        )
-    if args.sweep and args.run_dir is not None:
-        raise UsageError("--sweep trains and scores its own models; it takes no --run-dir")
     out = _out_dir(args)
     records, _rejects = _read_transactions(args.transactions)
     if not records:
         raise DegenerateDataError("no valid records to evaluate on")
-    if args.sweep:
-        return _sweep(args, cfg, config, cluster_config, records, out)
-
-    # inherit split parameters from the run being scored unless a flag
-    # overrides them; --run-dir takes no transaction-id flag, so the run's
-    # encoding wins
-    run_manifest = _read_manifest(args.run_dir) if args.run_dir is not None else {}
-    run_cfg = run_manifest.get("config", {})
-    ratio, seed, include_txn = (
-        run_cfg[key] if getattr(args, key) is None and key in run_cfg else cfg[key]
-        for key in ("ratio", "seed", "include_transaction_id")
-    )
+    run_manifest = _read_manifest(args.run_dir) if args.run_dir is not None else None
+    # a run is scored on the split it was trained on
+    split = run_manifest["config"] if run_manifest is not None else cfg
+    ratio, seed, include_txn = (split[key] for key in _SPLIT)
     train, test = split_train_test(records, _check_ratio(ratio), seed)
 
     rmse_kwh: dict[str, float] = {}
     total_bytes: dict[str, int] = {}
     uncovered = 0
-    if args.run_dir is not None:
+    if run_manifest is not None:
         name, value, n_bytes, uncovered = _evaluate_run_dir(args.run_dir, run_manifest, test)
         if value is not None:
             rmse_kwh[name] = value
         total_bytes[name] = n_bytes
-    mean_rmse, knn_rmse = _baseline_rmse(train, test, include_txn, cfg["knn_k"])
-    rmse_kwh["mean"] = mean_rmse
-    rmse_kwh["knn"] = knn_rmse
+    rmse_kwh["mean"], rmse_kwh["knn"] = _baseline_rmse(train, test, include_txn, knn_k)
 
     report = EvalReport(
         train_ratio=ratio, rmse_kwh=rmse_kwh, total_bytes=total_bytes

@@ -355,7 +355,7 @@ def test_criterion_8_real_corpus_sweep(tmp_path):
         from fedl.cli import main
 
         argv = [
-            "evaluate", "--transactions", transactions, "--sweep",
+            "sweep", "--transactions", transactions,
             "--epochs", "60", "--tolerance", "1e-4", "--patience", "5",
             "--out", str(tmp_path),
         ]

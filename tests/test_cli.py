@@ -277,9 +277,9 @@ def test_zero_clusters_is_a_usage_error(tmp_path, corpus_dir):
     for name, argv in {
         "cluster": ("cluster", *stations),
         "train": ("train", *data, *stations, "--clustering", "--epochs", 2),
-        "sweep": ("evaluate", *data, *stations, "--sweep", "--epochs", 2),
+        "sweep": ("sweep", *data, *stations, "--epochs", 2),
         "train_unclustered": ("train", *data, "--epochs", 2),
-        "sweep_unclustered": ("evaluate", *data, "--sweep", "--epochs", 2),
+        "sweep_unclustered": ("sweep", *data, "--epochs", 2),
         "evaluate": ("evaluate", *data),
     }.items():
         out = tmp_path / name
@@ -397,7 +397,8 @@ def test_train_clustered_writes_per_cluster_artifacts(tmp_path, corpus_dir):
     assert (out / "assignment.csv").exists()
     assert (out / "traffic.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["clustered"] is True
+    assert manifest["config"]["clustering"] is True
+    assert "clustered" not in manifest  # config.clustering is its one record
     assert manifest["pooled_rmse_kwh"] > 0
     assert len(manifest["clusters"]) == 2
     assert manifest["uncovered_test"] == 0
@@ -469,8 +470,8 @@ def test_train_skips_a_cluster_with_single_valued_labels(tmp_path, mode):
 def test_sweep_skips_a_cluster_with_single_valued_labels(tmp_path):
     transactions, stations = lonely_corpus(tmp_path / "corpus", 1)
     code, _, err = invoke(
-        "evaluate", "--transactions", transactions, "--stations", stations,
-        "--sweep", "--clusters", 2, "--theta-low", 1, "--theta-high", 6,
+        "sweep", "--transactions", transactions, "--stations", stations,
+        "--clusters", 2, "--theta-low", 1, "--theta-high", 6,
         "--epochs", 2, "--hidden", "4", "--workers", 2, "--seed", 0,
         "--out", tmp_path / "sweep",
     )
@@ -768,6 +769,75 @@ def test_evaluate_run_dir_rejects_transaction_id_flag(tmp_path, corpus_dir, trai
     assert not (out / "report.json").exists()
 
 
+@pytest.fixture(scope="module")
+def split_repro(tmp_path_factory):
+    """A central run at ratio 0.8 on a 300-record corpus: (transactions, run)."""
+    root = tmp_path_factory.mktemp("split_repro")
+    code, _, err = invoke("synth", "--stations", 4, "--records", 300, "--seed", 2,
+                          "--out", root / "corpus")
+    assert code == 0, err
+    transactions = root / "corpus" / "transactions.csv"
+    code, _, err = invoke("train", "--transactions", transactions, "--mode", "central",
+                          "--ratio", 0.8, "--epochs", 3, "--out", root / "run")
+    assert code == 0, err
+    return transactions, root / "run"
+
+
+@pytest.mark.parametrize("flag, value", [("--ratio", 0.2), ("--seed", 9)])
+def test_evaluate_run_dir_rejects_ratio_and_seed(tmp_path, split_repro, flag, value):
+    # --ratio 0.2 used to exit 0 and score on a test split of 240 records,
+    # about 180 of which the model was trained on
+    transactions, run = split_repro
+    out = tmp_path / "eval"
+    code, _, err = invoke("evaluate", "--transactions", transactions, "--run-dir", run,
+                          flag, value, "--out", out)
+    assert code == 1
+    assert f"takes no {flag}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [{"ratio": 0.2}, {"seed": 9}, {"include_transaction_id": False}])
+def test_evaluate_run_dir_ignores_the_split_in_a_config_file(tmp_path, split_repro, entry):
+    transactions, run = split_repro
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(entry), encoding="utf-8")
+    reports = []
+    for name, extra in (("plain", ()), ("config", ("--config", conf))):
+        code, _, err = invoke("evaluate", "--transactions", transactions, "--run-dir", run,
+                              *extra, "--out", tmp_path / name)
+        assert code == 0, err
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["n_test"] == 60
+
+
+def _not_utf8(path):
+    """Replace the last character of the file at ``path`` by a byte that
+    begins no UTF-8 sequence."""
+    blob = path.read_bytes().rstrip(b"\n")
+    path.write_bytes(blob[:-1] + b"\xff\n")
+
+
+@pytest.mark.parametrize("name", ["transactions.csv", "stations.csv", "assignment.csv"])
+def test_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, corpus_dir, clustered_run, name):
+    # each used to exit 1 with a decoder message that named no file
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    shutil.copytree(clustered_run, tmp_path / "run")
+    transactions = tmp_path / "corpus" / "transactions.csv"
+    argv, path = {
+        "transactions.csv": (("ingest", "--transactions", transactions), transactions),
+        "stations.csv": (("cluster", "--stations", tmp_path / "corpus" / "stations.csv"),
+                         tmp_path / "corpus" / "stations.csv"),
+        "assignment.csv": (("evaluate", "--transactions", transactions,
+                            "--run-dir", tmp_path / "run"), tmp_path / "run" / "assignment.csv"),
+    }[name]
+    _not_utf8(path)
+    code, _, err = invoke(*argv, "--out", tmp_path / "out")
+    assert code == 2, err
+    (line,) = [line for line in err.splitlines() if line.startswith("fedl:")]
+    assert line.startswith("fedl: data error:") and name in line, line
+
+
 def test_evaluate_baselines_only(tmp_path, corpus_dir):
     out = tmp_path / "eval"
     code, stdout, _ = invoke(
@@ -832,6 +902,28 @@ def clustered_run(tmp_path_factory, corpus_dir):
     )
     assert code == 0, err
     return out
+
+
+def test_evaluate_reads_a_manifest_that_also_records_clustered(
+    tmp_path, corpus_dir, clustered_run
+):
+    # older runs hold a top-level "clustered" beside config.clustering;
+    # evaluate reads only the latter, so either value scores the same
+    reports = []
+    for clustered in (None, True, False):
+        run = tmp_path / f"run_{clustered}"
+        shutil.copytree(clustered_run, run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert "clustered" not in manifest
+        if clustered is not None:
+            manifest["clustered"] = clustered
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = invoke("evaluate", "--transactions", corpus_dir / "transactions.csv",
+                              "--run-dir", run, "--out", tmp_path / f"eval_{clustered}")
+        assert code == 0, err
+        reports.append((tmp_path / f"eval_{clustered}" / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    assert "central_clustered" in json.loads(reports[0])["rmse_kwh"]
 
 
 def _drop_label_std(text):
@@ -921,7 +1013,7 @@ def _assignment_rows(*rows):
     ("manifest.json", _manifest_config(include_transaction_id="no")),
     ("manifest.json", _manifest_config(seed=1.5)),
     ("manifest.json", _manifest_config(mode="banana")),
-    ("manifest.json", _manifest_values(clustered="false")),
+    ("manifest.json", _manifest_config(clustering="false")),
     ("manifest.json", _cluster_row(skipped="false")),
     ("manifest.json", _cluster_row(skipped=None)),
     ("manifest.json", _manifest_values(clusters={})),
@@ -1041,8 +1133,8 @@ def _key_paths(table, prefix=()):
 ])
 @pytest.mark.parametrize("tamper", ["delete", "retype"])
 def test_evaluate_tampered_manifest_exits_2(tmp_path, corpus_dir, request, run, path, kind, tamper):
-    # a federated run whose manifest lost config.mode and clustered was
-    # scored as central and exited 0
+    # a federated run whose manifest lost config.mode and the clustering
+    # record was scored as central and exited 0
     trained = request.getfixturevalue(run)
     target = tmp_path / "run"
     shutil.copytree(trained, target)
@@ -1144,8 +1236,8 @@ def test_evaluate_sweep_writes_method_by_ratio_grid(tmp_path, corpus_dir, monkey
         monkeypatch.setattr(module, "constrained_kmeans", counted)
     out = tmp_path / "sweep"
     code, stdout, _ = invoke(
-        "evaluate", "--transactions", corpus_dir / "transactions.csv",
-        "--stations", corpus_dir / "stations.csv", "--sweep",
+        "sweep", "--transactions", corpus_dir / "transactions.csv",
+        "--stations", corpus_dir / "stations.csv",
         "--epochs", 2, "--tolerance", 0, "--hidden", "4", "--workers", 2,
         "--clusters", 2, "--seed", 0, "--out", out,
     )
@@ -1168,7 +1260,7 @@ def test_evaluate_sweep_writes_method_by_ratio_grid(tmp_path, corpus_dir, monkey
 def test_evaluate_sweep_without_stations_skips_clustered(tmp_path, corpus_dir):
     out = tmp_path / "sweep"
     code, _, _ = invoke(
-        "evaluate", "--transactions", corpus_dir / "transactions.csv", "--sweep",
+        "sweep", "--transactions", corpus_dir / "transactions.csv",
         "--epochs", 2, "--tolerance", 0, "--hidden", "4", "--workers", 2,
         "--seed", 0, "--out", out,
     )
@@ -1286,6 +1378,7 @@ def test_each_command_resolves_exactly_its_flags():
         "cluster": ["--stations", "s.csv"],
         "train": ["--transactions", "t.csv"],
         "evaluate": ["--transactions", "t.csv"],
+        "sweep": ["--transactions", "t.csv"],
         "report": ["a=t.csv"],
         "synth": ["--stations", "1", "--records", "1"],
     }
@@ -1300,26 +1393,27 @@ def test_each_command_resolves_exactly_its_flags():
         assert flags == set(_resolve(args, command)), command
         # only the commands that draw random numbers take a seed
         assert ("seed" in flags) == (
-            command in ("synth", "cluster", "train", "evaluate")
+            command in ("synth", "cluster", "train", "evaluate", "sweep")
         ), command
-        # evaluate's sweep trains both modes and a run dir carries its own
+        # the sweep trains both modes and a run dir carries its own
         assert ("mode" in flags) == (command == "train"), command
 
 
 def test_evaluate_rejects_mode_and_sweep_ratio(tmp_path, corpus_dir):
-    data = ("evaluate", "--transactions", corpus_dir / "transactions.csv")
-    code, _, err = invoke(*data, "--mode", "central", "--out", tmp_path / "m")
+    data = ("--transactions", corpus_dir / "transactions.csv")
+    code, _, err = invoke("evaluate", *data, "--mode", "central", "--out", tmp_path / "m")
     assert code == 1
     assert "unrecognized arguments: --mode" in err
-    code, _, err = invoke(*data, "--sweep", "--ratio", 0.3, "--out", tmp_path / "s")
+    # the sweep sets its own ratios
+    code, _, err = invoke("sweep", *data, "--ratio", 0.3, "--out", tmp_path / "s")
     assert code == 1
-    assert "takes no --ratio" in err
-    assert not (tmp_path / "s" / "sweep.csv").exists()
+    assert "unrecognized arguments: --ratio" in err
+    assert not (tmp_path / "s").exists()
     # a config file's ratio is ignored, as for any key a command does not
     # use, and the sweep's manifest does not record it
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"ratio": 0.3}), encoding="utf-8")
-    code, _, _ = invoke(*data, "--sweep", "--config", conf, "--epochs", 2,
+    code, _, _ = invoke("sweep", *data, "--config", conf, "--epochs", 2,
                         "--out", tmp_path / "c")
     assert code == 0
     manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
@@ -1327,14 +1421,26 @@ def test_evaluate_rejects_mode_and_sweep_ratio(tmp_path, corpus_dir):
 
 
 def test_evaluate_sweep_rejects_a_run_dir(tmp_path, corpus_dir):
-    out = tmp_path / "s"
-    code, _, err = invoke(
-        "evaluate", "--transactions", corpus_dir / "transactions.csv", "--sweep",
-        "--run-dir", tmp_path / "nonexistent", "--out", out,
-    )
-    assert code == 1
-    assert "takes no --run-dir" in err
-    assert not out.exists()
+    # evaluate has no --sweep, and the sweep scores only models it trains
+    data = ("--transactions", corpus_dir / "transactions.csv")
+    run_dir = ("--run-dir", tmp_path / "nonexistent")
+    for command, argv in (("evaluate", ("--sweep", *run_dir)), ("sweep", run_dir)):
+        out = tmp_path / command
+        code, _, err = invoke(command, *data, *argv, "--out", out)
+        assert code == 1
+        assert f"unrecognized arguments: {argv[0]}" in err, err
+        assert not out.exists()
+
+
+def test_evaluate_help_lists_only_its_own_flags():
+    # no training, clustering or sweep flag: a run directory carries its
+    # own settings, and the sweep is `fedl sweep`
+    code, stdout, _ = invoke("evaluate", "--help")
+    assert code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", stdout)) == {
+        "--transactions", "--run-dir", "--ratio", "--seed", "--include-transaction-id",
+        "--no-include-transaction-id", "--knn-k", "--config", "--out", "--help",
+    }
 
 
 # The checkout's `src` directory, which holds the imported `fedl` package.
