@@ -33,6 +33,7 @@ from .data import (
     EncodingSchema,
     RejectedRow,
     build_schema,
+    csv_rows,
     encode_features,
     json_problem,
     parse_stations,
@@ -181,22 +182,21 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------- helpers
 
 def _load_config_file(path: Path | None) -> dict:
+    """The config file's values, each :func:`_typed`; {} for no file.  Any
+    problem with the file is a UsageError naming it."""
+    def typed(f) -> dict:
+        data = _json_object(f)
+        unknown = sorted(set(data) - set(DEFAULTS))
+        if unknown:
+            raise DataFormatError(f"unknown config keys: {', '.join(unknown)}")
+        return {key: _typed(key, value) for key, value in data.items()}
+
     if path is None:
         return {}
     try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise UsageError(f"cannot read config file {path}: {e}") from None
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise UsageError(f"config file {path} is not valid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(DEFAULTS))
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    return {key: _typed(key, value) for key, value in data.items()}
+        return _read_input(path, typed)
+    except DataFormatError as e:
+        raise UsageError(str(e)) from None
 
 
 def _kind(key: str):
@@ -215,12 +215,30 @@ def _typed(key: str, value):
         return None
     problem = json_problem(value, _kind(key), f"config key {key!r}")
     if problem:
-        raise UsageError(problem)
+        raise DataFormatError(problem)
     return float(value) if _kind(key) is float else value
 
 
+# The options whose values have a range: key -> (the test, the range in
+# words).  Flags, config files and run manifests are held to the same one.
+_RANGES = {
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "ratio": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "knn_k": (lambda v: v >= 1, ">= 1"),
+    "noise": (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+}
+
+
+def _range_problem(key: str, value, where: str) -> str | None:
+    """Why option ``key``'s ``value``, named ``where``, is outside its
+    :data:`_RANGES` range; None when it is inside or ``key`` has none."""
+    test, words = _RANGES.get(key, (lambda v: True, ""))
+    return None if test(value) else f"{where} must be {words}, got {value}"
+
+
 def _resolve(args, command: str) -> dict:
-    """flag > config file > default, for each option ``command`` takes."""
+    """flag > config file > default, for each option ``command`` takes; a
+    value outside its range is a UsageError naming the flag."""
     file_cfg = _load_config_file(args.config)
     resolved = {}
     for key, (default, commands, _) in OPTIONS.items():
@@ -233,6 +251,9 @@ def _resolve(args, command: str) -> dict:
             resolved[key] = file_cfg[key]
         else:
             resolved[key] = default
+        problem = _range_problem(key, resolved[key], "--" + key.replace("_", "-"))
+        if problem:
+            raise UsageError(problem)
     return resolved
 
 
@@ -264,18 +285,6 @@ def _cluster_config(cfg: dict) -> ClusterConfig:
         raise UsageError(str(e)) from None
 
 
-def _check_ratio(ratio: float) -> float:
-    if not (0.0 < ratio < 1.0):
-        raise UsageError(f"--ratio must be in (0, 1), got {ratio}")
-    return ratio
-
-
-def _check_knn_k(knn_k: int) -> int:
-    if knn_k < 1:
-        raise UsageError(f"--knn-k must be >= 1, got {knn_k}")
-    return knn_k
-
-
 def _out_dir(args) -> Path:
     out = args.out if args.out is not None else Path("fedl_out")
     out.mkdir(parents=True, exist_ok=True)
@@ -283,8 +292,11 @@ def _out_dir(args) -> Path:
 
 
 def _read_input(path: Path, parse):
-    """``parse`` of the open text file at ``path``; DataFormatError naming
-    the file when it is not UTF-8 text."""
+    """``parse`` of the text file at ``path``, open for reading.  Every input
+    file is read here, and only here does a message about a file's
+    contents name it: a DataFormatError from ``parse``, or the file not
+    being UTF-8 text, becomes a DataFormatError that begins ``"<path>: "``.
+    A missing path, or a directory, is a UsageError."""
     if not path.exists():
         raise UsageError(f"input file does not exist: {path}")
     if path.is_dir():
@@ -293,15 +305,21 @@ def _read_input(path: Path, parse):
         with open(path, "r", encoding="utf-8", newline="") as f:
             return parse(f)
     except UnicodeDecodeError as e:
-        raise DataFormatError(f"{path} is not UTF-8 text: {e.reason}") from None
+        raise DataFormatError(f"{path}: not UTF-8 text: {e.reason}") from None
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}: {e}") from None
 
 
-def _read_transactions(path: Path):
-    return _read_input(path, parse_transactions)
-
-
-def _read_stations(path: Path):
-    return _read_input(path, parse_stations)
+def _json_object(f) -> dict:
+    """The JSON object that the text file ``f`` holds; DataFormatError when
+    it holds no JSON, or JSON of another kind."""
+    try:
+        data = json.loads(f.read())
+    except json.JSONDecodeError as e:  # not UnicodeDecodeError: _read_input names that
+        raise DataFormatError(f"not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise DataFormatError("must hold a JSON object")
+    return data
 
 
 def _run_id(payload: dict) -> str:
@@ -373,67 +391,39 @@ def _write_traffic(path: Path, log: TrafficLog) -> None:
     _write_csv(path, TrafficLog.HEADER, log.to_rows())
 
 
-def _csv_rows(path: Path, header) -> list[tuple[int, list[str]]]:
-    """The non-blank rows of the CSV at ``path``, each with its line number;
-    DataFormatError unless its first line is ``header``."""
-    def rows(f):
-        reader = csv.reader(f)
-        if tuple(c.strip() for c in next(reader, None) or []) != header:
-            raise DataFormatError(f"{path}: header is not {','.join(header)}")
-        return [(reader.line_num, row) for row in reader if row]
-    return _read_input(path, rows)
-
-
 def _read_traffic(path: Path) -> TrafficLog:
-    rows = _csv_rows(path, TrafficLog.HEADER)
-    try:
-        return TrafficLog.from_rows(row for _, row in rows)
-    except (KeyError, ValueError) as e:
-        raise DataFormatError(f"{path}: bad traffic row: {e}") from None
+    def parse(f) -> TrafficLog:
+        # read in full first: a decoding error is a ValueError too
+        rows = list(csv_rows(f, TrafficLog.HEADER))
+        try:
+            return TrafficLog.from_rows(row for _, row in rows)
+        except (KeyError, ValueError) as e:
+            raise DataFormatError(f"bad traffic row: {e}") from None
+    return _read_input(path, parse)
 
 
 def _read_assignment(path: Path) -> dict[str, int]:
     """Station id -> cluster id from an ``assignment.csv``.  The header must
     be :data:`ASSIGNMENT_HEADER`, each row two fields, each station once,
     and each cluster id an integer in [0, number of rows)."""
-    rows = _csv_rows(path, ASSIGNMENT_HEADER)
-    cluster_of: dict[str, int] = {}
-    for line, row in rows:
-        if len(row) != len(ASSIGNMENT_HEADER):
-            raise DataFormatError(f"{path} line {line}: expected 2 fields, got {len(row)}")
-        station_id, raw = row
-        if station_id in cluster_of:
-            raise DataFormatError(f"{path} line {line}: duplicate station {station_id!r}")
-        try:
-            cluster_of[station_id] = int(raw)
-        except ValueError:
-            raise DataFormatError(
-                f"{path} line {line}: cluster id is not an integer: {raw!r}"
-            ) from None
-        if not 0 <= cluster_of[station_id] < len(rows):
-            raise DataFormatError(
-                f"{path} line {line}: cluster id {raw} is outside [0, {len(rows)})"
-            )
-    return cluster_of
-
-
-def _read_json_object(path: Path) -> dict:
-    """A JSON file that must hold an object, as every run-directory JSON does."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as e:
-        raise DataFormatError(f"{path} is not valid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise DataFormatError(f"{path} must hold a JSON object")
-    return data
-
-
-def _read_schema(path: Path) -> EncodingSchema:
-    data = _read_json_object(path)
-    try:
-        return EncodingSchema.from_dict(data)
-    except DataFormatError as e:
-        raise DataFormatError(f"{path}: {e}") from None
+    def parse(f) -> dict[str, int]:
+        rows = list(csv_rows(f, ASSIGNMENT_HEADER))
+        cluster_of: dict[str, int] = {}
+        for line, row in rows:
+            if len(row) != len(ASSIGNMENT_HEADER):
+                raise DataFormatError(f"line {line}: expected 2 fields, got {len(row)}")
+            station_id, raw = row
+            if station_id in cluster_of:
+                raise DataFormatError(f"line {line}: duplicate station {station_id!r}")
+            try:
+                cluster_of[station_id] = int(raw)
+            except ValueError:
+                raise DataFormatError(
+                    f"line {line}: cluster id is not an integer: {raw!r}") from None
+            if not 0 <= cluster_of[station_id] < len(rows):
+                raise DataFormatError(f"line {line}: cluster id {raw} is outside [0, {len(rows)})")
+        return cluster_of
+    return _read_input(path, parse)
 
 
 # ---------------------------------------------------------------- commands
@@ -442,8 +432,6 @@ def cmd_synth(args) -> int:
     cfg = _resolve(args, "synth")
     if args.n_stations < 1 or args.n_records < 1:
         raise UsageError("--stations and --records must be >= 1")
-    if not (math.isfinite(cfg["noise"]) and cfg["noise"] >= 0.0):
-        raise UsageError(f"--noise must be finite and >= 0, got {cfg['noise']}")
     out = _out_dir(args)
     records, stations, meta = synth_generate(
         args.n_stations, args.n_records, seed=cfg["seed"], noise_std=cfg["noise"],
@@ -476,7 +464,7 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     cfg = _resolve(args, "ingest")
     out = _out_dir(args)
-    records, rejects = _read_transactions(args.transactions)
+    records, rejects = _read_input(args.transactions, parse_transactions)
     schema = build_schema(records, cfg["include_transaction_id"])
     n_stations = len(schema.station_vocabulary)
     if rejects:
@@ -500,7 +488,7 @@ def cmd_cluster(args) -> int:
     cfg = _resolve(args, "cluster")
     cluster_config = _cluster_config(cfg)
     out = _out_dir(args)
-    stations = _read_stations(args.stations)
+    stations = _read_input(args.stations, parse_stations)
     if not stations:
         raise DegenerateDataError("stations file holds no stations")
     assignment = constrained_kmeans(stations, cluster_config)
@@ -560,14 +548,13 @@ def _write_model(out: Path, cluster: int | None, model, schema, reports) -> list
 
 def cmd_train(args) -> int:
     cfg = _resolve(args, "train")
-    ratio = _check_ratio(cfg["ratio"])
     config = _train_config(cfg)
     cluster_config = _cluster_config(cfg)  # checked even when it goes unused
     out = _out_dir(args)
-    records, rejects = _read_transactions(args.transactions)
+    records, rejects = _read_input(args.transactions, parse_transactions)
     if not records:
         raise DegenerateDataError("no valid records to train on")
-    train, test = split_train_test(records, ratio, config.seed)
+    train, test = split_train_test(records, cfg["ratio"], config.seed)
     vocab = records.station_ids()
     include_txn = cfg["include_transaction_id"]
     clustering = cfg["clustering"]
@@ -582,7 +569,7 @@ def cmd_train(args) -> int:
     if clustering:
         if args.stations is None:
             raise UsageError("--clustering requires --stations <csv>")
-        stations = _read_stations(args.stations)
+        stations = _read_input(args.stations, parse_stations)
         result = run_clustered(
             train, test, stations, cluster_config, config.mode, config,
             include_transaction_id=include_txn,
@@ -646,19 +633,23 @@ def _run_file(run_dir: Path, name: str) -> Path:
 
 def _read_manifest(run_dir: Path) -> dict:
     """A train run's manifest, which must have every :data:`RUN_MANIFEST`
-    key with its type; DataFormatError naming the file otherwise."""
-    path = run_dir / MANIFEST
-    if not path.exists():
+    key with its type, and its split in the options' :data:`_RANGES`;
+    DataFormatError naming the file otherwise."""
+    def checked(f) -> dict:
+        manifest = _json_object(f)
+        keys = dict(RUN_MANIFEST)
+        config = manifest.get("config")
+        if not (isinstance(config, dict) and config.get("clustering") is True):
+            del keys["clusters"]
+        problem = json_problem(manifest, keys) or next(filter(None, (
+            _range_problem(key, config[key], f"config.{key}") for key in _SPLIT)), None)
+        if problem:
+            raise DataFormatError(problem)
+        return manifest
+
+    if not (run_dir / MANIFEST).exists():
         raise UsageError(f"{run_dir} has no {MANIFEST} (not a train run dir)")
-    manifest = _read_json_object(path)
-    keys = dict(RUN_MANIFEST)
-    config = manifest.get("config")
-    if not (isinstance(config, dict) and config.get("clustering") is True):
-        del keys["clusters"]
-    problem = json_problem(manifest, keys)
-    if problem:
-        raise DataFormatError(f"{path}: {problem}")
-    return manifest
+    return _read_input(run_dir / MANIFEST, checked)
 
 
 def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
@@ -704,7 +695,8 @@ def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
     scored = []
     for cluster, records in groups:
         model_name, schema_name, _ = _model_files(cluster)
-        schema = _read_schema(_run_file(run_dir, schema_name))
+        schema = _read_input(_run_file(run_dir, schema_name),
+                             lambda f: EncodingSchema.from_dict(_json_object(f)))
         model_path = _run_file(run_dir, model_name)
         model = load_network(model_path)
         if (model.input_width, model.output_width) != (schema.width, 1):
@@ -738,13 +730,12 @@ def cmd_sweep(args) -> int:
     cfg = _resolve(args, "sweep")
     # the cluster settings are checked even without --stations
     config, cluster_config = _train_config(cfg), _cluster_config(cfg)
-    knn_k = _check_knn_k(cfg["knn_k"])
     out = _out_dir(args)
-    records, _rejects = _read_transactions(args.transactions)
+    records, _rejects = _read_input(args.transactions, parse_transactions)
     if not records:
         raise DegenerateDataError("no valid records to train on")
     include_txn = cfg["include_transaction_id"]
-    stations = _read_stations(args.stations) if args.stations is not None else None
+    stations = _read_input(args.stations, parse_stations) if args.stations is not None else None
     methods = ["central", "federated"]
     if stations is not None:
         methods += ["central_clustered", "federated_clustered"]
@@ -766,7 +757,7 @@ def cmd_sweep(args) -> int:
                 table[f"{mode.value}_clustered"][ratio] = result.pooled_rmse_kwh
 
         table["mean"][ratio], table["knn"][ratio] = _baseline_rmse(
-            train, test, include_txn, knn_k)
+            train, test, include_txn, cfg["knn_k"])
         print(f"ratio {ratio}: " + " ".join(
             f"{m}={table[m][ratio]!r}" for m in methods
         ))
@@ -783,7 +774,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve(args, "evaluate")
-    knn_k = _check_knn_k(cfg["knn_k"])
     given = [("no-" if getattr(args, key) is False else "") + key.replace("_", "-")
              for key in _SPLIT if getattr(args, key) is not None]
     if args.run_dir is not None and given:
@@ -791,14 +781,14 @@ def cmd_evaluate(args) -> int:
             f"--run-dir scores the run on the split its manifest records; it takes no --{given[0]}"
         )
     out = _out_dir(args)
-    records, _rejects = _read_transactions(args.transactions)
+    records, _rejects = _read_input(args.transactions, parse_transactions)
     if not records:
         raise DegenerateDataError("no valid records to evaluate on")
     run_manifest = _read_manifest(args.run_dir) if args.run_dir is not None else None
     # a run is scored on the split it was trained on
     split = run_manifest["config"] if run_manifest is not None else cfg
     ratio, seed, include_txn = (split[key] for key in _SPLIT)
-    train, test = split_train_test(records, _check_ratio(ratio), seed)
+    train, test = split_train_test(records, ratio, seed)
 
     rmse_kwh: dict[str, float] = {}
     total_bytes: dict[str, int] = {}
@@ -808,7 +798,7 @@ def cmd_evaluate(args) -> int:
         if value is not None:
             rmse_kwh[name] = value
         total_bytes[name] = n_bytes
-    rmse_kwh["mean"], rmse_kwh["knn"] = _baseline_rmse(train, test, include_txn, knn_k)
+    rmse_kwh["mean"], rmse_kwh["knn"] = _baseline_rmse(train, test, include_txn, cfg["knn_k"])
 
     report = EvalReport(
         train_ratio=ratio, rmse_kwh=rmse_kwh, total_bytes=total_bytes

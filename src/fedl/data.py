@@ -6,9 +6,13 @@ The on-disk formats are plain CSV:
   and HH:MM times;
 * stations: header :data:`STATIONS_HEADER`, the fields of :class:`StationInfo`.
 
-Parsing is lenient per row and strict per file: a missing or wrong header
-is fatal, while malformed rows become (line_number, reason) reject entries
-and do not stop ingestion.
+Every CSV stream is read by :func:`csv_rows`: a first row that is not the
+file's header is fatal, and each later row is numbered by the line it
+ends on (a quoted field may span lines).  Transactions parsing is lenient
+per row, strict per file: malformed rows become (line_number, reason)
+reject entries and do not stop ingestion.  Stations parsing is strict per
+row.  Messages give line numbers, not file names; the caller that opened
+the file names it.
 
 Transactions travel as :class:`Transactions`, one numpy column per field:
 station (an index into a sorted tuple of station ids), transaction id,
@@ -38,7 +42,7 @@ import sys
 from dataclasses import asdict, dataclass
 from datetime import date as _date
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -343,6 +347,17 @@ def _parsed(parse, raw: Sequence[str], memo: bool = False) -> list:
         return list(map(safe, raw))
 
 
+def csv_rows(lines: Iterable[str], header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows after the header of the CSV stream ``lines``, read
+    lazily, each as (the line it ends on, its fields).  DataFormatError,
+    raised before this returns, unless the first row, its fields stripped,
+    is ``header``."""
+    reader = csv.reader(lines)
+    if tuple(c.strip() for c in next(reader, ())) != tuple(header):
+        raise DataFormatError(f"header is not {','.join(header)}")
+    return ((reader.line_num, row) for row in reader if row)
+
+
 def parse_transactions(lines: Iterable[str]) -> tuple[Transactions, list[RejectedRow]]:
     """Parse a transactions CSV stream.
 
@@ -350,19 +365,9 @@ def parse_transactions(lines: Iterable[str]) -> tuple[Transactions, list[Rejecte
     missing or wrong header raises :class:`DataFormatError`; malformed rows
     are rejected individually and never abort the parse.
     """
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("transactions file is empty (missing header)") from None
-    if tuple(c.strip() for c in header) != TRANSACTIONS_HEADER:
-        raise DataFormatError(
-            f"bad transactions header: expected {','.join(TRANSACTIONS_HEADER)}, "
-            f"got {','.join(header)}"
-        )
+    numbered = csv_rows(lines, TRANSACTIONS_HEADER)
     columns: list[list] = [[] for _ in TRANSACTIONS_HEADER]
     rejects: list[RejectedRow] = []
-    numbered = enumerate(reader, start=2)
     # a block at a time, so only one block's raw strings are held at once
     while block := list(itertools.islice(numbered, _BLOCK_ROWS)):
         for column, values in zip(columns, _parse_block(block, rejects)):
@@ -380,7 +385,7 @@ def _parse_block(block: list[tuple[int, list[str]]], rejects: list[RejectedRow])
     for line_number, row in block:
         if len(row) == width:
             rows.append((line_number, row))
-        elif row:  # a blank line is skipped
+        else:
             rejects.append(
                 RejectedRow(line_number, f"expected {width} fields, got {len(row)}")
             )
@@ -422,38 +427,22 @@ def _parse_block(block: list[tuple[int, list[str]]], rejects: list[RejectedRow])
 
 def parse_stations(lines: Iterable[str]) -> list[StationInfo]:
     """Parse a stations CSV stream (strict: any bad row is fatal)."""
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("stations file is empty (missing header)") from None
-    if tuple(c.strip() for c in header) != STATIONS_HEADER:
-        raise DataFormatError(
-            f"bad stations header: expected {','.join(STATIONS_HEADER)}, "
-            f"got {','.join(header)}"
-        )
     stations: list[StationInfo] = []
     seen: set[str] = set()
-    for line_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for line_number, row in csv_rows(lines, STATIONS_HEADER):
         if len(row) != len(STATIONS_HEADER):
-            raise DataFormatError(f"stations line {line_number}: expected 3 fields")
+            raise DataFormatError(f"line {line_number}: expected 3 fields")
         sid, raw_lat, raw_lon = (c.strip() for c in row)
         if not sid:
-            raise DataFormatError(f"stations line {line_number}: empty station_id")
+            raise DataFormatError(f"line {line_number}: empty station_id")
         if sid in seen:
-            raise DataFormatError(f"stations line {line_number}: duplicate id {sid!r}")
+            raise DataFormatError(f"line {line_number}: duplicate id {sid!r}")
         try:
             lat, lon = float(raw_lat), float(raw_lon)
         except ValueError:
-            raise DataFormatError(
-                f"stations line {line_number}: coordinates not numeric"
-            ) from None
+            raise DataFormatError(f"line {line_number}: coordinates not numeric") from None
         if not (abs(lat) <= 90.0 and abs(lon) <= 180.0):
-            raise DataFormatError(
-                f"stations line {line_number}: coordinates out of range ({lat}, {lon})"
-            )
+            raise DataFormatError(f"line {line_number}: coordinates out of range ({lat}, {lon})")
         seen.add(sid)
         stations.append(StationInfo(station_id=sid, latitude=lat, longitude=lon))
     return stations

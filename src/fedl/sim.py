@@ -247,8 +247,8 @@ class WorkerState:
     model_version: int = 0
 
     def __post_init__(self) -> None:
-        if self.X.shape[0] != self.y.shape[0]:
-            raise ShapeError("worker dataset arrays disagree on row count")
+        if self.y.shape != (self.X.shape[0],):
+            raise ShapeError(f"labels shape {self.y.shape} does not match {self.X.shape[0]} rows")
         ids = np.asarray(self.sample_ids)
         if ids.ndim != 1 or ids.dtype.kind not in "iu":
             raise ShapeError(

@@ -290,14 +290,15 @@ def _reference_row(line_number: int, row: list[str]):
 
 def reference_parse_transactions(lines):
     """fedl.data.parse_transactions one row at a time: (records, rejects)
-    as lists, for a stream whose header is valid."""
+    as lists, for a stream whose header is valid.  A row's line number is
+    the line it ends on."""
     reader = csv.reader(lines)
     next(reader)
     records, rejects = [], []
-    for line_number, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:  # blank line
             continue
-        record, reject = _reference_row(line_number, row)
+        record, reject = _reference_row(reader.line_num, row)
         if record is not None:
             records.append(record)
         else:

@@ -148,6 +148,29 @@ def test_synth_rejects_noise_that_is_not_finite_and_nonnegative(tmp_path, noise)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["synth", "cluster", "train", "evaluate", "sweep"])
+def test_negative_seed_is_a_usage_error(tmp_path, corpus_dir, command, source):
+    # it used to exit 1 with numpy's "expected non-negative integer", and
+    # train had made its --out directory by then
+    data = ("--transactions", corpus_dir / "transactions.csv")
+    argv = {
+        "synth": ("synth", "--stations", 2, "--records", 5),
+        "cluster": ("cluster", "--stations", corpus_dir / "stations.csv"),
+        "train": ("train", *data),
+        "evaluate": ("evaluate", *data),
+        "sweep": ("sweep", *data),
+    }[command]
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": -3}), encoding="utf-8")
+    seed = ("--seed=-3",) if source == "flag" else ("--config", conf)
+    out = tmp_path / "out"
+    code, stdout, err = invoke(*argv, *seed, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == ["fedl: error: --seed must be >= 0, got -3"]
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- ingest
 
 
@@ -658,6 +681,23 @@ def test_config_file_values_take_their_flags_types(tmp_path, corpus_dir):
         assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
+@pytest.mark.parametrize("content", [None, b"\xb8", b'{"epochs": 3', b"[3]"],
+                         ids=["missing", "not-utf8", "not-json", "not-object"])
+def test_config_file_that_is_not_a_json_object_exits_1_naming_it(tmp_path, corpus_dir, content):
+    # a file that was not UTF-8 used to exit 1 with a decoder message that
+    # named no file
+    cfg = tmp_path / "bad.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    out = tmp_path / "run"
+    code, _, err = invoke("train", "--transactions", corpus_dir / "transactions.csv",
+                          "--config", cfg, "--out", out)
+    assert code == 1
+    (line,) = err.splitlines()
+    assert line.startswith("fedl: error: ") and str(cfg) in line, line
+    assert not out.exists()
+
+
 def test_config_file_unknown_key_exits_1(tmp_path, corpus_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -1052,6 +1092,85 @@ def test_evaluate_corrupt_run_dir_file_exits_2(tmp_path, corpus_dir, clustered_r
     assert line.startswith("fedl: data error:") and name in line
 
 
+@pytest.mark.parametrize("key, value, problem", [
+    ("ratio", 5.0, "config.ratio must be in (0, 1), got 5.0"),
+    ("seed", -3, "config.seed must be >= 0, got -3"),
+])
+def test_evaluate_manifest_split_out_of_range_exits_2(
+    tmp_path, corpus_dir, trained_run, key, value, problem
+):
+    # ratio 5.0 used to exit 1 naming --ratio, a flag --run-dir rejects, and
+    # seed -3 to exit 1 with numpy's "expected non-negative integer"
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    path = run / "manifest.json"
+    path.write_text(_manifest_config(**{key: value})(path.read_text()))
+    code, _, err = invoke("evaluate", "--transactions", corpus_dir / "transactions.csv",
+                          "--run-dir", run, "--out", tmp_path / "eval")
+    assert code == 2
+    assert err.splitlines() == [f"fedl: data error: {path}: {problem}"]
+
+
+def _wrong_header(blob):
+    return b"a,b\n" + blob[blob.index(b"\n") + 1:]
+
+
+@pytest.mark.parametrize("name, corrupt", [
+    (name, corrupt)
+    for name in ("transactions.csv", "stations.csv", "assignment.csv", "traffic.csv")
+    for corrupt in (_wrong_header, lambda blob: blob + b"\xb8")
+] + [
+    (name, corrupt)
+    for name in ("schema_cluster0.json", "manifest.json")
+    for corrupt in (lambda blob: blob[:-3], lambda blob: b"[]", lambda blob: blob + b"\xb8")
+], ids=[
+    f"{name}-{how}"
+    for name in ("transactions", "stations", "assignment", "traffic")
+    for how in ("header", "not-utf8")
+] + [
+    f"{name}-{how}" for name in ("schema", "manifest") for how in ("not-json", "list", "not-utf8")
+])
+def test_an_input_file_error_is_one_line_that_begins_with_its_path(
+    tmp_path, corpus_dir, clustered_run, name, corrupt
+):
+    # one reader opens every input file and names it, whatever is wrong
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    shutil.copytree(clustered_run, tmp_path / "run")
+    transactions = tmp_path / "corpus" / "transactions.csv"
+    path = tmp_path / ("corpus" if name in ("transactions.csv", "stations.csv") else "run") / name
+    argv = {
+        "transactions.csv": ("ingest", "--transactions", path),
+        "stations.csv": ("cluster", "--stations", path),
+    }.get(name, ("evaluate", "--transactions", transactions, "--run-dir", tmp_path / "run"))
+    path.write_bytes(corrupt(path.read_bytes()))
+    code, _, err = invoke(*argv, "--out", tmp_path / "out")
+    assert code == 2, err
+    (line,) = err.splitlines()
+    assert line.startswith(f"fedl: data error: {path}: "), line
+
+
+def test_a_row_is_numbered_by_the_line_it_ends_on(tmp_path):
+    # a quoted field over lines 2 and 3 used to put the row on line 5 at 4
+    transactions = tmp_path / "transactions.csv"
+    transactions.write_text(
+        "station_id,transaction_id,date,time,energy_kwh\n"
+        '"S\n1",1,2023-01-02,08:00,1.0\n'
+        "S2,2,2023-01-02,09:00,2.0\n"
+        "S2,x,2023-01-02,10:00,3.0\n"
+    )
+    code, _, err = invoke("ingest", "--transactions", transactions, "--out", tmp_path / "in")
+    assert code == 0, err
+    rejects = (tmp_path / "in" / "rejects.csv").read_text().splitlines()
+    assert rejects == ["line_number,reason", "5,transaction_id not an integer: 'x'"]
+    stations = tmp_path / "stations.csv"
+    stations.write_text('station_id,latitude,longitude\n"A\nB",1.0,2.0\nC,3.0,4.0\nD,999,0\n')
+    code, _, err = invoke("cluster", "--stations", stations, "--out", tmp_path / "cl")
+    assert code == 2
+    assert err.splitlines() == [
+        f"fedl: data error: {stations}: line 5: coordinates out of range (999.0, 0.0)"
+    ]
+
+
 @pytest.fixture(scope="module")
 def two_cluster_run(tmp_path_factory):
     """An 8-station corpus and a central run of two clusters that both train
@@ -1180,7 +1299,8 @@ def _schema_case(include_id):
         path = tmp_path / "schema.json"
         on_disk = tuple(sorted(json.loads(path.read_text())))
         assert on_disk == tuple(sorted(f.name for f in fields(EncodingSchema)))
-        return on_disk, tuple(sorted(EncodingSchema.JSON_TYPES)), schema, cli._read_schema(path)
+        read = cli._read_input(path, lambda f: EncodingSchema.from_dict(cli._json_object(f)))
+        return on_disk, tuple(sorted(EncodingSchema.JSON_TYPES)), schema, read
     return case
 
 

@@ -180,6 +180,15 @@ def test_worker_state_rejects_empty_or_ragged():
         WorkerState(0, np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=int))
     with pytest.raises(ShapeError):
         WorkerState(0, np.ones((2, 3)), np.ones(3), np.arange(2))
+    # a label column per row: run_federated used to train on the flattened values
+    X, y = np.ones((20, 3)), np.ones((20, 2))
+    parts = [WorkerPartition(0, np.arange(10)), WorkerPartition(1, np.arange(10, 20))]
+    with pytest.raises(ShapeError, match=r"labels shape \(20, 2\)"):
+        WorkerState(0, X, y, np.arange(20))
+    with pytest.raises(ShapeError, match=r"labels shape \(20, 2\)"):
+        run_federated(X, y, parts, TrainConfig(epochs=1, hidden_layers=(2,)))
+    with pytest.raises(ShapeError, match=r"labels shape \(20, 2\)"):
+        make_workers(X, y, parts, init_network(network_specs(3, TrainConfig()), 0))
 
 
 def test_worker_state_rejects_ids_outside_the_pooled_rows():

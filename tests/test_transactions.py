@@ -42,7 +42,7 @@ def padded(values):
     return st.tuples(PADDING, values, PADDING).map("".join)
 
 
-STATIONS = padded(st.sampled_from(["CS1", "CS2", "B", "", "a b"]))
+STATIONS = padded(st.sampled_from(["CS1", "CS2", "B", "", "a b", "C\nS"]))  # a quoted 2-line field
 IDS = padded(st.one_of(
     st.integers(-(2**70), 2**70).map(str),
     st.integers(BIG - 2, BIG + 2).map(str),
