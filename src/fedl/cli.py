@@ -261,11 +261,14 @@ _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    """The options named like TrainConfig fields, plus the ``hidden`` widths
-    (sweep takes no mode: it trains both)."""
+    """The options named like TrainConfig fields, plus the ``hidden`` widths,
+    comma-separated integers >= 1 (sweep takes no mode: it trains both)."""
+    widths = [w.strip() for w in cfg["hidden"].split(",")]
+    if not all(w.isascii() and w.isdigit() and int(w) >= 1 for w in widths):
+        raise UsageError(f"--hidden must be comma-separated integers >= 1, got {cfg['hidden']!r}")
     try:
         return TrainConfig(
-            hidden_layers=[int(w) for w in cfg["hidden"].split(",") if w.strip()],
+            hidden_layers=[int(w) for w in widths],
             **{key: value for key, value in cfg.items() if key in _TRAIN_FIELDS},
         )
     except ValueError as e:
@@ -296,13 +299,14 @@ def _read_input(path: Path, parse):
     file is read here, and only here does a message about a file's
     contents name it: a DataFormatError from ``parse``, or the file not
     being UTF-8 text, becomes a DataFormatError that begins ``"<path>: "``.
-    A missing path, or a directory, is a UsageError."""
+    A leading UTF-8 byte-order mark is skipped.  A missing path, or a
+    directory, is a UsageError."""
     if not path.exists():
         raise UsageError(f"input file does not exist: {path}")
     if path.is_dir():
         raise UsageError(f"expected a file, got a directory: {path}")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
+        with open(path, "r", encoding="utf-8-sig", newline="") as f:
             return parse(f)
     except UnicodeDecodeError as e:
         raise DataFormatError(f"{path}: not UTF-8 text: {e.reason}") from None
@@ -624,10 +628,11 @@ def cmd_train(args) -> int:
 
 
 def _run_file(run_dir: Path, name: str) -> Path:
-    """``run_dir / name``, a file the run wrote; DataFormatError if missing."""
+    """``run_dir / name``, a file the run's manifest says it wrote;
+    DataFormatError naming it and the manifest if it is missing."""
     path = run_dir / name
     if not path.exists():
-        raise DataFormatError(f"{path} is missing from the run directory")
+        raise DataFormatError(f"{path} is missing, but {run_dir / MANIFEST} says the run wrote it")
     return path
 
 
@@ -668,18 +673,19 @@ def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
     total_bytes = _read_traffic(traffic_path).total_bytes()
     if total_bytes != manifest["total_bytes"]:
         raise DataFormatError(
-            f"{traffic_path} totals {total_bytes} B, but the manifest records "
+            f"{traffic_path} totals {total_bytes} B, but {run_dir / MANIFEST} records "
             f"total_bytes {manifest['total_bytes']}"
         )
     groups = [(None, test)]  # (cluster, the test records its model scores)
     uncovered = 0
     clustered = manifest["config"]["clustering"]
     if clustered:
-        cluster_of = _read_assignment(_run_file(run_dir, ASSIGNMENT))
+        assignment_path = _run_file(run_dir, ASSIGNMENT)
+        cluster_of = _read_assignment(assignment_path)
         unknown = sorted(set(test.station_ids()) - set(cluster_of))
         if unknown:
             raise DegenerateDataError(
-                f"test stations missing from assignment: {', '.join(unknown)}"
+                f"{assignment_path}: test stations missing: {', '.join(unknown)}"
             )
         rows = manifest["clusters"]
         groups = []
@@ -695,17 +701,21 @@ def _evaluate_run_dir(run_dir: Path, manifest: dict, test):
     scored = []
     for cluster, records in groups:
         model_name, schema_name, _ = _model_files(cluster)
-        schema = _read_input(_run_file(run_dir, schema_name),
-                             lambda f: EncodingSchema.from_dict(_json_object(f)))
+        schema_path = _run_file(run_dir, schema_name)
+        schema = _read_input(schema_path, lambda f: EncodingSchema.from_dict(_json_object(f)))
         model_path = _run_file(run_dir, model_name)
         model = load_network(model_path)
         if (model.input_width, model.output_width) != (schema.width, 1):
             raise DataFormatError(
                 f"{model_path} maps {model.input_width} inputs to "
-                f"{model.output_width} outputs, but its schema encodes "
+                f"{model.output_width} outputs, but {schema_path} encodes "
                 f"{schema.width} features into 1 label"
             )
-        scored.append(score(model, schema, records))
+        try:
+            scored.append(score(model, schema, records))
+        except EncodingError as e:  # a test station that the schema lacks
+            where = "" if cluster is None else f" ({assignment_path} puts it in cluster {cluster})"
+            raise EncodingError(f"{schema_path}: {e}{where}") from None
     mode = manifest["config"]["mode"]
     name = f"{mode}_clustered" if clustered else mode
     return name, pooled_rmse(scored), total_bytes, uncovered

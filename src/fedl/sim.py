@@ -12,6 +12,9 @@ Three ways to fit the same network family:
   first, then an independent centralized or federated model is trained
   per cluster.
 
+Central and federated epochs take the one training step :func:`_descend`
+(central is its one-site case); the two differ only in their ledger.
+
 Determinism contract: given (config, seed) every run is bit-reproducible.
 A round is a list of independent tasks, one per (site, block of at most
 :data:`STEP_BLOCK_ROWS` consecutive entries of the site's row ids), run on
@@ -194,8 +197,8 @@ class TrainConfig:
         object.__setattr__(self, "mode", TrainMode(self.mode))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0 (0 disables early stopping)")
+        if not (0 <= self.tolerance < math.inf):
+            raise ValueError("tolerance must be finite and >= 0 (0 disables early stopping)")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.workers < 1:
@@ -270,10 +273,10 @@ class WorkerState:
 class RoundReport:
     epoch: int
     global_loss: float
-    worker_losses: tuple[float, ...]
-    staleness: int
-    bytes_up: int
-    bytes_down: int
+    worker_losses: tuple[float, ...] = ()  # the defaults are a central step's
+    staleness: int = 0
+    bytes_up: int = 0
+    bytes_down: int = 0
 
     def __post_init__(self) -> None:
         if self.staleness != 0:
@@ -416,20 +419,6 @@ def _site_gradients(
     return sums
 
 
-def _check_gradients(
-    results: Sequence[tuple[Gradient, float]], epoch: int, worker_ids: Sequence
-) -> None:
-    """A site whose loss is finite but whose gradient is not raises
-    FloatingPointError naming the epoch and the worker (None: the central
-    site).  A non-finite loss is left to the training loop to report."""
-    for (grad, loss), worker in zip(results, worker_ids):
-        if math.isfinite(loss) and not np.isfinite(grad.params).all():
-            where = "" if worker is None else f" on worker {worker}"
-            raise FloatingPointError(
-                f"training gradient became non-finite at epoch {epoch}{where}"
-            )
-
-
 def local_epoch(
     worker: WorkerState, global_model: Network, seed: int
 ) -> tuple[Gradient, float]:
@@ -455,6 +444,33 @@ def aggregate_gradients(grads: Sequence[Gradient]) -> Gradient:
     return Gradient(specs, _summed(grads) / float(len(grads)))
 
 
+def _descend(
+    server: ServerState, X: np.ndarray | EncodedFeatures, y: np.ndarray,
+    sites: Sequence[np.ndarray], seed: int, worker_ids: Sequence,
+) -> tuple[float, ...]:
+    """The training step: the sites' gradients at the server's model, their
+    mean (for one site exactly its gradient) and one Adam step; returns the
+    sites' losses.  First, a finite loss behind a non-finite gradient raises
+    FloatingPointError naming the epoch and worker (None: the central site);
+    then so does a non-finite loss, showing the summed loss."""
+    epoch = server.adam.steps
+    results = _site_gradients(server.network, X, y, sites, seed)
+    for (grad, loss), worker in zip(results, worker_ids):
+        if math.isfinite(loss) and not np.isfinite(grad.params).all():
+            where = "" if worker is None else f" on worker {worker}"
+            raise FloatingPointError(
+                f"training gradient became non-finite at epoch {epoch}{where}"
+            )
+    losses = tuple(loss for _, loss in results)
+    if not np.isfinite(losses).all():
+        raise FloatingPointError(
+            f"training loss became non-finite at epoch {epoch}: {sum(losses)!r}"
+        )
+    aggregated = aggregate_gradients([g for g, _ in results])
+    server.adam, server.network = adam_step(server.adam, server.network, aggregated)
+    return losses
+
+
 def run_round(
     server: ServerState,
     workers: Sequence[WorkerState],
@@ -462,7 +478,7 @@ def run_round(
 ) -> RoundReport:
     """One synchronous round: J local gradients against the same model
     version (their row blocks split among the step threads),
-    mean-aggregate, one Adam step, broadcast.
+    mean-aggregate, one Adam step (:func:`_descend`), broadcast.
 
     The barrier is structural — aggregation happens only after every
     worker's gradient for the current version is in hand, so staleness is
@@ -482,16 +498,11 @@ def run_round(
     if not order or any(w.X is not order[0].X or w.y is not order[0].y for w in order):
         raise ValueError("a round needs workers that share one pooled X and y")
 
-    results = _site_gradients(
-        server.network, order[0].X, order[0].y, [w.sample_ids for w in order], seed
-    )
-    _check_gradients(results, version, [w.worker_id for w in order])
-    grads = [g for g, _ in results]
-    losses = tuple(loss for _, loss in results)
     staleness = max(version - w.model_version for w in workers)
-
-    aggregated = aggregate_gradients(grads)
-    server.adam, server.network = adam_step(server.adam, server.network, aggregated)
+    losses = _descend(
+        server, order[0].X, order[0].y, [w.sample_ids for w in order], seed,
+        [w.worker_id for w in order],
+    )
     for w in workers:
         w.model_version = server.adam.steps
 
@@ -545,9 +556,9 @@ def _train(
     ``step(server, epoch_seed)`` once per epoch until every site's loss
     settles (per convergence_check) or the epoch budget runs out.  The
     sites are the report's workers, or the one central site when it has
-    none.  A non-finite loss raises FloatingPointError naming the epoch;
-    the step runs with numpy's overflow warnings off, so that error is the
-    only report of a diverging run.
+    none.  The step runs with numpy's overflow warnings off, so the
+    FloatingPointError that :func:`_descend` raises for a non-finite loss
+    or gradient is the only report of a diverging run.
     """
     network = init_network(network_specs(input_width, config), config.seed)
     adam = init_adam(network, step_size=config.step_size)
@@ -558,13 +569,7 @@ def _train(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             report = step(server, fold_seed(config.seed, epoch))
         reports.append(report)
-        losses = report.worker_losses or (report.global_loss,)
-        if not np.isfinite(losses).all():
-            raise FloatingPointError(
-                f"training loss became non-finite at epoch {epoch}: "
-                f"{report.global_loss!r}"
-            )
-        for site, loss in enumerate(losses):
+        for site, loss in enumerate(report.worker_losses or (report.global_loss,)):
             histories[site].append(loss)
         if on_epoch is not None:
             on_epoch(epoch, server.network)
@@ -598,18 +603,8 @@ def run_centralized(
 
     def step(server: ServerState, seed: int) -> RoundReport:
         epoch = server.adam.steps
-        results = _site_gradients(server.network, X, y, sites, seed)
-        _check_gradients(results, epoch, [None])
-        ((grad, loss),) = results
-        server.adam, server.network = adam_step(server.adam, server.network, grad)
-        return RoundReport(
-            epoch=epoch,
-            global_loss=loss,
-            worker_losses=(),
-            staleness=0,
-            bytes_up=0,
-            bytes_down=0,
-        )
+        (loss,) = _descend(server, X, y, sites, seed, [None])
+        return RoundReport(epoch, loss)
 
     network, reports, _ = _train(X.shape[1], config, on_epoch, step)
     upload = TrafficEntry(

@@ -238,6 +238,37 @@ def test_missing_input_exits_1(tmp_path):
     assert "error" in err
 
 
+def test_a_directory_given_as_an_input_exits_1(tmp_path):
+    code, _, err = invoke("ingest", "--transactions", tmp_path, "--out", tmp_path / "o")
+    assert code == 1
+    assert err.splitlines() == [f"fedl: error: expected a file, got a directory: {tmp_path}"]
+
+
+@pytest.mark.parametrize("name", ["transactions.csv", "stations.csv", "conf.json"])
+def test_a_leading_byte_order_mark_is_ignored(monkeypatch, tmp_path, corpus_dir, name):
+    # each used to exit 2 (a CSV's header) or 1 (a config file's JSON)
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    for root in (plain, marked):
+        shutil.copytree(corpus_dir, root)
+        (root / "conf.json").write_text(json.dumps({"epochs": 2, "hidden": "5", "seed": 1}))
+    (marked / name).write_bytes(b"\xef\xbb\xbf" + (plain / name).read_bytes())
+    argv = {
+        "transactions.csv": ("ingest", "--transactions", "transactions.csv"),
+        "stations.csv": ("cluster", "--stations", "stations.csv"),
+        "conf.json": ("train", "--transactions", "transactions.csv", "--config", "conf.json"),
+    }[name]
+    outputs = []
+    for root in (plain, marked):
+        monkeypatch.chdir(root)  # the same relative paths, which the manifests record
+        code, stdout, err = invoke(*argv, "--out", "out")
+        assert code == 0, err
+        outputs.append((stdout, {p.name: p.read_bytes() for p in (root / "out").iterdir()}))
+    assert outputs[0] == outputs[1]
+    if name == "transactions.csv":
+        read = [cli._read_input(root / name, parse_transactions) for root in (plain, marked)]
+        assert list(read[0][0]) == list(read[1][0]) and read[0][1] == read[1][1] == []
+
+
 # --------------------------------------------------------------- cluster
 
 
@@ -289,6 +320,19 @@ def test_cluster_infeasible_windows_exit_3(tmp_path, corpus_dir):
     )
     assert code == 3
     assert "numerical error" in err
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("S9,1.0", "expected 3 fields"),
+    (" ,1.0,2.0", "empty station_id"),
+    ("S9,north,2.0", "coordinates not numeric"),
+])
+def test_a_bad_stations_row_exits_2_naming_its_line(tmp_path, corpus_dir, row, problem):
+    stations = tmp_path / "stations.csv"
+    stations.write_text((corpus_dir / "stations.csv").read_text() + row + "\n")
+    code, _, err = invoke("cluster", "--stations", stations, "--out", tmp_path / "cl")
+    assert code == 2
+    assert err.splitlines() == [f"fedl: data error: {stations}: line 6: {problem}"]
 
 
 def test_zero_clusters_is_a_usage_error(tmp_path, corpus_dir):
@@ -542,6 +586,60 @@ def test_train_too_many_workers_exits_2(tmp_path, corpus_dir):
     )
     assert code == 2
     assert "data error" in err
+
+
+@pytest.mark.parametrize("command, problem", [
+    ("train", "no valid records to train on"),
+    ("sweep", "no valid records to train on"),
+    ("evaluate", "no valid records to evaluate on"),
+])
+def test_a_transactions_file_whose_every_row_is_rejected_exits_2(tmp_path, command, problem):
+    transactions = tmp_path / "transactions.csv"
+    transactions.write_text(
+        "station_id,transaction_id,date,time,energy_kwh\nS1,x,2023-01-02,08:00,1.0\n"
+    )
+    out = tmp_path / "out"
+    code, _, err = invoke(command, "--transactions", transactions, "--out", out)
+    assert code == 2
+    assert err.splitlines() == [f"fedl: data error: {problem}"]
+    assert not list(out.glob("*.*"))
+
+
+@pytest.mark.parametrize("tolerance", ["--tolerance=nan", "--tolerance=inf", "config NaN"])
+def test_train_non_finite_tolerance_exits_1(tmp_path, corpus_dir, tolerance):
+    # nan used to exit 0 and write "tolerance": NaN, which is not JSON, into
+    # manifest.json; inf would have written Infinity
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"tolerance": math.nan}))
+    given = ("--config", conf) if tolerance == "config NaN" else (tolerance,)
+    out = tmp_path / "run"
+    code, stdout, err = invoke("train", "--transactions", corpus_dir / "transactions.csv",
+                               "--epochs", 1, *given, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [
+        "fedl: error: tolerance must be finite and >= 0 (0 disables early stopping)"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("hidden", ["a", "0", "64,,64", "", "8,-1", "\u0664"])
+def test_hidden_widths_that_are_not_positive_integers_exit_1_naming_the_flag(
+    tmp_path, corpus_dir, hidden, source
+):
+    # "a" named no flag, "0" named none either, and "64,,64" trained 64,64
+    # while the manifest recorded "64,,64"
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"hidden": hidden}))
+    given = (f"--hidden={hidden}",) if source == "flag" else ("--config", conf)
+    out = tmp_path / "run"
+    code, stdout, err = invoke("train", "--transactions", corpus_dir / "transactions.csv",
+                               "--epochs", 1, *given, "--out", out)
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [
+        f"fedl: error: --hidden must be comma-separated integers >= 1, got {hidden!r}"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1029,6 +1127,12 @@ def _assignment_rows(*rows):
     return lambda text: "\n".join(["station_id,cluster_id", *rows]) + "\n"
 
 
+def _reassign_first_station(text):
+    header, first, *rest = text.splitlines()
+    station, cluster = first.split(",")
+    return "\n".join([header, f"{station},{1 - int(cluster)}", *rest]) + "\n"
+
+
 @pytest.mark.parametrize("name, corrupt", [
     ("assignment.csv", lambda text: ""),
     ("assignment.csv", lambda text: text.replace("station_id,cluster_id", "a,b")),
@@ -1063,6 +1167,12 @@ def _assignment_rows(*rows):
     ("traffic.csv", lambda text: "".join(text.splitlines(keepends=True)[:-1])),
     ("schema_cluster0.json", _vocabulary(lambda vocab: vocab[::-1])),
     ("schema_cluster0.json", _vocabulary(lambda vocab: vocab[:1] + vocab)),
+    ("assignment.csv", lambda text: "".join(text.splitlines(keepends=True)[:-1])),
+    ("assignment.csv", _reassign_first_station),
+    ("schema_cluster0.json", _vocabulary(lambda vocab: [*vocab[:-1], vocab[-1] + "x"])),
+    ("schema_cluster0.json", _vocabulary(lambda vocab: vocab[:-1])),
+    ("manifest.json", _manifest_values(total_bytes=1)),
+    ("manifest.json", lambda text: text.replace('"traffic.csv"', '"traffic.csv", "x.csv"')),
 ], ids=[
     "empty-assignment", "assignment-header", "one-field-row", "non-integer-cluster",
     "negative-cluster", "cluster-past-row-count", "duplicate-station",
@@ -1076,6 +1186,9 @@ def _assignment_rows(*rows):
     "manifest-outputs-string", "manifest-output-number", "manifest-total-bytes-string",
     "traffic-row-dropped",
     "schema-vocabulary-reversed", "schema-vocabulary-duplicate",
+    # the last six used to name only the other file of a disagreeing pair, or none
+    "assignment-lacks-a-station", "assignment-moves-a-station", "schema-lacks-a-station",
+    "schema-narrower-than-model", "manifest-total-bytes", "manifest-lists-a-missing-file",
 ])
 def test_evaluate_corrupt_run_dir_file_exits_2(tmp_path, corpus_dir, clustered_run, name, corrupt):
     run = tmp_path / "run"
@@ -1169,6 +1282,84 @@ def test_a_row_is_numbered_by_the_line_it_ends_on(tmp_path):
     assert err.splitlines() == [
         f"fedl: data error: {stations}: line 5: coordinates out of range (999.0, 0.0)"
     ]
+
+
+# --------------------------------------------------------------- corrupt files, by property
+
+_HOWS = ("truncate", "overwrite", "insert", "delete-line", "duplicate-line")
+_TOKENS = (b"NaN", b"1e309", b"null", b'"', b",", b"-1", b"\n")
+
+
+def _mutated(blob: bytes, how: str, at: int, token: bytes, byte: int) -> bytes:
+    """``blob`` with one change, at the offset or line that ``at`` picks."""
+    i = at % (len(blob) + 1)
+    lines = blob.splitlines(keepends=True) or [b""]
+    line = at % len(lines)
+    return {
+        "truncate": lambda: blob[:i],
+        "overwrite": lambda: blob[:i] + bytes([byte]) + blob[i + 1:],
+        "insert": lambda: blob[:i] + token + blob[i:],
+        "delete-line": lambda: b"".join(lines[:line] + lines[line + 1:]),
+        "duplicate-line": lambda: b"".join(lines[:line + 1] + lines[line:]),
+    }[how]()
+
+
+# Every file the property test corrupts, as (where it lies, its name, the
+# command that reads it): each file a plain and a clustered run write, each
+# input CSV and a config file.
+_CORRUPTIBLE = [
+    ("plain", name, "evaluate") for name in (cli.MANIFEST, cli.TRAFFIC, *cli._model_files(None))
+] + [
+    ("clustered", name, "evaluate")
+    for name in (cli.MANIFEST, cli.TRAFFIC, cli.ASSIGNMENT,
+                 *cli._model_files(0), *cli._model_files(1))
+] + [
+    ("corpus", "transactions.csv", "ingest"), ("corpus", "transactions.csv", "train"),
+    ("corpus", "stations.csv", "cluster"), ("plain", cli.TRAFFIC, "report"),
+    ("config", "conf.json", "config"),
+]
+# The exits README allows for a corrupt file that the command reads: a run
+# directory's file or a traffic log exits 0 or 2; a transactions file that
+# trains, or a stations file, may also exit 3; a config file exits 0 or 1.
+_ALLOWED = {"evaluate": {0, 2}, "ingest": {0, 2}, "train": {0, 2, 3}, "cluster": {0, 2, 3},
+            "report": {0, 2}, "config": {0, 1}}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(_CORRUPTIBLE), how=st.sampled_from(_HOWS),
+       at=st.integers(0, 2**20), token=st.sampled_from(_TOKENS), byte=st.integers(0, 255))
+def test_a_corrupt_file_exits_as_readme_allows(
+    corpus_dir, federated_run, clustered_run, case, how, at, token, byte
+):
+    where, name, command = case
+    transactions = corpus_dir / "transactions.csv"
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / where
+        if where == "config":
+            copy.mkdir()
+            (copy / name).write_text(json.dumps({"ratio": 0.7, "seed": 4, "knn_k": 3}))
+        else:
+            source = {"plain": federated_run, "clustered": clustered_run, "corpus": corpus_dir}
+            shutil.copytree(source[where], copy)
+        if where in ("plain", "clustered"):  # every file the run wrote is a case
+            assert {p.name for p in copy.iterdir()} == {n for w, n, _ in _CORRUPTIBLE if w == where}
+        path = copy / name
+        path.write_bytes(_mutated(path.read_bytes(), how, at, token, byte))
+        argv = {
+            "evaluate": ("evaluate", "--transactions", transactions, "--run-dir", copy),
+            "ingest": ("ingest", "--transactions", path),
+            "train": ("train", "--transactions", path, *FAST),
+            "cluster": ("cluster", "--stations", path),
+            "report": ("report", f"base={federated_run / cli.TRAFFIC}", f"corrupt={path}",
+                       "--baseline", "base"),
+            "config": ("evaluate", "--transactions", transactions, "--config", path),
+        }[command]
+        code, _, err = invoke(*argv, "--out", Path(tmp) / "out")
+    assert code in _ALLOWED[command], err
+    if code:
+        (line,) = [line for line in err.splitlines() if line.startswith("fedl:")]
+        if code == 2 and where in ("plain", "clustered"):
+            assert str(path) in line, line
 
 
 @pytest.fixture(scope="module")
@@ -1462,6 +1653,14 @@ def test_report_malformed_spec_exits_1(tmp_path):
     code, _, err = invoke("report", "justapath.csv", "--out", tmp_path / "r")
     assert code == 1
     assert "NAME=TRAFFIC_CSV" in err
+
+
+def test_report_duplicate_pipeline_name_exits_1(tmp_path, two_traffic_logs):
+    central_csv, federated_csv = two_traffic_logs
+    code, _, err = invoke("report", f"a={central_csv}", f"a={federated_csv}",
+                          "--out", tmp_path / "r")
+    assert code == 1
+    assert err.splitlines() == ["fedl: error: duplicate pipeline name 'a'"]
 
 
 def test_report_non_traffic_csv_exits_2(tmp_path, corpus_dir):

@@ -111,8 +111,9 @@ def test_traffic_log_filters_and_roundtrips():
 
 def test_train_config_validation():
     TrainConfig(tolerance=0.0)  # zero disables early stopping, it is legal
-    with pytest.raises(ValueError):
-        TrainConfig(tolerance=-1e-9)
+    for tolerance in (-1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            TrainConfig(tolerance=tolerance)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
@@ -867,6 +868,21 @@ def test_non_finite_gradient_behind_a_finite_loss_stops_the_run(
             run_federated(X, y, parts, cfg)
         else:
             run_centralized(X, y, cfg)
+
+
+def test_a_non_finite_gradient_is_reported_before_another_sites_non_finite_loss(monkeypatch):
+    # worker 0's six rows hold a NaN label, so its loss is NaN; worker 1's
+    # five rows keep a finite loss behind an infinite gradient
+    import fedl.sim
+
+    X, y = toy_problem(11, 4)
+    y[0] = np.nan
+    parts = [WorkerPartition(j, tuple(range(j, 11, 2))) for j in range(2)]
+    cfg = TrainConfig(epochs=3, tolerance=0.0, hidden_layers=(4,), workers=2, seed=0)
+    monkeypatch.setattr(fedl.sim, "backward", _backward_poisoned_at_5_rows)
+    message = "training gradient became non-finite at epoch 0 on worker 1"
+    with pytest.raises(FloatingPointError, match=f"^{message}$"):
+        run_federated(X, y, parts, cfg)
 
 
 def test_federated_requires_partitions():
