@@ -777,7 +777,7 @@ def cmd_sweep(args) -> int:
         for m in methods
     ]
     _write_csv(out / "sweep.csv", ["method", *[str(r) for r in SWEEP_RATIOS]], rows)
-    _manifest(out, "evaluate-sweep", cfg, {"outputs": ["sweep.csv"]})
+    _manifest(out, "sweep", cfg, {"outputs": ["sweep.csv"]})
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 
@@ -826,15 +826,18 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     out = _out_dir(args)
     logs: dict[str, TrafficLog] = {}
+    paths: dict[str, str] = {}
     for item in args.logs:
         name, sep, path = item.partition("=")
         if not sep or not name or not path:
             raise UsageError(f"expected NAME=TRAFFIC_CSV, got {item!r}")
         if name in logs:
             raise UsageError(f"duplicate pipeline name {name!r}")
-        logs[name] = _read_traffic(Path(path))
+        logs[name], paths[name] = _read_traffic(Path(path)), path
     try:
         report = overhead_report(logs, baseline=args.baseline)
+    except ZeroDivisionError as e:
+        raise UsageError(f"{paths[args.baseline]}: {e}") from None
     except ValueError as e:
         raise UsageError(str(e)) from None
     _write_json(out / "comparison.json", report.to_dict())

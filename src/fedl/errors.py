@@ -36,4 +36,4 @@ class InfeasibilityError(FedlError, ValueError):
 
 
 class StalenessError(FedlError, RuntimeError):
-    """A worker holds a model version different from the server's."""
+    """A round reports a nonzero gradient staleness; rounds are synchronous."""

@@ -173,7 +173,9 @@ def overhead_report(
     """Compare total traffic across pipelines.
 
     ``logs`` maps pipeline name to anything exposing ``total_bytes()``.
-    Savings for pipeline p = 1 - bytes(p)/bytes(baseline).
+    Savings for pipeline p = 1 - bytes(p)/bytes(baseline); a baseline that
+    moved no bytes raises ZeroDivisionError naming it, the other checks
+    ValueError.
     """
     if len(logs) < 2:
         raise ValueError("overhead comparison needs at least two pipelines")
@@ -182,7 +184,7 @@ def overhead_report(
     totals = {name: int(log.total_bytes()) for name, log in logs.items()}
     base = totals[baseline]
     if base <= 0:
-        raise ValueError("baseline pipeline moved zero bytes; ratio undefined")
+        raise ZeroDivisionError(f"baseline pipeline {baseline!r} moved zero bytes; ratio undefined")
     savings = {
         name: 1.0 - total / base
         for name, total in totals.items()

@@ -93,6 +93,10 @@ from .rng import fold_seed
 HEADER_BYTES = 64
 VALUE_BYTES = 8
 LABEL_BYTES = 8
+# An epoch whose loss is more than this many times epoch 0's stops the run:
+# training runs peak at epoch 0, and a run at ten times the default step
+# size peaks near 21 times it before it converges.
+DIVERGED_LOSS_RATIO = 100.0
 
 
 def message_bytes(parameter_count: int) -> int:
@@ -247,7 +251,6 @@ class WorkerState:
     X: np.ndarray | EncodedFeatures
     y: np.ndarray
     sample_ids: np.ndarray  # global row ids into X and y, in training order
-    model_version: int = 0
 
     def __post_init__(self) -> None:
         if self.y.shape != (self.X.shape[0],):
@@ -476,35 +479,27 @@ def run_round(
     workers: Sequence[WorkerState],
     seed: int,
 ) -> RoundReport:
-    """One synchronous round: J local gradients against the same model
-    version (their row blocks split among the step threads),
-    mean-aggregate, one Adam step (:func:`_descend`), broadcast.
+    """One synchronous round: J local gradients at the server's current
+    model (their row blocks split among the step threads), mean-aggregate,
+    one Adam step (:func:`_descend`), broadcast.
 
-    The barrier is structural — aggregation happens only after every
-    worker's gradient for the current version is in hand, so staleness is
-    0 by construction (and asserted in the report).  The workers must share
-    one pooled ``X`` and ``y``; :func:`forward` rejects a wrong width.
+    The barrier is structural — every gradient is taken at
+    ``server.network`` and aggregated only once all are in hand, so the
+    workers carry no model version and the report's staleness is its
+    default, 0.  The workers must share one pooled ``X`` and ``y``;
+    :func:`forward` rejects a wrong width.
     """
     version = server.adam.steps
-    for w in workers:
-        if w.model_version != version:
-            raise StalenessError(
-                f"worker {w.worker_id} holds model version {w.model_version}, "
-                f"server is at {version}"
-            )
     order = sorted(workers, key=lambda w: w.worker_id)
     if len({w.worker_id for w in order}) != len(order):
         raise ValueError("worker ids must be unique")
     if not order or any(w.X is not order[0].X or w.y is not order[0].y for w in order):
         raise ValueError("a round needs workers that share one pooled X and y")
 
-    staleness = max(version - w.model_version for w in workers)
     losses = _descend(
         server, order[0].X, order[0].y, [w.sample_ids for w in order], seed,
         [w.worker_id for w in order],
     )
-    for w in workers:
-        w.model_version = server.adam.steps
 
     per_message = message_bytes(server.network.parameter_count)
     for _ in order:
@@ -519,7 +514,6 @@ def run_round(
         epoch=version,
         global_loss=float(sum(losses)),
         worker_losses=losses,
-        staleness=staleness,
         bytes_up=per_message * len(order),
         bytes_down=per_message * len(order),
     )
@@ -556,9 +550,11 @@ def _train(
     ``step(server, epoch_seed)`` once per epoch until every site's loss
     settles (per convergence_check) or the epoch budget runs out.  The
     sites are the report's workers, or the one central site when it has
-    none.  The step runs with numpy's overflow warnings off, so the
-    FloatingPointError that :func:`_descend` raises for a non-finite loss
-    or gradient is the only report of a diverging run.
+    none.  The step runs with numpy's overflow warnings off, so a
+    FloatingPointError is the only report of a diverging run: the one
+    :func:`_descend` raises for a non-finite loss or gradient, or the one
+    raised here, naming the epoch and both losses, for an epoch whose loss
+    is more than :data:`DIVERGED_LOSS_RATIO` times epoch 0's.
     """
     network = init_network(network_specs(input_width, config), config.seed)
     adam = init_adam(network, step_size=config.step_size)
@@ -569,6 +565,11 @@ def _train(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             report = step(server, fold_seed(config.seed, epoch))
         reports.append(report)
+        if report.global_loss > DIVERGED_LOSS_RATIO * reports[0].global_loss:
+            raise FloatingPointError(
+                f"training diverged at epoch {epoch}: loss {report.global_loss!r} is more "
+                f"than {DIVERGED_LOSS_RATIO:g} times epoch 0's {reports[0].global_loss!r}"
+            )
         for site, loss in enumerate(report.worker_losses or (report.global_loss,)):
             histories[site].append(loss)
         if on_epoch is not None:

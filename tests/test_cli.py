@@ -391,6 +391,20 @@ def test_train_central_writes_artifacts(tmp_path, corpus_dir):
     assert ",up,dataset," in traffic[1]
 
 
+def test_every_manifest_names_the_subcommand_that_wrote_it(tmp_path, corpus_dir):
+    data = ("--transactions", corpus_dir / "transactions.csv")
+    for argv in (
+        ("synth", "--stations", 2, "--records", 20),
+        ("cluster", "--stations", corpus_dir / "stations.csv", "--clusters", 2),
+        ("train", *data, *FAST),
+        ("sweep", *data, "--epochs", 2, "--hidden", "4"),
+    ):
+        out = tmp_path / argv[0]
+        code, _, err = invoke(*argv, "--out", out)
+        assert code == 0, err
+        assert json.loads((out / "manifest.json").read_text())["command"] == argv[0]
+
+
 def test_train_federated_single_worker_matches_central_bytes(tmp_path, corpus_dir):
     central, fed = tmp_path / "c", tmp_path / "f"
     code_c, _, _ = invoke(
@@ -659,6 +673,35 @@ def test_train_non_finite_loss_exits_3(tmp_path, corpus_dir, extra):
     )
     assert code == 3
     assert "non-finite at epoch 1" in err
+    assert not list(out.glob("model*.fedl"))
+
+
+@pytest.fixture(scope="module")
+def diverging_corpus(tmp_path_factory):
+    """The 8-station corpus on which large step sizes blow the loss up."""
+    out = tmp_path_factory.mktemp("diverging")
+    code, _, err = invoke("synth", "--stations", 8, "--records", 1500, "--seed", 3, "--out", out)
+    assert code == 0, err
+    return out
+
+
+@pytest.mark.parametrize(
+    "step_size, loss",
+    [(100, "2898730955.48096"), (1e6, "2.916269672385071e+17")],
+)
+def test_train_whose_loss_blows_up_exits_3(tmp_path, diverging_corpus, step_size, loss):
+    # these runs used to exit 0 with test RMSEs of 1,829 and 18.4 million kWh
+    out = tmp_path / "run"
+    code, stdout, err = invoke(
+        "train", "--transactions", diverging_corpus / "transactions.csv", "--mode", "central",
+        "--epochs", 40, "--seed", 3, "--step-size", step_size, "--out", out,
+    )
+    assert (code, stdout) == (3, "")
+    assert err.splitlines() == [
+        f"fedl: numerical error: training diverged at epoch 1: loss {loss} is more "
+        "than 100 times epoch 0's 1294.9558087041362"
+    ]
+    assert not (out / "manifest.json").exists()
     assert not list(out.glob("model*.fedl"))
 
 
@@ -1672,6 +1715,19 @@ def test_report_non_traffic_csv_exits_2(tmp_path, corpus_dir):
     )
     assert code == 2
     assert "data error" in err
+
+
+def test_report_zero_byte_baseline_exits_1_naming_it_and_its_file(tmp_path, two_traffic_logs):
+    _, federated_csv = two_traffic_logs
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",".join(TrafficLog.HEADER) + "\n", encoding="utf-8")
+    code, stdout, err = invoke(
+        "report", f"central={empty}", f"federated={federated_csv}", "--out", tmp_path / "r",
+    )
+    assert (code, stdout) == (1, "")
+    assert err.splitlines() == [
+        f"fedl: error: {empty}: baseline pipeline 'central' moved zero bytes; ratio undefined"
+    ]
 
 
 # --------------------------------------------------------------- plumbing

@@ -260,6 +260,8 @@ def test_overhead_validation():
         overhead_report({"central": fixed_log(10)})
     with pytest.raises(ValueError):
         overhead_report({"a": fixed_log(1), "b": fixed_log(2)}, baseline="c")
+    with pytest.raises(ZeroDivisionError, match="baseline pipeline 'central' moved zero bytes"):
+        overhead_report({"central": TrafficLog(), "b": fixed_log(2)})
 
 
 def test_overhead_table_lists_every_pipeline():

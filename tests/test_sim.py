@@ -43,6 +43,7 @@ from fedl.sim import (
     WorkerState,
     _map_steps,
     _site_gradients,
+    _train,
     _usable_cores,
     aggregate_gradients,
     by_cluster,
@@ -404,8 +405,6 @@ def test_run_round_is_synchronous_and_accounts_traffic():
     assert report.bytes_up == 3 * per
     assert report.bytes_down == 3 * per
     assert server.adam.steps == 1
-    for w in workers:
-        assert w.model_version == 1
     # J gradients up, then J models down, all stamped with the round's epoch
     assert server.traffic.to_rows() == (
         [(0, "up", "gradient", per)] * 3 + [(0, "down", "model", per)] * 3
@@ -447,12 +446,18 @@ def test_run_round_is_invariant_to_worker_order():
     assert report_a.worker_losses == report_b.worker_losses
 
 
-def test_run_round_rejects_stale_worker():
-    server, workers, _, _, _ = make_federation(workers=2)
-    run_round(server, workers, seed=0)
-    workers[1].model_version = 0  # simulate a missed broadcast
-    with pytest.raises(StalenessError):
-        run_round(server, workers, seed=1)
+def test_one_list_of_workers_trains_under_two_fresh_servers():
+    # a worker holds no model of its own: each round trains at the server's
+    # model, so the same workers serve a second server from its epoch 0
+    server_a, workers, _, _, _ = make_federation(workers=2)
+    server_b, _, _, _, _ = make_federation(workers=2)
+    first = run_round(server_a, workers, seed=0)
+    after_first = params_fingerprint(server_a.network)
+    run_round(server_a, workers, seed=1)
+    again = run_round(server_b, workers, seed=0)
+    assert (again.epoch, again.staleness, server_b.adam.steps) == (0, 0, 1)
+    assert again.worker_losses == first.worker_losses
+    assert params_fingerprint(server_b.network) == after_first
 
 
 def test_run_round_rejects_duplicate_ids():
@@ -883,6 +888,15 @@ def test_a_non_finite_gradient_is_reported_before_another_sites_non_finite_loss(
     message = "training gradient became non-finite at epoch 0 on worker 1"
     with pytest.raises(FloatingPointError, match=f"^{message}$"):
         run_federated(X, y, parts, cfg)
+
+
+def test_an_epoch_more_than_the_diverged_ratio_above_epoch_0_stops_the_run():
+    # epoch 1 sits exactly at 100 times epoch 0's loss and passes
+    reports = iter(RoundReport(e, loss) for e, loss in enumerate([2.0, 200.0, 200.5, 1.0]))
+    cfg = TrainConfig(epochs=4, tolerance=0.0, hidden_layers=(4,))
+    message = "training diverged at epoch 2: loss 200.5 is more than 100 times epoch 0's 2.0"
+    with pytest.raises(FloatingPointError, match=f"^{message}$"):
+        _train(3, cfg, None, lambda server, seed: next(reports))
 
 
 def test_federated_requires_partitions():
